@@ -2,16 +2,14 @@
 
 Nearest-opposite-label radii, adaptive robust expansion and augmentation,
 probe-based robust losses, margin-rate profiles, exact separation scenarios,
-a 1-NN classifier over points and ball sets, and a small ReLU network, tied
-together by a reproducible experiment CLI.
+a 1-NN classifier, and a small ReLU network, tied together by a reproducible
+experiment CLI.
 """
 from .core import (
     Classifier,
     FuncClassifier,
-    LabeledBall,
     LabeledDataset,
     RandomStream,
-    distance,
     predict_batch,
 )
 from .datagen import (
@@ -25,16 +23,8 @@ from .datagen import (
     shape_geometry,
     split,
 )
-from .neighbors import (
-    BallSetClassifier,
-    NnClassifier,
-    NnIndex,
-    nn_classify,
-    nn_classify_balls,
-    rho,
-    rho_all,
-)
-from .augment import ExpansionSpec, augment, expand, expand_fixed, sample_ball_uniform
+from .neighbors import NnClassifier, rho, rho_all
+from .augment import ExpansionSpec, augment, expand, sample_ball_uniform
 from .losses import (
     LossReport,
     adaptive_robust_empirical,
@@ -50,7 +40,6 @@ from .margin import (
     NearestSetClassifier,
     canonical_bayes,
     inverse_phi,
-    margin_membership,
     margin_profile,
     nn_sample_bound,
 )
@@ -79,7 +68,6 @@ from .scenarios import (
     exact_robust_loss,
     margin_mass,
     scenario_four_point,
-    scenario_separable_line,
     scenario_two_point,
     scenario_two_rectangles,
 )

@@ -1,9 +1,10 @@
-"""Adaptive robust expansion (labeled balls) and sampled data augmentation.
+"""Adaptive robust expansion, the uniform-ball sampler, and sampled data
+augmentation.
 
 Expansion replaces each sample with a constant-label open ball whose radius is
 the expansion factor times the distance to the nearest differently-labeled
 sample; augmentation draws points uniformly from those balls. A fixed-radius
-variant (same machinery, constant radius) supports parameter sweeps.
+variant (constant radius) supports parameter sweeps.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledBall, LabeledDataset, RandomStream, as_point
+from .core import LabeledDataset, RandomStream
 from .neighbors import rho_all
 
 
@@ -38,67 +39,56 @@ class ExpansionSpec:
             raise ValueError("need m >= 1 samples per ball")
 
 
-def expand(S: LabeledDataset, c: float) -> list[LabeledBall]:
-    """c-adaptive expansion: one ball per item, radius c * rho_S(x_i, y_i)."""
+def expand(S: LabeledDataset, c: float) -> np.ndarray:
+    """c-adaptive expansion radii: ball i is centred on x_i, keeps label y_i and
+    has radius c * rho_S(x_i, y_i)."""
     if S.n == 0:
         raise ValueError("cannot expand an empty dataset")
     if c < 0.0:
         raise ValueError("expansion factor must be >= 0")
-    rhos = rho_all(S)
-    return [
-        LabeledBall(S.points[i], c * float(rhos[i]), int(S.labels[i]))
-        for i in range(S.n)
-    ]
+    return c * rho_all(S)
 
 
-def expand_fixed(S: LabeledDataset, radius: float) -> list[LabeledBall]:
-    """Fixed-radius expansion: every ball gets the same radius."""
-    if S.n == 0:
-        raise ValueError("cannot expand an empty dataset")
-    if radius < 0.0:
+def sample_ball_uniform(centers, radii, stream: RandomStream) -> np.ndarray:
+    """Uniform draws from the balls around `centers` (shape (..., d)), with
+    `radii` broadcast over the leading axes: a normalized Gaussian direction
+    scaled by radius * U^(1/d) per draw. All Gaussians are drawn before all
+    uniforms, so the draws depend only on the stream and the leading shape."""
+    centers = np.asarray(centers, dtype=np.float64)
+    lead, d = centers.shape[:-1], centers.shape[-1]
+    radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), lead)
+    if np.any(radii < 0.0):
         raise ValueError("radius must be >= 0")
-    return [LabeledBall(S.points[i], radius, int(S.labels[i])) for i in range(S.n)]
-
-
-def sample_ball_uniform(center, radius: float, stream: RandomStream) -> np.ndarray:
-    """Uniform draw from the ball around `center`: normalized Gaussian direction
-    scaled by radius * U^(1/d)."""
-    center = as_point(center)
-    if radius < 0.0:
-        raise ValueError("radius must be >= 0")
-    if radius == 0.0:
-        return center.copy()
-    d = center.shape[0]
-    while True:
-        direction = stream.normal(d)
-        norm = float(np.sqrt(np.sum(direction**2)))
-        if norm > 0.0:
-            break
-    u = float(stream.uniform())
-    return center + direction * (radius * u ** (1.0 / d) / norm)
+    draws = stream.normal(lead + (d,))
+    norms = np.sqrt(np.sum(draws**2, axis=-1, keepdims=True))
+    norms[norms == 0.0] = 1.0
+    draws /= norms
+    draws *= stream.uniform(lead)[..., None] ** (1.0 / d)
+    draws *= radii[..., None]
+    draws += centers
+    return draws
 
 
 def augment(S: LabeledDataset, spec: ExpansionSpec) -> tuple[LabeledDataset, np.ndarray]:
     """m-sample augmentation of S: m uniform draws from each expansion ball,
     each labeled by its origin. Returns the augmented dataset plus an origin
-    index per row (-1 marks retained originals, which come first)."""
+    index per row (-1 marks retained originals, which come first). Ball i draws
+    from the child stream keyed by i, so its rows do not depend on the others."""
     if S.n == 0:
         raise ValueError("cannot augment an empty dataset")
     if spec.fixed_radius is not None:
-        balls = expand_fixed(S, spec.fixed_radius)
+        radii = np.full(S.n, spec.fixed_radius)
     else:
-        balls = expand(S, spec.c)
+        radii = expand(S, spec.c)
     stream = RandomStream(spec.seed)
-    rows, labels, origins = [], [], []
+    shape = (spec.m, S.dim)
+    rows = [sample_ball_uniform(np.broadcast_to(S.points[i], shape), radii[i], stream.child(i))
+            for i in range(S.n)]
+    labels = [np.repeat(S.labels, spec.m)]
+    origins = [np.repeat(np.arange(S.n), spec.m)]
     if spec.include_originals:
-        rows.extend(S.points)
-        labels.extend(int(v) for v in S.labels)
-        origins.extend([-1] * S.n)
-    for i, ball in enumerate(balls):
-        child = stream.child(i)
-        for _ in range(spec.m):
-            rows.append(sample_ball_uniform(ball.center, ball.radius, child))
-            labels.append(ball.label)
-            origins.append(i)
-    out = LabeledDataset(np.stack(rows), np.asarray(labels, dtype=np.int64))
-    return out, np.asarray(origins, dtype=np.int64)
+        rows.insert(0, S.points)
+        labels.insert(0, S.labels)
+        origins.insert(0, np.full(S.n, -1))
+    out = LabeledDataset(np.concatenate(rows), np.concatenate(labels))
+    return out, np.concatenate(origins).astype(np.int64)

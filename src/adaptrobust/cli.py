@@ -10,16 +10,18 @@ figs/*.svg}. The output root comes from --out, else $ADAPTROBUST_OUT, else ./out
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import datagen, losses, margin, mlp, scenarios
 from .augment import ExpansionSpec, augment as augment_data
-from .core import LabeledDataset, RandomStream
+from .core import LabeledDataset, RandomStream, predict_batch
 from .neighbors import NnClassifier
 
 FULL_FIXED_RADII = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
@@ -43,33 +45,50 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return vals
 
 
-def _convert_like(raw: str, template):
-    if isinstance(template, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(template, int):
-        return int(raw)
-    if isinstance(template, float):
-        return float(raw)
-    if template is None:
-        try:
-            return float(raw)
-        except ValueError:
-            return raw
-    return raw
-
-
 def resolve_config(ctx: click.Context, config_path: str | None, **params) -> dict:
-    """Merge defaults < config file < explicit command-line flags."""
+    """Merge defaults < config file < explicit command-line flags. A key names
+    an option by parameter name or long flag (`r` for `--r`); file values go
+    through the option's click type, and unknown keys or bad values stop the
+    command with a one-line error."""
     file_vals = _parse_config_file(config_path) if config_path else {}
+    for key in file_vals:
+        if key not in params:
+            raise click.ClickException(
+                f"{config_path}: unknown key {key!r} (known: {', '.join(sorted(params))})")
+    by_key = {k: p for p in ctx.command.params
+              for k in (p.name, p.opts[0].lstrip("-").replace("-", "_"))}
     resolved = {}
     for key, value in params.items():
-        src = ctx.get_parameter_source(key)
-        explicit = src is not None and src.name == "COMMANDLINE"
-        if not explicit and key in file_vals:
-            resolved[key] = _convert_like(file_vals[key], value)
-        else:
-            resolved[key] = value
+        p = by_key[key]
+        explicit = ctx.get_parameter_source(p.name) == ParameterSource.COMMANDLINE
+        if key in file_vals and not explicit:
+            try:
+                value = p.type.convert(file_vals[key], p, ctx)
+            except click.BadParameter as exc:
+                raise click.ClickException(
+                    f"{config_path}: bad value for {key!r}: {exc.message}") from None
+        resolved[key] = value
     return resolved
+
+
+def _load(path: str) -> LabeledDataset:
+    """Read a dataset CSV, turning a malformed file into a one-line error."""
+    try:
+        return datagen.load_csv(path)[0]
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from None
+
+
+def _parse_radii(text, option: str) -> list[float]:
+    """Comma-separated nonnegative radii, or a one-line error naming the option."""
+    try:
+        radii = [float(v) for v in str(text).split(",")]
+    except ValueError:
+        radii = []
+    if not radii or not all(math.isfinite(r) and r >= 0.0 for r in radii):
+        raise click.ClickException(
+            f"{option} {text!r}: expected comma-separated nonnegative numbers")
+    return radii
 
 
 def _run_dir(out: str | None, name: str) -> Path:
@@ -125,11 +144,7 @@ def render_regions_svg(classifier, train: LabeledDataset, ambient_n: int,
     ]
     if ambient_n > 0:
         ambient = lo + stream.uniform((ambient_n, 2)) * (hi - lo)
-        preds = np.asarray(
-            classifier.predict_batch(ambient)
-            if hasattr(classifier, "predict_batch")
-            else [classifier.predict(x) for x in ambient]
-        )
+        preds = predict_batch(classifier, ambient)
         for p, lab in zip(ambient, preds):
             x, y = to_px(p)
             parts.append(f'<circle cx="{x}" cy="{y}" r="2" fill="{REGION_COLORS[int(lab)]}"/>')
@@ -303,8 +318,8 @@ def cmd_augment(ctx, data_path, c, fixed_radius, m, seed, include_originals, out
                          m=m, seed=seed, include_originals=include_originals, out=out, name=name)
     if (cfg["c"] is None) == (cfg["fixed_radius"] is None):
         raise click.ClickException("give exactly one of --c and --fixed-radius")
+    ds = _load(cfg["data"])
     run = _run_dir(cfg["out"], cfg["name"])
-    ds, _ = datagen.load_csv(cfg["data"])
     spec = ExpansionSpec(
         c=cfg["c"] if cfg["c"] is not None else 0.5, m=cfg["m"],
         include_originals=cfg["include_originals"], seed=cfg["seed"],
@@ -338,9 +353,13 @@ def cmd_train(ctx, data_path, test_path, model_kind, epochs, lr, batch, seed, pr
     cfg = resolve_config(ctx, config_path, data=data_path, test=test_path, model=model_kind,
                          epochs=epochs, lr=lr, batch=batch, seed=seed, probes=probes,
                          r=fixed_r, out=out, name=name)
+    train_ds = _load(cfg["data"])
+    test_ds = _load(cfg["test"])
+    labels = train_ds.classes().tolist()
+    if cfg["model"] == "mlp" and not set(labels) <= {0, 1}:
+        raise click.ClickException(
+            f"--data {cfg['data']}: the mlp model needs labels 0/1, got {labels}")
     run = _run_dir(cfg["out"], cfg["name"])
-    train_ds, _ = datagen.load_csv(cfg["data"])
-    test_ds, _ = datagen.load_csv(cfg["test"])
     if cfg["model"] == "mlp":
         model = mlp.init(train_ds.dim, seed=cfg["seed"])
         model = mlp.train(model, train_ds, mlp.TrainSpec(
@@ -385,8 +404,9 @@ def cmd_margin(ctx, shape, data_path, grid, n, probes, epsilon, seed, out, name,
                          probes=probes, epsilon=epsilon, seed=seed, out=out, name=name)
     if (cfg["shape"] is None) == (cfg["data"] is None):
         raise click.ClickException("give exactly one of --shape and --data")
-    run = _run_dir(cfg["out"], cfg["name"])
-    radii = [float(v) for v in str(cfg["grid"]).split(",")]
+    radii = _parse_radii(cfg["grid"], "--grid")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise click.ClickException(f"--grid {cfg['grid']!r}: radii must be strictly increasing")
     if cfg["shape"] is not None:
         geom = datagen.shape_geometry(cfg["shape"])
         support0 = geom.class_support(0, 10000)
@@ -394,9 +414,11 @@ def cmd_margin(ctx, shape, data_path, grid, n, probes, epsilon, seed, out, name,
         sampler = datagen.manifold_sampler(cfg["shape"])
         dim = 2
     else:
-        ds, _ = datagen.load_csv(cfg["data"])
-        if len(ds.classes()) < 2:
-            raise click.ClickException("margin profiling needs both classes in the data")
+        ds = _load(cfg["data"])
+        labels = ds.classes().tolist()
+        if labels != [0, 1]:
+            raise click.ClickException(
+                f"--data {cfg['data']}: margin needs labels 0 and 1, got {labels}")
         support0 = ds.points[ds.labels == 0]
         support1 = ds.points[ds.labels == 1]
 
@@ -405,6 +427,7 @@ def cmd_margin(ctx, shape, data_path, grid, n, probes, epsilon, seed, out, name,
             return _pts[idx]
 
         dim = ds.dim
+    run = _run_dir(cfg["out"], cfg["name"])
     h = margin.canonical_bayes(support0, support1)
     profile = margin.margin_profile(sampler, h, radii, N=cfg["n"], probes=cfg["probes"],
                                     stream=RandomStream(cfg["seed"]))
@@ -505,15 +528,14 @@ def cmd_render(model_file, nn1_data, data_path, ambient, seed, out, name):
     """Render decision regions plus training data into an SVG (2-D only)."""
     if (model_file is None) == (nn1_data is None):
         raise click.ClickException("give exactly one of --model-file and --nn1-data")
-    run = _run_dir(out, name)
-    ds, _ = datagen.load_csv(data_path)
+    ds = _load(data_path)
     if model_file is not None:
         h = mlp.as_classifier(mlp.load_model(model_file))
         note = "model=mlp"
     else:
-        ref, _ = datagen.load_csv(nn1_data)
-        h = NnClassifier(ref)
+        h = NnClassifier(_load(nn1_data))
         note = "model=nn1"
+    run = _run_dir(out, name)
     svg = render_regions_svg(h, ds, ambient, RandomStream(seed),
                              config_note=f"{note} ambient={ambient} seed={seed}")
     path = run / "figs" / "regions.svg"
@@ -550,9 +572,13 @@ def cmd_sweep(ctx, shapes, n, m, c, fixed_radii, n_seeds, base_seed, epochs, lr,
                          fixed_radii=fixed_radii, seeds=n_seeds, base_seed=base_seed,
                          epochs=epochs, lr=lr, batch=batch, probes=probes,
                          render=do_render, ambient=ambient, out=out, name=name)
-    run = _run_dir(cfg["out"], cfg["name"])
     shape_list = [s.strip() for s in str(cfg["shapes"]).split(",") if s.strip()]
-    radii = [float(v) for v in str(cfg["fixed_radii"]).split(",")]
+    unknown = [s for s in shape_list if s not in datagen.SHAPE_NAMES]
+    if unknown:
+        raise click.ClickException(f"--shapes {cfg['shapes']!r}: unknown shape {unknown[0]!r}; "
+                                   f"expected some of {', '.join(datagen.SHAPE_NAMES)}")
+    radii = _parse_radii(cfg["fixed_radii"], "--fixed-radii")
+    run = _run_dir(cfg["out"], cfg["name"])
     result = run_sweep(
         shape_list, n=cfg["n"], m=cfg["m"], c=cfg["c"], fixed_radii=radii,
         n_seeds=cfg["seeds"], base_seed=cfg["base_seed"], epochs=cfg["epochs"],

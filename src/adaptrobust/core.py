@@ -1,4 +1,4 @@
-"""Shared domain types: points, labeled datasets, balls, classifiers, randomness.
+"""Shared domain types: points, labeled datasets, classifiers, randomness.
 
 Points live in R^d with the Euclidean metric; balls are open (membership is a
 strict inequality). All randomness flows through explicitly passed
@@ -27,21 +27,12 @@ def as_point(values) -> Point:
     return p
 
 
-def distance(p, q) -> float:
-    """Euclidean (L2) distance between two points of equal dimension."""
-    p = as_point(p)
-    q = as_point(q)
-    if p.shape[0] != q.shape[0]:
-        raise ValueError(f"dimension mismatch: {p.shape[0]} vs {q.shape[0]}")
-    return float(np.sqrt(np.sum((p - q) ** 2)))
-
-
 def sq_dists_to(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Squared distances from every row of `points` to `q`.
 
     This kernel is the single source of point-to-point arithmetic for the
-    nearest-neighbor machinery; accelerated index paths reuse it on subsets so
-    their answers are bit-identical to a linear scan.
+    nearest-neighbor machinery; batch paths use the same per-pair arithmetic,
+    so their answers are bit-identical to a linear scan.
     """
     return np.sum((points - q) ** 2, axis=1)
 
@@ -143,30 +134,20 @@ def _default_diameter(points: np.ndarray) -> float:
     return max(math.sqrt(d), float(np.sqrt(np.sum(span**2))))
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledBall:
-    """An open ball with a constant label: {z : ||z - center|| < radius} -> label."""
-
-    center: np.ndarray
-    radius: float
-    label: int
-
-    def __post_init__(self):
-        c = as_point(self.center)
-        object.__setattr__(self, "center", c)
-        if not (math.isfinite(self.radius) and self.radius >= 0.0):
-            raise ValueError("ball radius must be finite and >= 0")
-
-    def contains(self, x) -> bool:
-        return distance(self.center, x) < self.radius
-
-
 @runtime_checkable
 class Classifier(Protocol):
     """A total deterministic predictor. Implementations may also provide
     `predict_batch(X) -> np.ndarray` for vectorized evaluation."""
 
     def predict(self, x: Point) -> Label: ...
+
+
+class BatchFirst:
+    """Base for classifiers defined by `predict_batch`: the scalar `predict`
+    is a one-row batch, so both paths give the same label by construction."""
+
+    def predict(self, x) -> Label:
+        return int(self.predict_batch(as_point(x)[None, :])[0])
 
 
 def predict_batch(h: Classifier, X: np.ndarray) -> np.ndarray:

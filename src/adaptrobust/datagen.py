@@ -59,11 +59,11 @@ class _Arc:
     def length(self) -> float:
         return abs(self.a1 - self.a0) * self.radius
 
-    def point_at(self, s: float) -> np.ndarray:
+    def point_at(self, s: np.ndarray) -> np.ndarray:
         theta = self.a0 + (self.a1 - self.a0) * (s / self.length)
-        return np.array(
-            [self.center[0] + self.radius * math.cos(theta),
-             self.center[1] + self.radius * math.sin(theta)]
+        return np.column_stack(
+            [self.center[0] + self.radius * np.cos(theta),
+             self.center[1] + self.radius * np.sin(theta)]
         )
 
 
@@ -76,32 +76,33 @@ class _Segment:
     def length(self) -> float:
         return math.hypot(self.p1[0] - self.p0[0], self.p1[1] - self.p0[1])
 
-    def point_at(self, s: float) -> np.ndarray:
+    def point_at(self, s: np.ndarray) -> np.ndarray:
         t = s / self.length
-        return np.array(
+        return np.column_stack(
             [self.p0[0] + (self.p1[0] - self.p0[0]) * t,
              self.p0[1] + (self.p1[1] - self.p0[1]) * t]
         )
 
 
 class _Graph:
-    """Curve y = f(x) over [x0, x1]; arc length inverted via a dense table."""
+    """Curve y = f(x) over [x0, x1] (f vectorized); arc length inverted via a
+    dense table."""
 
     _TABLE = 4096
 
     def __init__(self, f, x0: float, x1: float):
         self.f = f
         xs = np.linspace(x0, x1, self._TABLE + 1)
-        ys = np.array([f(x) for x in xs])
+        ys = f(xs)
         seg = np.hypot(np.diff(xs), np.diff(ys))
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         self._xs = xs
         self._cum = cum
         self.length = float(cum[-1])
 
-    def point_at(self, s: float) -> np.ndarray:
-        x = float(np.interp(s, self._cum, self._xs))
-        return np.array([x, self.f(x)])
+    def point_at(self, s: np.ndarray) -> np.ndarray:
+        x = np.interp(s, self._cum, self._xs)
+        return np.column_stack([x, self.f(x)])
 
 
 class ShapeGeometry:
@@ -128,23 +129,34 @@ class ShapeGeometry:
     def class_length(self, label: int) -> float:
         return float(self._by_class[label][1][-1])
 
-    def sample_class(self, label: int, u: float) -> np.ndarray:
-        """Point at arc-length fraction u in [0, 1) of the class's curves, in unit coords."""
+    def sample_class(self, label: int, u: np.ndarray) -> np.ndarray:
+        """Points at arc-length fractions u in [0, 1) of the class's curves, in
+        unit coords; shape (len(u), 2)."""
         ps, cum = self._by_class[label]
-        s = u * cum[-1]
-        k = int(np.searchsorted(cum, s, side="right") - 1)
-        k = min(k, len(ps) - 1)
-        return self.to_unit(ps[k].point_at(s - cum[k]))
+        s = np.asarray(u, dtype=np.float64) * cum[-1]
+        k = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(ps) - 1)
+        raw = np.empty((s.shape[0], 2))
+        for j, piece in enumerate(ps):
+            on = k == j
+            raw[on] = piece.point_at(s[on] - cum[j])
+        return self.to_unit(raw)
+
+    def sample_alternating(self, u: np.ndarray) -> np.ndarray:
+        """Point i on class i % 2's curves at arc-length fraction u[i]."""
+        out = np.empty((len(u), 2))
+        for label in (0, 1):
+            out[label::2] = self.sample_class(label, u[label::2])
+        return out
 
     def class_support(self, label: int, m: int) -> np.ndarray:
         """m points evenly spaced in arc length along the class's curves (unit coords)."""
-        return np.stack([self.sample_class(label, (j + 0.5) / m) for j in range(m)])
+        return self.sample_class(label, (np.arange(m) + 0.5) / m)
 
 
 def _build_sines() -> ShapeGeometry:
     pieces = [
-        (0, _Graph(lambda x: 0.5 * math.sin(2 * math.pi * x), 0.0, 2.0)),
-        (1, _Graph(lambda x: 0.5 * math.sin(2 * math.pi * x) + 0.6, 0.0, 2.0)),
+        (0, _Graph(lambda x: 0.5 * np.sin(2 * math.pi * x), 0.0, 2.0)),
+        (1, _Graph(lambda x: 0.5 * np.sin(2 * math.pi * x) + 0.6, 0.0, 2.0)),
     ]
     return ShapeGeometry("sines", pieces, lo=(0.0, -0.5), hi=(2.0, 1.1))
 
@@ -214,12 +226,8 @@ def generate(spec: ShapeSpec) -> LabeledDataset:
     """Sample a shape dataset in [0, 1]^2; point i carries class i % 2 (before noise)."""
     geom = shape_geometry(spec.shape)
     stream = RandomStream(spec.seed)
-    us = stream.uniform(spec.n)
-    points = np.empty((spec.n, 2))
-    labels = np.empty(spec.n, dtype=np.int64)
-    for i in range(spec.n):
-        labels[i] = i % 2
-        points[i] = geom.sample_class(int(labels[i]), float(us[i]))
+    points = geom.sample_alternating(stream.uniform(spec.n))
+    labels = np.arange(spec.n, dtype=np.int64) % 2
     if spec.label_noise > 0.0:
         flips = stream.uniform(spec.n) < spec.label_noise
         labels = np.where(flips, 1 - labels, labels)
@@ -231,8 +239,7 @@ def manifold_sampler(name: str):
     geom = shape_geometry(name)
 
     def sampler(stream: RandomStream, count: int) -> np.ndarray:
-        us = stream.uniform(count)
-        return np.stack([geom.sample_class(i % 2, float(us[i])) for i in range(count)])
+        return geom.sample_alternating(stream.uniform(count))
 
     return sampler
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .augment import sample_ball_uniform
 from .core import Classifier, LabeledDataset, RandomStream, predict_batch
 from .neighbors import rho, rho_all
 
@@ -44,20 +45,10 @@ def binary_loss(h: Classifier, D: LabeledDataset) -> LossReport:
     return LossReport("binary", float(np.mean(errs)), 0, 0, D.n)
 
 
-def _unit_ball_offsets(stream: RandomStream, k: int, d: int) -> np.ndarray:
-    """k offsets uniform in the unit ball: Gaussian directions scaled by U^(1/d)."""
-    if k == 0:
-        return np.zeros((0, d))
-    dirs = stream.normal((k, d)).reshape(k, d)
-    norms = np.sqrt(np.sum(dirs**2, axis=1, keepdims=True))
-    norms[norms == 0.0] = 1.0
-    us = stream.uniform(k).reshape(k, 1)
-    return dirs / norms * us ** (1.0 / d)
-
-
 def _point_offsets(stream: RandomStream, n: int, k: int, d: int) -> np.ndarray:
     """(n, k, d) unit-ball offsets, one child stream per item index."""
-    return np.stack([_unit_ball_offsets(stream.child(i), k, d) for i in range(n)])
+    origin = np.zeros((k, d))
+    return np.stack([sample_ball_uniform(origin, 1.0, stream.child(i)) for i in range(n)])
 
 
 def _probe_wrong(h: Classifier, X: np.ndarray, offsets: np.ndarray,

@@ -15,15 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Classifier, RandomStream, as_point, predict_batch, sq_dists_to
-from .losses import _unit_ball_offsets
+from .augment import sample_ball_uniform
+from .core import BatchFirst, Classifier, RandomStream, as_point, predict_batch, sq_dists_to
 
 
 @dataclass(frozen=True, eq=False)
-class NearestSetClassifier:
+class NearestSetClassifier(BatchFirst):
     """Nearest-set labeling over dense samplings of the two class regions.
 
-    predict(x) is the label of the closer support set; exact ties go to 0.
+    A point gets the label of the closer support set; exact ties go to 0.
     """
 
     support0: np.ndarray
@@ -39,17 +39,10 @@ class NearestSetClassifier:
         object.__setattr__(self, "support0", s0)
         object.__setattr__(self, "support1", s1)
 
-    def predict(self, x) -> int:
-        x = as_point(x)
-        d0 = sq_dists_to(self.support0, x).min()
-        d1 = sq_dists_to(self.support1, x).min()
-        return 0 if d0 <= d1 else 1
-
     def _min_d2(self, X: np.ndarray, support: np.ndarray) -> np.ndarray:
         out = np.empty(X.shape[0])
         # chunked so the (chunk, m, d) intermediate stays small; the per-pair
-        # arithmetic matches sq_dists_to, keeping batch and single-point
-        # predictions bit-identical
+        # arithmetic matches sq_dists_to, so opposite_witness agrees with it
         chunk = max(1, int(2e6 // max(1, support.shape[0] * support.shape[1])))
         for start in range(0, X.shape[0], chunk):
             stop = min(X.shape[0], start + chunk)
@@ -66,8 +59,11 @@ class NearestSetClassifier:
     def opposite_witness(self, x) -> np.ndarray:
         """Nearest support point of the class this classifier does NOT assign to x."""
         x = as_point(x)
-        opp = self.support1 if self.predict(x) == 0 else self.support0
-        return opp[int(np.argmin(sq_dists_to(opp, x)))]
+        d0 = sq_dists_to(self.support0, x)
+        d1 = sq_dists_to(self.support1, x)
+        if d0.min() <= d1.min():
+            return self.support1[int(np.argmin(d1))]
+        return self.support0[int(np.argmin(d0))]
 
 
 def canonical_bayes(support0, support1) -> NearestSetClassifier:
@@ -75,46 +71,13 @@ def canonical_bayes(support0, support1) -> NearestSetClassifier:
     return NearestSetClassifier(np.asarray(support0), np.asarray(support1))
 
 
-def flip_distance(h: Classifier, x, witness, steps: int = 30) -> float:
-    """Distance from x to a verified label flip along the segment to `witness`.
-
-    Returns inf when the witness carries the same label as x. Assumes at most
-    one flip on the segment (exact for nearest-set classifiers); the returned
-    distance always points at an actually evaluated, flipped point.
-    """
-    x = as_point(x)
-    w = as_point(witness)
-    total = float(np.sqrt(np.sum((w - x) ** 2)))
-    if total == 0.0:
-        return math.inf
-    hx = h.predict(x)
-    if h.predict(w) == hx:
-        return math.inf
-    lo, hi = 0.0, total
-    direction = (w - x) / total
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if h.predict(x + mid * direction) == hx:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def _profile_offsets(stream: RandomStream, n: int, k: int, d: int) -> np.ndarray:
-    """(n, k, d) unit-ball offsets drawn in one vectorized pass (profile
-    estimation batches all points, so per-point streams would only add cost)."""
-    dirs = stream.normal((n, k, d))
-    norms = np.sqrt(np.sum(dirs**2, axis=2, keepdims=True))
-    norms[norms == 0.0] = 1.0
-    us = stream.uniform((n, k))
-    return dirs / norms * us[..., None] ** (1.0 / d)
-
-
 def _flip_distances_batch(h: Classifier, X: np.ndarray, W: np.ndarray,
                           preds: np.ndarray, steps: int = 30) -> np.ndarray:
-    """Vectorized flip_distance over rows of X with per-row witnesses W;
-    rows whose witness shares their label get inf."""
+    """Distance from each row of X to a verified label flip along the segment
+    to its witness row of W, by bisection; rows whose witness shares their
+    label get inf. Assumes at most one flip per segment (exact for nearest-set
+    classifiers); every returned distance points at an evaluated, flipped
+    point."""
     diff = W - X
     total = np.sqrt(np.sum(diff**2, axis=1))
     valid = total > 0.0
@@ -135,28 +98,6 @@ def _flip_distances_batch(h: Classifier, X: np.ndarray, W: np.ndarray,
         hi = np.where(same, hi, mid)
     out[idx] = hi
     return out
-
-
-def margin_membership(h: Classifier, x, r: float, probes: int = 100,
-                      stream: RandomStream | None = None, witness=None) -> bool:
-    """Is some point of the open radius-r ball around x labeled differently
-    than x itself? Probe-based, so false negatives are possible (lower-bound
-    semantics); a witness point on the other side makes the test exact for
-    single-flip classifiers."""
-    if r < 0.0:
-        raise ValueError("radius must be >= 0")
-    if r == 0.0:
-        return False
-    x = as_point(x)
-    if witness is not None and flip_distance(h, x, witness) < r:
-        return True
-    if probes > 0:
-        stream = stream if stream is not None else RandomStream(0)
-        offsets = _unit_ball_offsets(stream, probes, x.shape[0])
-        pred = predict_batch(h, x[None, :] + r * offsets)
-        if np.any(pred != h.predict(x)):
-            return True
-    return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +163,10 @@ def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100,
 
     member = np.zeros(N, dtype=bool)
     values = np.empty(radii.shape[0])
-    offsets = _profile_offsets(stream.child(1), N, probes, X.shape[1]) if probes > 0 else None
+    offsets = None
+    if probes > 0:
+        origin = np.broadcast_to(0.0, (N, probes, X.shape[1]))
+        offsets = sample_ball_uniform(origin, 1.0, stream.child(1))
     for j, r in enumerate(radii):
         if r > 0.0 and offsets is not None:
             Z = X[:, None, :] + r * offsets

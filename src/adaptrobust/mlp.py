@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledDataset, RandomStream, as_point
+from .core import BatchFirst, LabeledDataset, RandomStream, as_point
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,14 +160,11 @@ def train(model: MlpModel, data: LabeledDataset, spec: TrainSpec) -> MlpModel:
 
 
 @dataclass(frozen=True, eq=False)
-class MlpClassifier:
+class MlpClassifier(BatchFirst):
     """Thresholded network output as a Classifier: label 1 iff p >= threshold."""
 
     model: MlpModel
     threshold: float = 0.5
-
-    def predict(self, x) -> int:
-        return int(forward(self.model, x) >= self.threshold)
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         return (forward_batch(self.model, X) >= self.threshold).astype(np.int64)

@@ -1,130 +1,16 @@
-"""Nearest-opposite-label radii and 1-NN classification over points and balls.
+"""Nearest-opposite-label radii and 1-NN classification.
 
-Every query path, accelerated or not, funnels through the same squared-distance
-kernel so results are bit-identical to a brute-force linear scan. Ties are
-broken by the smallest index.
+Every query uses the same per-pair arithmetic as `core.sq_dists_to`, so batch
+results are bit-identical to a brute-force linear scan. Ties are broken by the
+smallest index.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledBall, LabeledDataset, as_point, sq_dists_to
-
-# Grid acceleration only pays off in low dimension with enough points;
-# outside that regime the index transparently degrades to a linear scan
-# (which satisfies the same exactness contract).
-_GRID_MAX_DIM = 3
-_GRID_MIN_POINTS = 64
-
-
-class NnIndex:
-    """Exact nearest-neighbor index over a fixed point array.
-
-    Uses uniform grid bucketing when the geometry permits, otherwise a linear
-    scan. Both paths return (index, squared distance) pairs identical to a
-    full scan, including tie order.
-    """
-
-    def __init__(self, points: np.ndarray, cell_size: float | None = None):
-        self.points = np.asarray(points, dtype=np.float64)
-        if self.points.ndim != 2 or self.points.shape[0] == 0:
-            raise ValueError("index requires a nonempty (n, d) point array")
-        n, d = self.points.shape
-        self._grid = None
-        if d <= _GRID_MAX_DIM and n >= _GRID_MIN_POINTS:
-            self._build_grid(cell_size)
-
-    def _build_grid(self, cell_size: float | None):
-        pts = self.points
-        n, d = pts.shape
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        extent = hi - lo
-        if cell_size is None:
-            # Aim for O(1) points per cell at uniform density.
-            vol = float(np.prod(np.maximum(extent, 1e-12)))
-            cell_size = (vol / n) ** (1.0 / d)
-        if not (cell_size > 0.0 and np.all(extent >= 0.0)):
-            return
-        shape = np.maximum(1, np.ceil(extent / cell_size).astype(np.int64))
-        if np.prod(shape.astype(np.float64)) > 8.0 * n:
-            # Sparse occupancy would make ring scans slower than brute force.
-            shape = np.maximum(1, np.minimum(shape, int(math.ceil(n ** (1.0 / d)))))
-            cell_size = float(np.max(extent / shape)) or cell_size
-            shape = np.maximum(1, np.ceil(extent / cell_size).astype(np.int64))
-        cells: dict[tuple, list[int]] = {}
-        coords = np.clip(((pts - lo) / cell_size).astype(np.int64), 0, shape - 1)
-        for i, c in enumerate(map(tuple, coords)):
-            cells.setdefault(c, []).append(i)
-        self._grid = (lo, hi, float(cell_size), shape, cells)
-
-    def nearest(self, q) -> tuple[int, float]:
-        """Index and squared distance of the nearest point; ties -> smallest index."""
-        q = as_point(q)
-        if q.shape[0] != self.points.shape[1]:
-            raise ValueError("query dimension mismatch")
-        if self._grid is not None:
-            lo, hi, _, _, _ = self._grid
-            if np.all(q >= lo) and np.all(q <= hi):
-                return self._nearest_grid(q)
-        return self._nearest_scan(q)
-
-    def _nearest_scan(self, q) -> tuple[int, float]:
-        d2 = sq_dists_to(self.points, q)
-        i = int(np.argmin(d2))
-        return i, float(d2[i])
-
-    def _nearest_grid(self, q) -> tuple[int, float]:
-        lo, _, s, shape, cells = self._grid
-        d = q.shape[0]
-        cq = np.clip(((q - lo) / s).astype(np.int64), 0, shape - 1)
-        best_i, best_d2 = -1, math.inf
-        ring = 0
-        max_ring = int(np.max(shape))
-        while ring <= max_ring:
-            # Any point in a cell at Chebyshev ring m is at distance >= (m-1)*s.
-            bound = (ring - 1) * s
-            if ring > 0 and best_d2 < bound * bound:
-                break
-            for cell in _ring_cells(cq, ring, shape):
-                idxs = cells.get(cell)
-                if not idxs:
-                    continue
-                idxs = np.asarray(idxs)
-                d2 = sq_dists_to(self.points[idxs], q)
-                j = int(np.argmin(d2))
-                cand_d2, cand_i = float(d2[j]), int(idxs[j])
-                # Within one cell argmin already picked the smallest index;
-                # across cells compare (distance, index) lexicographically.
-                if cand_d2 < best_d2 or (cand_d2 == best_d2 and cand_i < best_i):
-                    best_i, best_d2 = cand_i, cand_d2
-            ring += 1
-        if best_i < 0:  # grid exhausted without candidates; cannot happen for n >= 1
-            return self._nearest_scan(q)
-        return best_i, best_d2
-
-    def nearest_distance(self, q) -> float:
-        _, d2 = self.nearest(q)
-        return float(np.sqrt(d2))
-
-
-def _ring_cells(center: np.ndarray, ring: int, shape: np.ndarray):
-    """Grid cells at exactly Chebyshev distance `ring` from `center`, in bounds."""
-    d = center.shape[0]
-    if ring == 0:
-        yield tuple(center)
-        return
-    los = np.maximum(center - ring, 0)
-    his = np.minimum(center + ring, shape - 1)
-    if np.any(los > his):
-        return
-    for cell in np.ndindex(*(his - los + 1)):
-        c = los + np.asarray(cell)
-        if np.max(np.abs(c - center)) == ring:
-            yield tuple(c)
+from .core import BatchFirst, LabeledDataset, as_point, sq_dists_to
 
 
 def rho(S: LabeledDataset, x, y: int) -> float:
@@ -164,33 +50,9 @@ def rho_all(S: LabeledDataset) -> np.ndarray:
     return out
 
 
-def nn_classify(S: LabeledDataset, x) -> int:
-    """1-NN label of x in S; ties broken by smallest index."""
-    if S.n == 0:
-        raise ValueError("cannot classify against an empty dataset")
-    x = as_point(x)
-    if x.shape[0] != S.dim:
-        raise ValueError("query dimension mismatch")
-    d2 = sq_dists_to(S.points, x)
-    return int(S.labels[int(np.argmin(d2))])
-
-
-def nn_classify_balls(balls: list[LabeledBall], x) -> int:
-    """Label of the ball minimizing max(0, ||x - center|| - radius); ties by index."""
-    if not balls:
-        raise ValueError("cannot classify against an empty ball set")
-    x = as_point(x)
-    best_i, best_d = 0, math.inf
-    for i, b in enumerate(balls):
-        d = max(0.0, float(np.sqrt(np.sum((b.center - x) ** 2))) - b.radius)
-        if d < best_d:
-            best_i, best_d = i, d
-    return int(balls[best_i].label)
-
-
 @dataclass(frozen=True, eq=False)
-class NnClassifier:
-    """1-NN predictor over a fixed training set, usable as a Classifier."""
+class NnClassifier(BatchFirst):
+    """1-NN predictor over a fixed training set; ties go to the smallest index."""
 
     train: LabeledDataset
 
@@ -198,45 +60,16 @@ class NnClassifier:
         if self.train.n == 0:
             raise ValueError("1-NN needs a nonempty training set")
 
-    def predict(self, x) -> int:
-        return nn_classify(self.train, x)
-
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape[0], dtype=np.int64)
         pts, labs = self.train.points, self.train.labels
+        if X.ndim != 2 or X.shape[1] != pts.shape[1]:
+            raise ValueError("query dimension mismatch")
+        out = np.empty(X.shape[0], dtype=np.int64)
         chunk = max(1, int(4e6 // max(1, pts.shape[0] * pts.shape[1])))
         for start in range(0, X.shape[0], chunk):
             stop = min(X.shape[0], start + chunk)
             diff = X[start:stop, None, :] - pts[None, :, :]
             d2 = np.sum(diff**2, axis=2)
             out[start:stop] = labs[np.argmin(d2, axis=1)]
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class BallSetClassifier:
-    """1-NN predictor over labeled balls (point-to-ball distance)."""
-
-    balls: tuple
-
-    def __post_init__(self):
-        balls = tuple(self.balls)
-        if not balls:
-            raise ValueError("need at least one ball")
-        object.__setattr__(self, "balls", balls)
-        object.__setattr__(self, "_centers", np.stack([b.center for b in balls]))
-        object.__setattr__(self, "_radii", np.array([b.radius for b in balls]))
-        object.__setattr__(self, "_labels", np.array([b.label for b in balls], dtype=np.int64))
-
-    def predict(self, x) -> int:
-        return nn_classify_balls(list(self.balls), x)
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape[0], dtype=np.int64)
-        for i, x in enumerate(X):
-            d = np.sqrt(sq_dists_to(self._centers, x)) - self._radii
-            np.maximum(d, 0.0, out=d)
-            out[i] = self._labels[int(np.argmin(d))]
         return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomStream, as_point
+from .core import BatchFirst, RandomStream, as_point, predict_batch
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,11 +51,8 @@ class FiniteDistribution:
 
 
 @dataclass(frozen=True)
-class ConstantClassifier:
+class ConstantClassifier(BatchFirst):
     label: int
-
-    def predict(self, x) -> int:
-        return self.label
 
     def predict_batch(self, X) -> np.ndarray:
         return np.full(np.asarray(X).shape[0], self.label, dtype=np.int64)
@@ -68,16 +65,12 @@ class ConstantClassifier:
 
 
 @dataclass(frozen=True)
-class HalfspaceClassifier:
+class HalfspaceClassifier(BatchFirst):
     """Axis-aligned threshold: points with x[axis] >= t get `above_label`."""
 
     axis: int
     threshold: float
     above_label: int
-
-    def predict(self, x) -> int:
-        x = as_point(x)
-        return self.above_label if x[self.axis] >= self.threshold else 1 - self.above_label
 
     def predict_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -112,7 +105,7 @@ def enumerate_family(D: FiniteDistribution) -> list:
 
 def exact_binary_loss(h, D: FiniteDistribution) -> float:
     """Expected binary loss: sum of mass * P(y != h(x) | x)."""
-    pred = np.array([h.predict(x) for x in D.points])
+    pred = predict_batch(h, D.points)
     per_atom = np.where(pred == 0, D.mu, 1.0 - D.mu)
     return float(np.sum(D.mass * per_atom))
 
@@ -162,8 +155,8 @@ def exact_best(family: list, D: FiniteDistribution, loss: str, r: float | None =
 
 def disagreement_exact(h1, h2, D: FiniteDistribution) -> float:
     """Exact mass of atoms where the two classifiers differ."""
-    p1 = np.array([h1.predict(x) for x in D.points])
-    p2 = np.array([h2.predict(x) for x in D.points])
+    p1 = predict_batch(h1, D.points)
+    p2 = predict_batch(h2, D.points)
     return float(np.sum(D.mass[p1 != p2]))
 
 
@@ -176,19 +169,15 @@ def scenario_two_point(gap: float) -> FiniteDistribution:
 
     For any r > gap the pointwise-correct threshold suffers robust loss 1
     while a constant achieves the optimum 1/2, so the binary-optimal and
-    robust-optimal predictors disagree on half the mass.
+    robust-optimal predictors disagree on half the mass. The distribution is
+    strongly separable (margin rate 0 below gap/2); the CLI's `separable_line`
+    scenario is this construction.
     """
     if gap <= 0.0:
         raise ValueError("gap must be positive")
     return FiniteDistribution(
         points=np.array([[0.0], [gap]]), mu=np.array([0.0, 1.0]), mass=np.array([0.5, 0.5])
     )
-
-
-def scenario_separable_line(gap: float) -> FiniteDistribution:
-    """Strongly separable two-atom line distribution (margin rate 0 below
-    gap/2); robustness parameters above the gap force the constant optimum."""
-    return scenario_two_point(gap)
 
 
 def scenario_four_point() -> FiniteDistribution:

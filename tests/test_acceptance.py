@@ -102,8 +102,7 @@ def test_criterion_04_half_expansion_nonoverlap():
         labels = rng.integers(0, 2, n)
         labels[:2] = [0, 1]
         S = LabeledDataset(rng.random((n, d)), labels)
-        balls = expand(S, 0.5)
-        radii = np.array([b.radius for b in balls])
+        radii = expand(S, 0.5)
         diff = S.points[:, None, :] - S.points[None, :, :]
         dists = np.sqrt(np.sum(diff**2, axis=2))
         opposite = S.labels[:, None] != S.labels[None, :]
@@ -206,6 +205,7 @@ def _rank(table, shape, variants, metric):
     return 1 + sum(1 for v in variants if table[(shape, v)][metric] < mine)
 
 
+@pytest.mark.slow
 def test_criterion_09_adaptive_augmentation_rank(sweep_result):
     ranks_bin = {s: _rank(sweep_result.table, s, sweep_result.variants, "binary")
                  for s in SWEEP_SHAPES}
@@ -218,6 +218,7 @@ def test_criterion_09_adaptive_augmentation_rank(sweep_result):
                    f"adaptive-loss ranks {ranks_adp} ({good_adp}/5 at <=2)")
 
 
+@pytest.mark.slow
 def test_criterion_10_estimator_dominance_and_monotonicity(sweep_result):
     violations = []
     for cell in sweep_result.cells:

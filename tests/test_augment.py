@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adaptrobust.augment import ExpansionSpec, augment, expand, expand_fixed, sample_ball_uniform
+from adaptrobust.augment import ExpansionSpec, augment, expand, sample_ball_uniform
 from adaptrobust.core import LabeledDataset, RandomStream
 from adaptrobust.datagen import ShapeSpec, generate
 from adaptrobust.neighbors import rho_all
@@ -20,16 +20,15 @@ def random_dataset(rng, n, d):
 def test_expand_c0_is_identity():
     rng = np.random.default_rng(0)
     S = random_dataset(rng, 20, 2)
-    balls = expand(S, 0.0)
-    assert all(b.radius == 0.0 for b in balls)
-    assert np.array_equal(np.stack([b.center for b in balls]), S.points)
-    assert [b.label for b in balls] == S.labels.tolist()
+    assert np.array_equal(expand(S, 0.0), np.zeros(S.n))
+    aug, _ = augment(S, ExpansionSpec(c=0.0, m=2, include_originals=False, seed=1))
+    assert np.array_equal(aug.points, np.repeat(S.points, 2, axis=0))
+    assert np.array_equal(aug.labels, np.repeat(S.labels, 2))
 
 
 def test_expand_two_point():
     S = LabeledDataset(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0, 1]))
-    balls = expand(S, 0.5)
-    assert [b.radius for b in balls] == [0.5, 0.5]
+    assert expand(S, 0.5).tolist() == [0.5, 0.5]
 
 
 def test_expand_half_gives_disjoint_opposite_balls():
@@ -38,19 +37,12 @@ def test_expand_half_gives_disjoint_opposite_balls():
     for trial in range(50):
         d = int(rng.choice([1, 2, 5]))
         S = random_dataset(rng, int(rng.integers(5, 60)), d)
-        balls = expand(S, 0.5)
+        radii = expand(S, 0.5)
         for i in range(S.n):
             for j in range(i + 1, S.n):
-                if balls[i].label != balls[j].label:
+                if S.labels[i] != S.labels[j]:
                     gap = math.sqrt(float(np.sum((S.points[i] - S.points[j]) ** 2)))
-                    assert balls[i].radius + balls[j].radius <= gap + 1e-9
-
-
-def test_expand_fixed_radius():
-    rng = np.random.default_rng(2)
-    S = random_dataset(rng, 10, 2)
-    balls = expand_fixed(S, 0.3)
-    assert all(b.radius == 0.3 for b in balls)
+                    assert radii[i] + radii[j] <= gap + 1e-9
 
 
 # --- uniform ball sampling -----------------------------------------------------
@@ -65,7 +57,7 @@ def test_mean_radius_d2():
     # E||z|| = d/(d+1) * R = 2/3 for d=2, R=1
     stream = RandomStream(42)
     c = np.zeros(2)
-    draws = np.array([sample_ball_uniform(c, 1.0, stream) for _ in range(100_000)])
+    draws = sample_ball_uniform(np.broadcast_to(c, (100_000, 2)), 1.0, stream)
     mean_r = np.mean(np.sqrt(np.sum(draws**2, axis=1)))
     assert abs(mean_r - 2.0 / 3.0) < 0.01
 
@@ -74,7 +66,7 @@ def test_volume_fraction_d5():
     # P(||z|| < R/2) = (1/2)^5
     stream = RandomStream(7)
     c = np.zeros(5)
-    draws = np.array([sample_ball_uniform(c, 1.0, stream) for _ in range(100_000)])
+    draws = sample_ball_uniform(np.broadcast_to(c, (100_000, 5)), 1.0, stream)
     frac = np.mean(np.sqrt(np.sum(draws**2, axis=1)) < 0.5)
     assert abs(frac - 0.5**5) < 0.005
 
@@ -91,7 +83,7 @@ def test_sampler_against_rejection_oracle_d2():
     oracle = np.array(kept[:50_000])
 
     stream = RandomStream(11)
-    ours = np.array([sample_ball_uniform(np.zeros(2), 1.0, stream) for _ in range(50_000)])
+    ours = sample_ball_uniform(np.zeros((50_000, 2)), 1.0, stream)
 
     assert abs(np.mean(np.linalg.norm(ours, axis=1)) - np.mean(np.linalg.norm(oracle, axis=1))) < 0.01
     for sx in (1, -1):
@@ -107,6 +99,22 @@ def test_samples_stay_inside_the_ball():
     for _ in range(2000):
         z = sample_ball_uniform(c, 0.7, stream)
         assert np.sqrt(np.sum((z - c) ** 2)) <= 0.7
+    Z = sample_ball_uniform(np.broadcast_to(c, (50, 40, 3)), np.linspace(0.0, 1.0, 40), stream)
+    assert Z.shape == (50, 40, 3)
+    assert np.all(np.sqrt(np.sum((Z - c) ** 2, axis=2)) <= np.linspace(0.0, 1.0, 40))
+
+
+def test_broadcast_draws_consume_the_stream_like_one_call():
+    # the per-item probe offsets of the losses and the margin profile's
+    # offsets are both this one sampler on a zero centre and unit radius
+    a = sample_ball_uniform(np.zeros((7, 4, 3)), 1.0, RandomStream(9))
+    s = RandomStream(9)
+    dirs = s.normal((7, 4, 3))
+    norms = np.sqrt(np.sum(dirs**2, axis=2, keepdims=True))
+    want = dirs / norms * s.uniform((7, 4))[..., None] ** (1.0 / 3)
+    assert np.array_equal(a, want)
+    with pytest.raises(ValueError):
+        sample_ball_uniform(np.zeros((2, 2)), [0.1, -0.1], RandomStream(0))
 
 
 # --- augmentation ----------------------------------------------------------------
@@ -165,6 +173,32 @@ def test_augment_deterministic():
     assert np.array_equal(o1, o2)
     a3, _ = augment(ds, ExpansionSpec(c=2 / 3, m=4, seed=11))
     assert not np.array_equal(a1.points, a3.points)
+
+
+def test_augment_draws_are_keyed_by_item():
+    # item j draws from the child stream keyed by its index j, so its rows do
+    # not depend on which later items are augmented alongside it
+    rng = np.random.default_rng(12)
+    S = random_dataset(rng, 40, 3)
+    rhos = rho_all(S)
+    for spec in (ExpansionSpec(m=3, seed=13, fixed_radius=0.2), ExpansionSpec(c=0.5, m=3, seed=13)):
+        radii = np.full(S.n, 0.2) if spec.fixed_radius is not None else 0.5 * rhos
+        full, origins = augment(S, spec)
+        for j in (0, 17, 39):
+            own = sample_ball_uniform(np.broadcast_to(S.points[j], (3, 3)), radii[j],
+                                      RandomStream(13).child(j))
+            assert np.array_equal(full.points[origins == j], own)
+        checked = 0
+        for k in (1, 7, 25):
+            sub = S.subset(np.arange(k))
+            part, part_origins = augment(sub, spec)
+            # adaptive balls match only where the subset keeps the nearest opposite point
+            same_ball = (np.full(k, True) if spec.fixed_radius is not None
+                         else rho_all(sub) == rhos[:k])
+            for j in np.flatnonzero(same_ball):
+                assert np.array_equal(part.points[part_origins == j], full.points[origins == j])
+                checked += 1
+        assert checked >= 10
 
 
 def test_spec_validation():

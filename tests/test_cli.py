@@ -48,6 +48,42 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert len((tmp_path / "flagwins" / "data" / "dataset.csv").read_text().splitlines()) == 61
 
 
+def test_config_unknown_key_is_rejected(tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("n=50\nepohcs=5\n", encoding="utf-8")
+    res = runner.invoke(main, ["generate", "--shape", "boxes", "--config", str(cfg),
+                               "--out", str(tmp_path), "--name", "typo"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "'epohcs'" in res.output and str(cfg) in res.output
+    assert len(res.output.strip().splitlines()) == 1
+    assert not (tmp_path / "typo").exists()
+
+
+def test_config_unparsable_value_is_rejected(tmp_path, dataset_csv):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("c=abc\n", encoding="utf-8")
+    res = runner.invoke(main, ["augment", "--data", str(dataset_csv), "--config", str(cfg),
+                               "--out", str(tmp_path), "--name", "bad"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "'c'" in res.output and str(cfg) in res.output and "abc" in res.output
+    assert len(res.output.strip().splitlines()) == 1
+    assert not (tmp_path / "bad").exists()
+
+
+def test_config_values_use_the_option_types(tmp_path, dataset_csv):
+    cfg = tmp_path / "typed.cfg"
+    # `data` names the --data option, whose parameter is data_path; the flag
+    # still wins over the file, so the missing file is never read
+    cfg.write_text(f"c=0.5\nm=2\ninclude_originals=false\ndata={tmp_path / 'missing.csv'}\n",
+                   encoding="utf-8")
+    run_ok(["augment", "--data", str(dataset_csv), "--config", str(cfg),
+            "--out", str(tmp_path), "--name", "typed"])
+    echo = (tmp_path / "typed" / "config.echo").read_text().splitlines()
+    assert {"c=0.5", "m=2", "include_originals=False"} <= set(echo)
+    rows = (tmp_path / "typed" / "data" / "augmented.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2 * 200
+
+
 def test_env_var_output_root(tmp_path, monkeypatch):
     monkeypatch.setenv("ADAPTROBUST_OUT", str(tmp_path / "envroot"))
     run_ok(["generate", "--shape", "boxes", "--n", "10", "--name", "viaenv"])
@@ -166,8 +202,41 @@ def test_zero_epoch_train_equals_untrained_eval(split_csvs, tmp_path):
     assert [ln.split(",")[1] for ln in got] == [repr(r.value) for r in want]
 
 
+# --- bad input at the CLI boundary -------------------------------------------------
+
+@pytest.fixture()
+def bad_csvs(tmp_path):
+    pts = np.random.default_rng(0).random((20, 2))
+    labels02 = tmp_path / "labels02.csv"
+    datagen.save_csv(LabeledDataset(pts, np.array([0, 2] * 10)), labels02)
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_text("x1,x2,label\n0.1,oops,0\n", encoding="utf-8")
+    return {"labels02": labels02, "malformed": malformed}
+
+
+@pytest.mark.parametrize("args, names", [
+    (["margin", "--data", "{labels02}"], "{labels02}"),
+    (["train", "--data", "{labels02}", "--test", "{labels02}", "--model", "mlp"], "{labels02}"),
+    (["margin", "--shape", "circles", "--grid", "0.1,abc"], "--grid"),
+    (["margin", "--shape", "circles", "--grid", "0.2,0.1"], "--grid"),
+    (["sweep", "--shapes", "circles,foo"], "'foo'"),
+    (["sweep", "--fixed-radii", "0.1,-1"], "--fixed-radii"),
+    (["augment", "--data", "{malformed}", "--c", "0.5"], "{malformed}"),
+], ids=["margin-labels", "train-mlp-labels", "margin-grid", "margin-grid-order",
+        "sweep-shapes", "sweep-radii", "malformed-csv"])
+def test_bad_input_stops_with_one_line_error(tmp_path, bad_csvs, args, names):
+    args = [a.format(**bad_csvs) for a in args]
+    res = runner.invoke(main, args + ["--out", str(tmp_path / "out"), "--name", "bad"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: ")
+    assert names.format(**bad_csvs) in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
 # --- margin ----------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_margin_command_on_shape(tmp_path):
     run_ok(["margin", "--shape", "circles", "--n", "400", "--probes", "20",
             "--grid", "0.02,0.05,0.3", "--epsilon", "0.05",

@@ -8,10 +8,9 @@ from adaptrobust.datagen import manifold_sampler, shape_geometry
 from adaptrobust.margin import (
     MarginProfile,
     NearestSetClassifier,
+    _flip_distances_batch,
     canonical_bayes,
-    flip_distance,
     inverse_phi,
-    margin_membership,
     margin_profile,
     nn_sample_bound,
 )
@@ -79,23 +78,36 @@ def test_empty_support_errors():
 
 # --- membership -----------------------------------------------------------------
 
+def fixed_points(*xs):
+    """A sampler that always returns the given 1-D points."""
+    return lambda stream, n: np.array([[x] for x in xs])
+
+
 def test_membership_r0_is_false():
-    h = Threshold1D(0.0)
-    assert margin_membership(h, [0.0], 0.0, stream=RandomStream(3)) is False
+    # a point on the boundary itself is not in the radius-0 margin
+    prof = margin_profile(fixed_points(0.0), Threshold1D(0.0), [0.0], N=1, probes=10,
+                          stream=RandomStream(3), witness_fn=lambda x: np.array([-1.0]))
+    assert prof.values[0] == 0.0
 
 
 def test_membership_threshold_with_witness():
     h = Threshold1D(0.0)
-    assert margin_membership(h, [0.3], 0.5, probes=0, witness=[-1.0]) is True
-    assert margin_membership(h, [0.7], 0.5, probes=50, stream=RandomStream(4),
-                             witness=[-1.0]) is False
+    witness = lambda x: np.array([-1.0])
+    prof = margin_profile(fixed_points(0.3), h, [0.5], N=1, probes=0,
+                          stream=RandomStream(4), witness_fn=witness)
+    assert prof.values[0] == 1.0
+    prof = margin_profile(fixed_points(0.7), h, [0.5], N=1, probes=50,
+                          stream=RandomStream(4), witness_fn=witness)
+    assert prof.values[0] == 0.0
 
 
 def test_flip_distance_locates_the_boundary():
     h = Threshold1D(0.25)
-    d = flip_distance(h, [0.9], [-1.0])
-    assert d == pytest.approx(0.65, abs=1e-6)
-    assert flip_distance(h, [0.9], [0.5]) == math.inf  # same-label witness
+    X = np.array([[0.9], [0.9], [0.9]])
+    W = np.array([[-1.0], [0.5], [0.9]])  # flipped, same-label, coincident witness
+    d = _flip_distances_batch(h, X, W, h.predict_batch(X))
+    assert d[0] == pytest.approx(0.65, abs=1e-6)
+    assert d[1] == math.inf and d[2] == math.inf
 
 
 # --- profile --------------------------------------------------------------------

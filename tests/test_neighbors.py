@@ -3,16 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from adaptrobust.core import LabeledBall, LabeledDataset, RandomStream
-from adaptrobust.neighbors import (
-    BallSetClassifier,
-    NnClassifier,
-    NnIndex,
-    nn_classify,
-    nn_classify_balls,
-    rho,
-    rho_all,
-)
+from adaptrobust.core import LabeledDataset
+from adaptrobust.neighbors import NnClassifier, rho, rho_all
 
 
 # --- brute-force oracles -----------------------------------------------------
@@ -33,15 +25,6 @@ def oracle_nn(S, x):
         if d2 < best_d2:
             best_i, best_d2 = i, d2
     return int(S.labels[best_i]), best_i, best_d2
-
-
-def oracle_nn_balls(balls, x):
-    best_i, best_d = 0, math.inf
-    for i, b in enumerate(balls):
-        d = max(0.0, float(np.sqrt(np.sum((b.center - x) ** 2))) - b.radius)
-        if d < best_d:
-            best_i, best_d = i, d
-    return int(balls[best_i].label)
 
 
 def random_dataset(rng, n, d, classes=2):
@@ -105,30 +88,38 @@ def test_rho_positive_at_own_points_without_conflicting_duplicates():
         assert rho(S, S.points[i], int(S.labels[i])) > 0.0
 
 
-# --- nn_classify ---------------------------------------------------------------
+# --- 1-NN ----------------------------------------------------------------------
 
-def test_nn_classify_training_point_returns_own_label():
+def test_nn_predict_training_point_returns_own_label():
     rng = np.random.default_rng(4)
     S = random_dataset(rng, 50, 2)
+    h = NnClassifier(S)
     for i in range(S.n):
-        assert nn_classify(S, S.points[i]) == int(S.labels[i])
+        assert h.predict(S.points[i]) == int(S.labels[i])
 
 
-def test_nn_classify_1d():
+def test_nn_predict_1d():
     S = LabeledDataset(np.array([[0.0], [1.0]]), np.array([0, 1]))
-    assert nn_classify(S, [0.4]) == 0
+    assert NnClassifier(S).predict([0.4]) == 0
 
 
-def test_nn_classify_matches_bruteforce():
+def test_nn_predict_matches_bruteforce():
     rng = np.random.default_rng(5)
     S = random_dataset(rng, 500, 4)
+    h = NnClassifier(S)
     for x in rng.random((120, 4)):
-        assert nn_classify(S, x) == oracle_nn(S, x)[0]
+        assert h.predict(x) == oracle_nn(S, x)[0]
 
 
 def test_nn_tie_breaks_to_smallest_index():
     S = LabeledDataset(np.array([[0.5], [0.5], [0.9]]), np.array([1, 0, 0]))
-    assert nn_classify(S, [0.5]) == 1  # index 0 wins the tie
+    assert NnClassifier(S).predict([0.5]) == 1  # index 0 wins the tie
+
+
+def test_nn_rejects_query_dimension_mismatch():
+    h = NnClassifier(LabeledDataset(np.zeros((2, 2)), np.array([0, 1])))
+    with pytest.raises(ValueError, match="mismatch"):
+        h.predict([0.0])
 
 
 def test_nn_training_error_zero_without_conflicts():
@@ -146,69 +137,23 @@ def test_nn_classifier_batch_equals_loop():
     assert np.array_equal(h.predict_batch(X), [h.predict(x) for x in X])
 
 
-# --- balls ----------------------------------------------------------------------
-
-def test_ball_classification_inside_unique_ball():
-    balls = [LabeledBall(np.array([0.0, 0.0]), 0.5, 1), LabeledBall(np.array([3.0, 0.0]), 0.5, 0)]
-    assert nn_classify_balls(balls, [0.1, 0.0]) == 1
-
-
-def test_zero_radius_balls_reduce_to_point_nn():
-    rng = np.random.default_rng(8)
-    S = random_dataset(rng, 80, 2)
-    balls = [LabeledBall(S.points[i], 0.0, int(S.labels[i])) for i in range(S.n)]
-    for x in rng.random((40, 2)):
-        assert nn_classify_balls(balls, x) == nn_classify(S, x)
-
-
-def test_ball_classification_matches_bruteforce():
-    rng = np.random.default_rng(9)
-    balls = [
-        LabeledBall(rng.random(3), float(rng.random() * 0.3), int(rng.integers(0, 2)))
-        for _ in range(60)
-    ]
-    h = BallSetClassifier(tuple(balls))
-    for x in rng.random((80, 3)):
-        expect = oracle_nn_balls(balls, x)
-        assert nn_classify_balls(balls, x) == expect
-        assert h.predict(x) == expect
-    X = rng.random((30, 3))
-    assert np.array_equal(h.predict_batch(X), [oracle_nn_balls(balls, x) for x in X])
-
-
-# --- exact grid index ------------------------------------------------------------
-
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_grid_index_equals_bruteforce(d):
+def test_nn_predict_batch_equals_bruteforce(d):
     rng = np.random.default_rng(10 + d)
-    pts = rng.random((500, d))
-    S0 = LabeledDataset(pts, np.zeros(len(pts), dtype=int))
-    index = NnIndex(pts)
-    assert index._grid is not None  # the accelerated path must actually engage
+    S = random_dataset(rng, 500, d)
     queries = np.vstack([
         rng.random((100, d)),            # inside the bounding box
         rng.random((20, d)) * 3.0 - 1.0, # partly outside
-        pts[rng.integers(0, 500, 20)],   # exact hits
+        S.points[rng.integers(0, 500, 20)],  # exact hits
     ])
-    for q in queries:
-        _, want_i, want_d2 = oracle_nn(S0, q)
-        assert index.nearest(q) == (want_i, want_d2)
+    want = [oracle_nn(S, q)[0] for q in queries]
+    assert np.array_equal(NnClassifier(S).predict_batch(queries), want)
 
 
-def test_grid_index_tie_order_matches_scan():
+def test_nn_tie_order_across_equidistant_clusters():
     pts = np.array([[0.25, 0.25]] * 4 + [[0.75, 0.75]] * 64 + [[0.25, 0.75]] * 64)
-    index = NnIndex(pts)
-    i, d2 = index.nearest([0.25, 0.25])
-    assert (i, d2) == (0, 0.0)
-    i, _ = index.nearest([0.5, 0.5])
-    assert i == 0  # equidistant clusters; smallest global index wins
-
-
-def test_small_or_highdim_index_uses_exact_scan():
-    rng = np.random.default_rng(13)
-    pts = rng.random((30, 5))
-    index = NnIndex(pts)
-    assert index._grid is None
-    q = rng.random(5)
-    want = oracle_nn(LabeledDataset(pts, np.zeros(30, dtype=int)), q)
-    assert index.nearest(q) == (want[1], want[2])
+    labels = np.array([1] * 4 + [0] * 128)
+    h = NnClassifier(LabeledDataset(pts, labels))
+    assert h.predict([0.25, 0.25]) == 1
+    # equidistant from all three clusters; the smallest global index (0) wins
+    assert np.array_equal(h.predict_batch(np.array([[0.5, 0.5], [0.5, 0.5]])), [1, 1])

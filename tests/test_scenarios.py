@@ -14,7 +14,6 @@ from adaptrobust.scenarios import (
     exact_robust_loss,
     margin_mass,
     scenario_four_point,
-    scenario_separable_line,
     scenario_two_point,
     scenario_two_rectangles,
 )
@@ -117,7 +116,7 @@ def test_four_point_threshold_is_robust_optimal_at_tenth():
 
 
 def test_separable_line_small_radius_keeps_threshold():
-    D = scenario_separable_line(0.4)
+    D = scenario_two_point(0.4)
     fam = enumerate_family(D)
     h, v = exact_best(fam, D, "robust", r=0.4 / 4)
     assert isinstance(h, HalfspaceClassifier) and v == 0.0
@@ -125,7 +124,7 @@ def test_separable_line_small_radius_keeps_threshold():
 
 def test_separable_line_large_radius_forces_constant():
     gap = 0.4
-    D = scenario_separable_line(gap)
+    D = scenario_two_point(gap)
     fam = enumerate_family(D)
     h_rob, v_rob = exact_best(fam, D, "robust", r=gap * 1.5)
     assert isinstance(h_rob, ConstantClassifier) and v_rob == 0.5
@@ -134,7 +133,7 @@ def test_separable_line_large_radius_forces_constant():
 
 
 def test_separable_line_margin_mass_vanishes_below_half_gap():
-    D = scenario_separable_line(0.4)
+    D = scenario_two_point(0.4)
     h_bin, _ = exact_best(enumerate_family(D), D, "binary")
     assert margin_mass(h_bin, D, 0.1) == 0.0   # strongly separable
     assert margin_mass(h_bin, D, 0.3) == 1.0
