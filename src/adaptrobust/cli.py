@@ -91,6 +91,19 @@ def _parse_radii(text, option: str) -> list[float]:
     return radii
 
 
+def _check_min(cfg: dict, key: str, low, strict: bool = False) -> None:
+    """One-line error naming --key unless cfg[key] >= low (> low if strict)."""
+    v = cfg[key]
+    if not (v > low if strict else v >= low):
+        raise click.ClickException(f"--{key} {v!r}: must be {'>' if strict else '>='} {low}")
+
+
+def _check_training(cfg: dict) -> None:
+    _check_min(cfg, "epochs", 0)
+    _check_min(cfg, "batch", 1)
+    _check_min(cfg, "lr", 0, strict=True)
+
+
 def _run_dir(out: str | None, name: str) -> Path:
     root = out or os.environ.get("ADAPTROBUST_OUT") or "out"
     run = Path(root) / name
@@ -293,6 +306,7 @@ def cmd_generate(ctx, shape, n, seed, label_noise, out, name, config_path):
     """Sample a synthetic shape dataset to CSV."""
     cfg = resolve_config(ctx, config_path, shape=shape, n=n, seed=seed,
                          label_noise=label_noise, out=out, name=name)
+    _check_min(cfg, "n", 2)
     run = _run_dir(cfg["out"], cfg["name"])
     ds = datagen.generate(datagen.ShapeSpec(
         shape=cfg["shape"], n=cfg["n"], seed=cfg["seed"], label_noise=cfg["label_noise"]))
@@ -353,12 +367,16 @@ def cmd_train(ctx, data_path, test_path, model_kind, epochs, lr, batch, seed, pr
     cfg = resolve_config(ctx, config_path, data=data_path, test=test_path, model=model_kind,
                          epochs=epochs, lr=lr, batch=batch, seed=seed, probes=probes,
                          r=fixed_r, out=out, name=name)
+    _check_training(cfg)
     train_ds = _load(cfg["data"])
     test_ds = _load(cfg["test"])
     labels = train_ds.classes().tolist()
     if cfg["model"] == "mlp" and not set(labels) <= {0, 1}:
         raise click.ClickException(
             f"--data {cfg['data']}: the mlp model needs labels 0/1, got {labels}")
+    if len(labels) < 2:
+        raise click.ClickException(
+            f"--data {cfg['data']}: the adaptive loss needs two classes, got {labels}")
     run = _run_dir(cfg["out"], cfg["name"])
     if cfg["model"] == "mlp":
         model = mlp.init(train_ds.dim, seed=cfg["seed"])
@@ -404,6 +422,7 @@ def cmd_margin(ctx, shape, data_path, grid, n, probes, epsilon, seed, out, name,
                          probes=probes, epsilon=epsilon, seed=seed, out=out, name=name)
     if (cfg["shape"] is None) == (cfg["data"] is None):
         raise click.ClickException("give exactly one of --shape and --data")
+    _check_min(cfg, "n", 1)
     radii = _parse_radii(cfg["grid"], "--grid")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise click.ClickException(f"--grid {cfg['grid']!r}: radii must be strictly increasing")
@@ -578,6 +597,8 @@ def cmd_sweep(ctx, shapes, n, m, c, fixed_radii, n_seeds, base_seed, epochs, lr,
         raise click.ClickException(f"--shapes {cfg['shapes']!r}: unknown shape {unknown[0]!r}; "
                                    f"expected some of {', '.join(datagen.SHAPE_NAMES)}")
     radii = _parse_radii(cfg["fixed_radii"], "--fixed-radii")
+    _check_min(cfg, "n", 2)
+    _check_training(cfg)
     run = _run_dir(cfg["out"], cfg["name"])
     result = run_sweep(
         shape_list, n=cfg["n"], m=cfg["m"], c=cfg["c"], fixed_radii=radii,

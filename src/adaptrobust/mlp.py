@@ -8,6 +8,7 @@ suite).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,16 +39,22 @@ class MlpModel:
         )
 
     def from_flat(self, vec: np.ndarray) -> "MlpModel":
-        d, (h1, h2) = self.dim, self.widths
-        sizes = [d * h1, h1, h1 * h2, h2, h2, 1]
-        if vec.shape != (sum(sizes),):
-            raise ValueError("parameter vector has the wrong length")
-        parts = np.split(np.asarray(vec, dtype=np.float64), np.cumsum(sizes)[:-1])
-        return MlpModel(
-            parts[0].reshape(d, h1), parts[1].copy(),
-            parts[2].reshape(h1, h2), parts[3].copy(),
-            parts[4].copy(), float(parts[5][0]),
-        )
+        # Copy once, so in-place updates of `vec` cannot reach the new model.
+        L = _layers(np.array(vec, dtype=np.float64), self.dim, *self.widths)
+        return MlpModel(L.w1, L.b1, L.w2, L.b2, L.w3, float(L.b3[0]))
+
+
+# Per-layer views of one flat parameter or gradient vector; b3 has shape (1,).
+_Layers = namedtuple("_Layers", "w1 b1 w2 b2 w3 b3")
+
+
+def _layers(vec: np.ndarray, d: int, h1: int, h2: int) -> _Layers:
+    """Views of `vec` in `MlpModel.flatten` order; writing a view writes `vec`."""
+    sizes = [d * h1, h1, h1 * h2, h2, h2, 1]
+    if vec.shape != (sum(sizes),):
+        raise ValueError("parameter vector has the wrong length")
+    w1, b1, w2, b2, w3, b3 = np.split(vec, np.cumsum(sizes)[:-1])
+    return _Layers(w1.reshape(d, h1), b1, w2.reshape(h1, h2), b2, w3, b3)
 
 
 @dataclass(frozen=True)
@@ -85,12 +92,13 @@ def _sigmoid(o: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * o))
 
 
-def _logits(model: MlpModel, X: np.ndarray):
-    z1 = X @ model.w1 + model.b1
+def _logits(P, X: np.ndarray):
+    """Forward pass; `P` is an `MlpModel` or the `_Layers` of a flat vector."""
+    z1 = X @ P.w1 + P.b1
     a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ model.w2 + model.b2
+    z2 = a1 @ P.w2 + P.b2
     a2 = np.maximum(z2, 0.0)
-    o = a2 @ model.w3 + model.b3
+    o = a2 @ P.w3 + P.b3
     return z1, a1, z2, a2, o
 
 
@@ -113,50 +121,69 @@ def bce_loss(model: MlpModel, data: LabeledDataset) -> float:
     return float(np.mean(np.logaddexp(0.0, o) - y * o))
 
 
+def _backprop(G: _Layers, P, X: np.ndarray, y: np.ndarray) -> None:
+    """Gradient of mean BCE over the rows of X, written into the views `G`.
+    `np.add.reduce` is `np.sum` without its Python wrapper: the same sums."""
+    z1, a1, z2, a2, o = _logits(P, X)
+    delta = (_sigmoid(o) - y) / X.shape[0]       # dL/do
+    np.matmul(a2.T, delta, out=G.w3)
+    G.b3[0] = np.add.reduce(delta)
+    dz2 = delta[:, None] * P.w3
+    dz2 *= z2 > 0.0
+    np.matmul(a1.T, dz2, out=G.w2)
+    np.add.reduce(dz2, axis=0, out=G.b2)
+    dz1 = dz2 @ P.w2.T
+    dz1 *= z1 > 0.0
+    np.matmul(X.T, dz1, out=G.w1)
+    np.add.reduce(dz1, axis=0, out=G.b1)
+
+
 def grad(model: MlpModel, batch: LabeledDataset) -> np.ndarray:
     """Gradient of mean BCE over the batch, flattened in `MlpModel.flatten` order."""
     if batch.n == 0:
         raise ValueError("gradient needs a nonempty batch")
-    X = batch.points
-    y = batch.labels.astype(np.float64)
-    z1, a1, z2, a2, o = _logits(model, X)
-    delta = (_sigmoid(o) - y) / batch.n          # dL/do
-    gw3 = a2.T @ delta
-    gb3 = float(np.sum(delta))
-    da2 = np.outer(delta, model.w3)
-    dz2 = da2 * (z2 > 0.0)
-    gw2 = a1.T @ dz2
-    gb2 = np.sum(dz2, axis=0)
-    da1 = dz2 @ model.w2.T
-    dz1 = da1 * (z1 > 0.0)
-    gw1 = X.T @ dz1
-    gb1 = np.sum(dz1, axis=0)
-    return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2, gw3, [gb3]])
+    out = np.empty_like(model.flatten())
+    _backprop(_layers(out, model.dim, *model.widths), model, batch.points,
+              batch.labels.astype(np.float64))
+    return out
+
+
+def _epochs(model: MlpModel, data: LabeledDataset, spec: TrainSpec):
+    """Mini-batch gradient descent on one flat parameter vector, updated in
+    place; yields that vector after every epoch."""
+    if data.n == 0:
+        raise ValueError("cannot train on an empty dataset")
+    if not set(np.unique(data.labels)) <= {0, 1}:
+        raise ValueError("the network is binary; labels must be 0/1")
+    params = model.flatten()
+    grads = np.empty_like(params)
+    P, G = (_layers(v, model.dim, *model.widths) for v in (params, grads))
+    X, y = data.points, data.labels.astype(np.float64)
+    stream = RandomStream(spec.seed)
+    for _ in range(spec.epochs):
+        perm = stream.permutation(data.n)
+        for start in range(0, data.n, spec.batch_size):
+            idx = perm[start:start + spec.batch_size]
+            _backprop(G, P, X[idx], y[idx])
+            params -= spec.learning_rate * grads
+        yield params
 
 
 def training_curve(model: MlpModel, data: LabeledDataset,
                    spec: TrainSpec) -> tuple[MlpModel, list[float]]:
     """Mini-batch gradient descent; returns the final model and the full-data
     BCE recorded after every epoch."""
-    if data.n == 0:
-        raise ValueError("cannot train on an empty dataset")
-    if not set(np.unique(data.labels)) <= {0, 1}:
-        raise ValueError("the network is binary; labels must be 0/1")
-    stream = RandomStream(spec.seed)
-    params = model.flatten()
-    history = []
-    for _ in range(spec.epochs):
-        perm = stream.permutation(data.n)
-        for start in range(0, data.n, spec.batch_size):
-            idx = perm[start:start + spec.batch_size]
-            cur = model.from_flat(params)
-            params = params - spec.learning_rate * grad(cur, data.subset(idx))
+    params, history = model.flatten(), []
+    for params in _epochs(model, data, spec):
         history.append(bce_loss(model.from_flat(params), data))
     return model.from_flat(params), history
 
 
 def train(model: MlpModel, data: LabeledDataset, spec: TrainSpec) -> MlpModel:
-    return training_curve(model, data, spec)[0]
+    params = model.flatten()
+    for params in _epochs(model, data, spec):
+        pass
+    return model.from_flat(params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,9 +218,5 @@ def load_model(path) -> MlpModel:
         raise ValueError(f"{path}: not a model file")
     d, h1, h2 = (int(v) for v in lines[1].split(","))
     vec = np.array([float(v) for v in lines[2:]], dtype=np.float64)
-    template = MlpModel(
-        w1=np.zeros((d, h1)), b1=np.zeros(h1),
-        w2=np.zeros((h1, h2)), b2=np.zeros(h2),
-        w3=np.zeros(h2), b3=0.0,
-    )
-    return template.from_flat(vec)
+    L = _layers(vec, d, h1, h2)
+    return MlpModel(L.w1, L.b1, L.w2, L.b2, L.w3, float(L.b3[0]))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptrobust.augment import ExpansionSpec, augment, expand, sample_ball_uniform
 from adaptrobust.core import LabeledDataset, RandomStream
@@ -146,6 +148,24 @@ def test_augmented_points_within_c_rho_of_origin():
         dist = math.sqrt(float(np.sum((aug.points[row] - S.points[i]) ** 2)))
         assert dist <= 0.5 * rhos[i] + 1e-12
         assert aug.labels[row] == S.labels[i]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 12), st.integers(0, 2**32 - 1),
+       st.floats(0.01, 2.0), st.integers(1, 4))
+def test_augmented_points_lie_strictly_inside_their_balls(d, n, seed, c, m):
+    rng = np.random.default_rng(seed)
+    # a coarse lattice, so duplicates (some with both labels, rho = 0) occur
+    S = LabeledDataset(rng.integers(0, 3, (n, d)) / 2.0, rng.integers(0, 2, n))
+    radii = expand(S, c)
+    aug, origins = augment(S, ExpansionSpec(c=c, m=m, seed=seed))
+    drawn = origins >= 0
+    dist = np.sqrt(np.sum((aug.points[drawn] - S.points[origins[drawn]]) ** 2, axis=1))
+    r = radii[origins[drawn]]
+    assert np.all(dist[r > 0.0] < r[r > 0.0])
+    # the open ball of radius 0 is empty; its draws stay on the centre
+    assert np.all(dist[r == 0.0] == 0.0)
+    assert np.array_equal(aug.labels[drawn], S.labels[origins[drawn]])
 
 
 def test_augment_without_originals():

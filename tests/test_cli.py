@@ -172,17 +172,6 @@ def test_train_nn1(split_csvs, tmp_path):
     assert lines[1].split(",")[1] == "0.0"  # separable circles: 1-NN is perfect
 
 
-def test_train_nn1_single_class_error_surfaces(tmp_path):
-    pts = np.random.default_rng(0).random((20, 2))
-    ds = LabeledDataset(pts, np.zeros(20, dtype=int))
-    tr = tmp_path / "oneclass.csv"
-    datagen.save_csv(ds, tr)
-    res = runner.invoke(main, ["train", "--data", str(tr), "--test", str(tr),
-                               "--model", "nn1", "--out", str(tmp_path)])
-    assert res.exit_code != 0
-    assert "two classes" in str(res.exception)
-
-
 def test_zero_epoch_train_equals_untrained_eval(split_csvs, tmp_path):
     tr, te = split_csvs
     run_ok(["train", "--data", str(tr), "--test", str(te), "--model", "mlp",
@@ -207,11 +196,16 @@ def test_zero_epoch_train_equals_untrained_eval(split_csvs, tmp_path):
 @pytest.fixture()
 def bad_csvs(tmp_path):
     pts = np.random.default_rng(0).random((20, 2))
-    labels02 = tmp_path / "labels02.csv"
-    datagen.save_csv(LabeledDataset(pts, np.array([0, 2] * 10)), labels02)
-    malformed = tmp_path / "malformed.csv"
-    malformed.write_text("x1,x2,label\n0.1,oops,0\n", encoding="utf-8")
-    return {"labels02": labels02, "malformed": malformed}
+    paths = {name: tmp_path / f"{name}.csv" for name in ("labels01", "labels02", "oneclass")}
+    datagen.save_csv(LabeledDataset(pts, np.array([0, 1] * 10)), paths["labels01"])
+    datagen.save_csv(LabeledDataset(pts, np.array([0, 2] * 10)), paths["labels02"])
+    datagen.save_csv(LabeledDataset(pts, np.zeros(20, dtype=int)), paths["oneclass"])
+    paths["malformed"] = tmp_path / "malformed.csv"
+    paths["malformed"].write_text("x1,x2,label\n0.1,oops,0\n", encoding="utf-8")
+    return paths
+
+
+TRAIN01 = ["train", "--data", "{labels01}", "--test", "{labels01}"]
 
 
 @pytest.mark.parametrize("args, names", [
@@ -222,8 +216,21 @@ def bad_csvs(tmp_path):
     (["sweep", "--shapes", "circles,foo"], "'foo'"),
     (["sweep", "--fixed-radii", "0.1,-1"], "--fixed-radii"),
     (["augment", "--data", "{malformed}", "--c", "0.5"], "{malformed}"),
+    (["train", "--data", "{oneclass}", "--test", "{labels01}", "--model", "nn1"], "{oneclass}"),
+    (["train", "--data", "{oneclass}", "--test", "{labels01}", "--model", "mlp"], "{oneclass}"),
+    (TRAIN01 + ["--epochs", "-1"], "--epochs"),
+    (TRAIN01 + ["--batch", "0"], "--batch"),
+    (TRAIN01 + ["--lr", "0"], "--lr"),
+    (["sweep", "--epochs", "-1"], "--epochs"),
+    (["sweep", "--batch", "0"], "--batch"),
+    (["sweep", "--lr", "-0.5"], "--lr"),
+    (["sweep", "--n", "1"], "--n"),
+    (["generate", "--shape", "circles", "--n", "1"], "--n"),
+    (["margin", "--shape", "circles", "--n", "0"], "--n"),
 ], ids=["margin-labels", "train-mlp-labels", "margin-grid", "margin-grid-order",
-        "sweep-shapes", "sweep-radii", "malformed-csv"])
+        "sweep-shapes", "sweep-radii", "malformed-csv", "train-nn1-one-class",
+        "train-mlp-one-class", "train-epochs", "train-batch", "train-lr", "sweep-epochs",
+        "sweep-batch", "sweep-lr", "sweep-n", "generate-n", "margin-n"])
 def test_bad_input_stops_with_one_line_error(tmp_path, bad_csvs, args, names):
     args = [a.format(**bad_csvs) for a in args]
     res = runner.invoke(main, args + ["--out", str(tmp_path / "out"), "--name", "bad"])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adaptrobust.core import LabeledDataset
+from adaptrobust.core import LabeledDataset, RandomStream
 from adaptrobust.datagen import SHAPE_NAMES, ShapeSpec, generate
 from adaptrobust.mlp import (
     MlpModel,
@@ -148,6 +148,36 @@ def test_training_bitwise_deterministic():
     m1 = train(init(2, seed=17), data, spec)
     m2 = train(init(2, seed=17), data, spec)
     assert np.array_equal(m1.flatten(), m2.flatten())
+
+
+def reference_training_curve(model, data, spec):
+    """The plain loop the in-place training path must reproduce: rebuild the
+    model and the batch at every step, allocate a new parameter vector."""
+    stream = RandomStream(spec.seed)
+    params, history = model.flatten(), []
+    for _ in range(spec.epochs):
+        perm = stream.permutation(data.n)
+        for start in range(0, data.n, spec.batch_size):
+            batch = data.subset(perm[start:start + spec.batch_size])
+            params = params - spec.learning_rate * grad(model.from_flat(params), batch)
+        history.append(bce_loss(model.from_flat(params), data))
+    return params, history
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("epochs", [0, 1, 7])
+@pytest.mark.parametrize("batch_size", [16, 64], ids=["short-last-batch", "batch-over-n"])
+def test_training_matches_reference_loop_bit_for_bit(d, epochs, batch_size):
+    rng = np.random.default_rng(d)
+    data = LabeledDataset(rng.random((45, d)), rng.integers(0, 2, 45))  # 45 = 2*16 + 13
+    model = init(d, seed=30 + d)
+    spec = TrainSpec(epochs=epochs, batch_size=batch_size, learning_rate=0.5, seed=40 + d)
+    want_params, want_history = reference_training_curve(model, data, spec)
+    assert np.array_equal(train(model, data, spec).flatten(), want_params)
+    curved, history = training_curve(model, data, spec)
+    assert np.array_equal(curved.flatten(), want_params)
+    assert history == want_history
+    assert np.array_equal(model.flatten(), init(d, seed=30 + d).flatten())  # input untouched
 
 
 @pytest.mark.parametrize("shape", SHAPE_NAMES)

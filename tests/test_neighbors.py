@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptrobust.core import LabeledDataset
 from adaptrobust.neighbors import NnClassifier, rho, rho_all
@@ -68,6 +70,27 @@ def test_rho_all_matches_pointwise_rho():
         rhos = rho_all(S)
         for i in range(S.n):
             assert rhos[i] == rho(S, S.points[i], int(S.labels[i]))
+
+
+@st.composite
+def lattice_dataset(draw):
+    """Points on a half-step lattice (so duplicates and exact ties occur),
+    with 0/1 labels that may make a duplicate disagree with itself."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 15))
+    coords = draw(st.lists(st.integers(0, 2), min_size=n * d, max_size=n * d))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return LabeledDataset(np.array(coords, dtype=np.float64).reshape(n, d) / 2.0,
+                          np.array(labels))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_dataset())
+def test_rho_all_is_pointwise_rho_bit_for_bit(S):
+    subsets = [S] + [S.subset(S.labels == y) for y in (0, 1) if np.any(S.labels == y)]
+    for T in subsets:  # the per-class subsets are single-class data
+        rhos = rho_all(T)
+        assert [rho(T, T.points[i], int(T.labels[i])) for i in range(T.n)] == rhos.tolist()
 
 
 def test_rho_is_one_lipschitz():
