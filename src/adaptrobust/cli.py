@@ -307,6 +307,8 @@ def cmd_generate(ctx, shape, n, seed, label_noise, out, name, config_path):
     cfg = resolve_config(ctx, config_path, shape=shape, n=n, seed=seed,
                          label_noise=label_noise, out=out, name=name)
     _check_min(cfg, "n", 2)
+    if not 0.0 <= cfg["label_noise"] < 1.0:
+        raise click.ClickException(f"--label-noise {cfg['label_noise']!r}: must lie in [0, 1)")
     run = _run_dir(cfg["out"], cfg["name"])
     ds = datagen.generate(datagen.ShapeSpec(
         shape=cfg["shape"], n=cfg["n"], seed=cfg["seed"], label_noise=cfg["label_noise"]))
@@ -368,6 +370,8 @@ def cmd_train(ctx, data_path, test_path, model_kind, epochs, lr, batch, seed, pr
                          epochs=epochs, lr=lr, batch=batch, seed=seed, probes=probes,
                          r=fixed_r, out=out, name=name)
     _check_training(cfg)
+    if not 0.0 <= cfg["r"] < math.inf:
+        raise click.ClickException(f"--r {cfg['r']!r}: must be finite and >= 0")
     train_ds = _load(cfg["data"])
     test_ds = _load(cfg["test"])
     labels = train_ds.classes().tolist()
@@ -598,6 +602,7 @@ def cmd_sweep(ctx, shapes, n, m, c, fixed_radii, n_seeds, base_seed, epochs, lr,
                                    f"expected some of {', '.join(datagen.SHAPE_NAMES)}")
     radii = _parse_radii(cfg["fixed_radii"], "--fixed-radii")
     _check_min(cfg, "n", 2)
+    _check_min(cfg, "seeds", 1)
     _check_training(cfg)
     run = _run_dir(cfg["out"], cfg["name"])
     result = run_sweep(

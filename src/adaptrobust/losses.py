@@ -147,7 +147,7 @@ def adaptive_robust_testtime(h: Classifier, test: LabeledDataset, ref: LabeledDa
     if probes < 1:
         raise ValueError("need at least one probe per ball")
     stream = stream if stream is not None else RandomStream(0)
-    rhos = np.array([rho(ref, test.points[i], int(test.labels[i])) for i in range(test.n)])
+    rhos = rho(ref, test.points, test.labels)
     flags = predict_batch(h, test.points) != test.labels
     offsets = _point_offsets(stream, test.n, probes, test.dim)
     flags = flags | _probe_wrong(h, test.points, offsets, factor * rhos, test.labels)

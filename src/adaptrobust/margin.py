@@ -11,23 +11,28 @@ the boundary; the witness direction is exact for nearest-set classifiers
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .augment import sample_ball_uniform
-from .core import BatchFirst, Classifier, RandomStream, as_point, predict_batch, sq_dists_to
+from .core import BatchFirst, Classifier, RandomStream, predict_batch
+from .neighbors import GridIndex
 
 
 @dataclass(frozen=True, eq=False)
 class NearestSetClassifier(BatchFirst):
     """Nearest-set labeling over dense samplings of the two class regions.
 
-    A point gets the label of the closer support set; exact ties go to 0.
+    A point gets the label of the closer support set; exact ties go to 0. This
+    is 1-NN over [support0; support1] with ties to the smallest index. Each
+    support also has its own index, for the witnesses.
     """
 
     support0: np.ndarray
     support1: np.ndarray
+    _index: GridIndex = field(init=False, repr=False)
+    _class_index: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         s0 = np.asarray(self.support0, dtype=np.float64)
@@ -38,32 +43,24 @@ class NearestSetClassifier(BatchFirst):
             raise ValueError("supports must share a dimension")
         object.__setattr__(self, "support0", s0)
         object.__setattr__(self, "support1", s1)
-
-    def _min_d2(self, X: np.ndarray, support: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        # chunked so the (chunk, m, d) intermediate stays small; the per-pair
-        # arithmetic matches sq_dists_to, so opposite_witness agrees with it
-        chunk = max(1, int(2e6 // max(1, support.shape[0] * support.shape[1])))
-        for start in range(0, X.shape[0], chunk):
-            stop = min(X.shape[0], start + chunk)
-            diff = X[start:stop, None, :] - support[None, :, :]
-            out[start:stop] = np.sum(diff**2, axis=2).min(axis=1)
-        return out
+        object.__setattr__(self, "_index", GridIndex(np.vstack([s0, s1])))
+        object.__setattr__(self, "_class_index", (GridIndex(s0), GridIndex(s1)))
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        d0 = self._min_d2(X, self.support0)
-        d1 = self._min_d2(X, self.support1)
-        return np.where(d0 <= d1, 0, 1).astype(np.int64)
+        _, idx = self._index.nearest(X)
+        return (idx >= self.support0.shape[0]).astype(np.int64)
 
-    def opposite_witness(self, x) -> np.ndarray:
-        """Nearest support point of the class this classifier does NOT assign to x."""
-        x = as_point(x)
-        d0 = sq_dists_to(self.support0, x)
-        d1 = sq_dists_to(self.support1, x)
-        if d0.min() <= d1.min():
-            return self.support1[int(np.argmin(d1))]
-        return self.support0[int(np.argmin(d0))]
+    def opposite_witness(self, X: np.ndarray) -> np.ndarray:
+        """For each row of X, the nearest support point of the class this
+        classifier does NOT assign to it; ties go to the smallest index."""
+        X = np.asarray(X, dtype=np.float64)
+        label = self.predict_batch(X)
+        out = np.empty_like(X)
+        for y, support in ((0, self.support1), (1, self.support0)):
+            rows = label == y
+            _, idx = self._class_index[1 - y].nearest(X[rows])
+            out[rows] = support[idx]
+        return out
 
 
 def canonical_bayes(support0, support1) -> NearestSetClassifier:
@@ -151,10 +148,10 @@ def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100,
     X = np.asarray(sampler(stream.child(0), N), dtype=np.float64)
     preds = predict_batch(h, X)
 
-    if witness_fn is None and isinstance(h, NearestSetClassifier):
-        witness_fn = h.opposite_witness
     flips = np.full(N, math.inf)
-    if witness_fn is not None:
+    if witness_fn is None and isinstance(h, NearestSetClassifier):
+        flips = _flip_distances_batch(h, X, h.opposite_witness(X), preds)
+    elif witness_fn is not None:
         found = [witness_fn(x) for x in X]
         have = np.array([w is not None for w in found])
         if np.any(have):

@@ -227,10 +227,18 @@ TRAIN01 = ["train", "--data", "{labels01}", "--test", "{labels01}"]
     (["sweep", "--n", "1"], "--n"),
     (["generate", "--shape", "circles", "--n", "1"], "--n"),
     (["margin", "--shape", "circles", "--n", "0"], "--n"),
+    (["generate", "--shape", "circles", "--n", "10", "--label-noise", "1.5"], "--label-noise"),
+    (["generate", "--shape", "circles", "--n", "10", "--label-noise", "-0.25"], "--label-noise"),
+    (["sweep", "--seeds", "0"], "--seeds"),
+    (TRAIN01 + ["--model", "nn1", "--r", "inf"], "--r"),
+    (TRAIN01 + ["--model", "nn1", "--r", "nan"], "--r"),
+    (TRAIN01 + ["--r", "-0.5"], "--r"),
 ], ids=["margin-labels", "train-mlp-labels", "margin-grid", "margin-grid-order",
         "sweep-shapes", "sweep-radii", "malformed-csv", "train-nn1-one-class",
         "train-mlp-one-class", "train-epochs", "train-batch", "train-lr", "sweep-epochs",
-        "sweep-batch", "sweep-lr", "sweep-n", "generate-n", "margin-n"])
+        "sweep-batch", "sweep-lr", "sweep-n", "generate-n", "margin-n",
+        "generate-label-noise-high", "generate-label-noise-negative", "sweep-seeds",
+        "train-r-inf", "train-r-nan", "train-r-negative"])
 def test_bad_input_stops_with_one_line_error(tmp_path, bad_csvs, args, names):
     args = [a.format(**bad_csvs) for a in args]
     res = runner.invoke(main, args + ["--out", str(tmp_path / "out"), "--name", "bad"])
@@ -243,7 +251,6 @@ def test_bad_input_stops_with_one_line_error(tmp_path, bad_csvs, args, names):
 
 # --- margin ----------------------------------------------------------------------
 
-@pytest.mark.slow
 def test_margin_command_on_shape(tmp_path):
     run_ok(["margin", "--shape", "circles", "--n", "400", "--probes", "20",
             "--grid", "0.02,0.05,0.3", "--epsilon", "0.05",

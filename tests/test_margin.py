@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adaptrobust.core import RandomStream
+from adaptrobust.core import RandomStream, sq_dists_to
 from adaptrobust.datagen import manifold_sampler, shape_geometry
 from adaptrobust.margin import (
     MarginProfile,
@@ -69,6 +71,79 @@ def test_batch_equals_single_point_predictions():
     h = canonical_bayes(rng.random((30, 3)), rng.random((30, 3)) + 0.5)
     X = rng.random((100, 3)) * 1.5
     assert np.array_equal(h.predict_batch(X), [h.predict(x) for x in X])
+
+
+def min_d2_scan(X, support):
+    """Squared distance from each row of X to its nearest support point, by a
+    chunked scan."""
+    out = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], 64):
+        diff = X[start:start + 64, None, :] - support[None, :, :]
+        out[start:start + 64] = np.sum(diff**2, axis=2).min(axis=1)
+    return out
+
+
+def two_scan_predict(support0, support1, X):
+    """The nearest-set rule by definition: one scan per support, label 0 when
+    d0 <= d1 (exact ties go to 0)."""
+    return np.where(min_d2_scan(X, support0) <= min_d2_scan(X, support1), 0, 1)
+
+
+def two_scan_witness(support0, support1, x):
+    """The nearest point of the support opposite to x's nearest-set label;
+    argmin takes the smallest index."""
+    d0, d1 = sq_dists_to(support0, x), sq_dists_to(support1, x)
+    if d0.min() <= d1.min():
+        return support1[int(np.argmin(d1))]
+    return support0[int(np.argmin(d0))]
+
+
+def check_against_two_scans(s0, s1, X):
+    h = canonical_bayes(s0, s1)
+    assert np.array_equal(h.predict_batch(X), two_scan_predict(s0, s1, X))
+    want = np.array([two_scan_witness(s0, s1, x) for x in X]).reshape(X.shape)
+    assert h.opposite_witness(X).tobytes() == want.tobytes()
+
+
+def test_circles_predict_batch_matches_two_scans():
+    geom = shape_geometry("circles")
+    s0, s1 = geom.class_support(0, 10000), geom.class_support(1, 10000)
+    rng = np.random.default_rng(3)
+    angle = rng.random(500) * 2 * math.pi
+    X = np.vstack([
+        rng.random((1500, 2)) * 1.5 - 0.25,  # in and around the unit square
+        0.5 + 0.375 * np.column_stack([np.cos(angle), np.sin(angle)]),  # midpoint circle
+        s0[rng.integers(0, 10000, 100)], s1[rng.integers(0, 10000, 100)],
+        rng.random((20, 2)) * 200.0 - 100.0,  # far outside
+    ])
+    check_against_two_scans(s0, s1, X)
+
+
+@pytest.mark.parametrize("d", [3, 5, 10])
+def test_clustered_supports_match_two_scans(d):
+    rng = np.random.default_rng(40 + d)
+    centers = rng.random((6, d))
+    s0 = centers[rng.integers(0, 3, 1500)] + rng.normal(scale=0.05, size=(1500, d))
+    s1 = centers[rng.integers(3, 6, 1500)] + rng.normal(scale=0.05, size=(1500, d))
+    X = np.vstack([rng.random((400, d)), s0[:30], s1[:30]])
+    check_against_two_scans(s0, s1, X)
+
+
+@st.composite
+def lattice_supports(draw):
+    """Two supports and queries on a quarter-step lattice in 1-4 dimensions."""
+    d = draw(st.integers(1, 4))
+    rows = st.lists(st.lists(st.integers(0, 4).map(lambda v: v / 4.0), min_size=d, max_size=d),
+                    min_size=1, max_size=12)
+    return tuple(np.array(draw(rows), dtype=np.float64).reshape(-1, d) for _ in range(3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_supports())
+def test_lattice_predict_batch_matches_two_scans(case):
+    s0, s1, X = case
+    X = np.vstack([X, s0, s1])  # points shared by both supports tie exactly
+    check_against_two_scans(s0, s1, X)
 
 
 def test_empty_support_errors():

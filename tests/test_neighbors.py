@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptrobust.core import LabeledDataset
-from adaptrobust.neighbors import NnClassifier, rho, rho_all
+from adaptrobust import neighbors
+from adaptrobust.core import LabeledDataset, sq_dists_to
+from adaptrobust.neighbors import GridIndex, NnClassifier, rho, rho_all
 
 
 # --- brute-force oracles -----------------------------------------------------
@@ -91,6 +92,38 @@ def test_rho_all_is_pointwise_rho_bit_for_bit(S):
     for T in subsets:  # the per-class subsets are single-class data
         rhos = rho_all(T)
         assert [rho(T, T.points[i], int(T.labels[i])) for i in range(T.n)] == rhos.tolist()
+
+
+@st.composite
+def rho_batch_case(draw):
+    """Lattice data with up to three labels and lattice queries around it."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 15))
+    coords = draw(st.lists(st.integers(0, 2), min_size=n * d, max_size=n * d))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    m = draw(st.integers(0, 20))
+    queries = draw(st.lists(st.integers(-2, 4), min_size=m * d, max_size=m * d))
+    ys = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+    S = LabeledDataset(np.array(coords, dtype=np.float64).reshape(n, d) / 2.0,
+                       np.array(labels))
+    return S, np.array(queries, dtype=np.float64).reshape(m, d) / 2.0, np.array(ys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rho_batch_case())
+def test_batched_rho_is_per_item_scan(case):
+    S, X, Y = case
+    got = rho(S, X, Y)
+    assert isinstance(got, np.ndarray) and got.shape == (X.shape[0],)
+    assert got.tolist() == [rho(S, x, int(y)) for x, y in zip(X, Y)]
+
+
+def test_batched_rho_rejects_mismatched_labels():
+    S = LabeledDataset(np.array([[0.0], [1.0]]), np.array([0, 1]))
+    with pytest.raises(ValueError, match="one label per query"):
+        rho(S, np.zeros((3, 1)), np.array([0, 1]))
+    with pytest.raises(ValueError, match="mismatch"):
+        rho(S, np.zeros((3, 2)), np.array([0, 1, 0]))
 
 
 def test_rho_is_one_lipschitz():
@@ -180,3 +213,80 @@ def test_nn_tie_order_across_equidistant_clusters():
     assert h.predict([0.25, 0.25]) == 1
     # equidistant from all three clusters; the smallest global index (0) wins
     assert np.array_equal(h.predict_batch(np.array([[0.5, 0.5], [0.5, 0.5]])), [1, 1])
+
+
+# --- the grid index ----------------------------------------------------------
+
+def scan_nearest(P, Q):
+    """The reference: one scan per query; argmin takes the smallest index."""
+    d2, idx = [], []
+    for q in Q:
+        row = sq_dists_to(P, q)
+        idx.append(int(np.argmin(row)))
+        d2.append(row[idx[-1]])
+    return np.array(d2, dtype=np.float64), idx
+
+
+
+
+@st.composite
+def index_case(draw):
+    d = draw(st.integers(1, 10))  # past the 3 gridded axes and an 8-term sum
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["lattice", "uniform", "flat", "zero-extent"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "lattice":  # duplicates and exact distance ties
+        P = rng.integers(0, 3, (n, d)) / 2.0
+    elif kind == "uniform":
+        P = rng.random((n, d)) * 2.0 - 1.0
+    elif kind == "flat":  # some coordinates constant
+        P = rng.random((n, d))
+        P[:, rng.random(d) < 0.5] = 0.25
+    else:  # every point the same
+        P = np.repeat(rng.random((1, d)), n, axis=0)
+    Q = np.vstack([
+        rng.integers(-1, 4, (6, d)) / 2.0,
+        rng.random((6, d)) * 3.0 - 1.0,
+        P[rng.integers(0, n, 4)],
+        rng.random((2, d)) * 2e3 - 1e3,  # far outside the bounding box
+    ])
+    return P, Q
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_case())
+def test_grid_index_matches_scan_bit_for_bit(case):
+    P, Q = case
+    want_d2, want_idx = scan_nearest(P, Q)
+    for piece in (None, 64):  # the default pieces, then every ring split small
+        with pytest.MonkeyPatch.context() as mp:
+            if piece:
+                mp.setattr(neighbors, "_PIECE", piece)
+            d2, idx = GridIndex(P).nearest(Q)
+        assert idx.tolist() == want_idx
+        assert d2.tobytes() == want_d2.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
+def test_grid_index_on_clustered_data_matches_scan(d):
+    rng = np.random.default_rng(20 + d)
+    centers = rng.random((8, d))
+    P = centers[rng.integers(0, 8, 3000)] + rng.normal(scale=0.01, size=(3000, d))
+    Q = np.vstack([rng.random((300, d)) * 1.4 - 0.2, P[:50]])
+    want_d2, want_idx = scan_nearest(P, Q)
+    d2, idx = GridIndex(P).nearest(Q)
+    assert idx.tolist() == want_idx and d2.tobytes() == want_d2.tobytes()
+
+
+def test_grid_index_rejects_bad_input():
+    with pytest.raises(ValueError):
+        GridIndex(np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        GridIndex(np.array([[0.0, np.inf]]))
+    index = GridIndex(np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="mismatch"):
+        index.nearest(np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        index.nearest(np.array([[np.nan, 0.0]]))
+    d2, idx = index.nearest(np.zeros((0, 2)))
+    assert d2.shape == idx.shape == (0,)
