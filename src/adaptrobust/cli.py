@@ -1,15 +1,21 @@
 """Command-line harness for reproducible experiments.
 
 Every subcommand is a pure function of its resolved configuration and input
-files: seeds are explicit, the resolved config is echoed into the run
-directory, and no output file embeds machine-specific paths or timestamps, so
-reruns with equal configs reproduce equal bytes.
+files. All seven share one skeleton, `command`: it adds --out, --name and
+--config, merges defaults < config file < explicit flags into one dict keyed
+by parameter name (the long flag without dashes), and hands that dict to the
+command body. A body checks its input first, so bad input stops with a
+one-line error naming the option before anything is written; `_run_dir` then
+makes the run directory and echoes the resolved config into it. Seeds are
+explicit and no output file embeds timestamps, so reruns with equal configs
+reproduce equal bytes.
 
 Run layout: <out>/<run-name>/{config.echo, data/*.csv, models/*, reports/*.csv,
 figs/*.svg}. The output root comes from --out, else $ADAPTROBUST_OUT, else ./out.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -45,30 +51,29 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return vals
 
 
-def resolve_config(ctx: click.Context, config_path: str | None, **params) -> dict:
-    """Merge defaults < config file < explicit command-line flags. A key names
-    an option by parameter name or long flag (`r` for `--r`); file values go
-    through the option's click type, and unknown keys or bad values stop the
-    command with a one-line error."""
-    file_vals = _parse_config_file(config_path) if config_path else {}
+def resolve_config(ctx: click.Context) -> dict:
+    """Merge defaults < config file < explicit command-line flags, keyed by
+    parameter name (`r` for --r, `include_originals` for --originals). File
+    values go through the option's click type; unknown keys or bad values stop
+    the command with a one-line error."""
+    params = {p.name: p for p in ctx.command.params if p.name != "config"}
+    path = ctx.params["config"]
+    file_vals = _parse_config_file(path) if path else {}
     for key in file_vals:
         if key not in params:
             raise click.ClickException(
-                f"{config_path}: unknown key {key!r} (known: {', '.join(sorted(params))})")
-    by_key = {k: p for p in ctx.command.params
-              for k in (p.name, p.opts[0].lstrip("-").replace("-", "_"))}
-    resolved = {}
-    for key, value in params.items():
-        p = by_key[key]
-        explicit = ctx.get_parameter_source(p.name) == ParameterSource.COMMANDLINE
-        if key in file_vals and not explicit:
+                f"{path}: unknown key {key!r} (known: {', '.join(sorted(params))})")
+    cfg = {}
+    for key, p in params.items():
+        value = ctx.params[key]
+        if key in file_vals and ctx.get_parameter_source(key) != ParameterSource.COMMANDLINE:
             try:
                 value = p.type.convert(file_vals[key], p, ctx)
             except click.BadParameter as exc:
                 raise click.ClickException(
-                    f"{config_path}: bad value for {key!r}: {exc.message}") from None
-        resolved[key] = value
-    return resolved
+                    f"{path}: bad value for {key!r}: {exc.message}") from None
+        cfg[key] = value
+    return cfg
 
 
 def _load(path: str) -> LabeledDataset:
@@ -91,31 +96,32 @@ def _parse_radii(text, option: str) -> list[float]:
     return radii
 
 
-def _check_min(cfg: dict, key: str, low, strict: bool = False) -> None:
-    """One-line error naming --key unless cfg[key] >= low (> low if strict)."""
-    v = cfg[key]
-    if not (v > low if strict else v >= low):
-        raise click.ClickException(f"--{key} {v!r}: must be {'>' if strict else '>='} {low}")
+def _check(cfg: dict, **intervals: str) -> None:
+    """One-line error naming the option unless cfg[key] lies in its interval,
+    written like "[0, 1)" or "(0, inf)". NaN lies in none; None (an unset
+    optional value) passes."""
+    for key, interval in intervals.items():
+        v = cfg[key]
+        lo, hi = (float(b) for b in interval[1:-1].split(","))
+        if v is not None and not ((lo < v if interval[0] == "(" else lo <= v)
+                                  and (v < hi if interval[-1] == ")" else v <= hi)):
+            raise click.ClickException(
+                f"--{key.replace('_', '-')} {v!r}: must lie in {interval}")
 
 
-def _check_training(cfg: dict) -> None:
-    _check_min(cfg, "epochs", 0)
-    _check_min(cfg, "batch", 1)
-    _check_min(cfg, "lr", 0, strict=True)
+# Options shared by `train` and `sweep`.
+_TRAINING = dict(epochs="[0, inf)", batch="[1, inf)", lr="(0, inf)", probes="[0, inf)")
 
 
-def _run_dir(out: str | None, name: str) -> Path:
-    root = out or os.environ.get("ADAPTROBUST_OUT") or "out"
-    run = Path(root) / name
+def _run_dir(cfg: dict) -> Path:
+    """Make the run directory and echo the resolved config into it."""
+    run = Path(cfg["out"] or os.environ.get("ADAPTROBUST_OUT") or "out") / cfg["name"]
     for sub in ("data", "models", "reports", "figs"):
         (run / sub).mkdir(parents=True, exist_ok=True)
-    return run
-
-
-def _echo_config(run: Path, config: dict) -> None:
-    skip = {"out", "config", "name"}
-    lines = [f"{k}={config[k]}" for k in sorted(config) if k not in skip and config[k] is not None]
+    lines = [f"{k}={v}" for k, v in sorted(cfg.items())
+             if k not in ("out", "name") and v is not None]
     (run / "config.echo").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return run
 
 
 def _write_reports(path: Path, reports: list[losses.LossReport]) -> None:
@@ -293,85 +299,78 @@ def main():
     losses, margin profiles, and exact scenario checks."""
 
 
-@main.command("generate")
+def command(name: str):
+    """Register the decorated `body(cfg)` as subcommand `name` of `main`, with
+    --out, --name (default `name`) and --config after the body's own options;
+    `cfg` is the `resolve_config` result."""
+    def register(body):
+        def callback(**_):
+            return body(resolve_config(click.get_current_context()))
+
+        cmd = main.command(name)(functools.update_wrapper(callback, body))
+        cmd.params += [
+            click.Option(["--out"], help="Output root (default $ADAPTROBUST_OUT or ./out)."),
+            click.Option(["--name"], default=name, show_default=True, help="Run directory name."),
+            click.Option(["--config"], type=click.Path(exists=True),
+                         help="key=value file of options; explicit flags win."),
+        ]
+        return cmd
+    return register
+
+
+@command("generate")
 @click.option("--shape", required=True, type=click.Choice(datagen.SHAPE_NAMES))
 @click.option("--n", default=1000, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--label-noise", default=0.0, show_default=True)
-@click.option("--out", default=None, help="Output root (default $ADAPTROBUST_OUT or ./out).")
-@click.option("--name", default="generate", show_default=True, help="Run directory name.")
-@click.option("--config", "config_path", default=None, type=click.Path(exists=True))
-@click.pass_context
-def cmd_generate(ctx, shape, n, seed, label_noise, out, name, config_path):
+def cmd_generate(cfg):
     """Sample a synthetic shape dataset to CSV."""
-    cfg = resolve_config(ctx, config_path, shape=shape, n=n, seed=seed,
-                         label_noise=label_noise, out=out, name=name)
-    _check_min(cfg, "n", 2)
-    if not 0.0 <= cfg["label_noise"] < 1.0:
-        raise click.ClickException(f"--label-noise {cfg['label_noise']!r}: must lie in [0, 1)")
-    run = _run_dir(cfg["out"], cfg["name"])
+    _check(cfg, n="[2, inf)", label_noise="[0, 1)")
+    run = _run_dir(cfg)
     ds = datagen.generate(datagen.ShapeSpec(
         shape=cfg["shape"], n=cfg["n"], seed=cfg["seed"], label_noise=cfg["label_noise"]))
     datagen.save_csv(ds, run / "data" / "dataset.csv")
-    _echo_config(run, cfg)
     click.echo(f"wrote {run / 'data' / 'dataset.csv'} ({ds.n} rows)")
 
 
-@main.command("augment")
-@click.option("--data", "data_path", required=True, type=click.Path(exists=True))
+@command("augment")
+@click.option("--data", required=True, type=click.Path(exists=True))
 @click.option("--c", default=None, type=float, help="Adaptive expansion factor (2/3 in the experiments).")
 @click.option("--fixed-radius", default=None, type=float, help="Constant expansion radius.")
 @click.option("--m", default=4, show_default=True, help="Samples per ball.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--originals/--no-originals", "include_originals", default=True, show_default=True)
-@click.option("--out", default=None)
-@click.option("--name", default="augment", show_default=True)
-@click.option("--config", "config_path", default=None, type=click.Path(exists=True))
-@click.pass_context
-def cmd_augment(ctx, data_path, c, fixed_radius, m, seed, include_originals, out, name, config_path):
+def cmd_augment(cfg):
     """Expand a dataset by sampling from adaptive or fixed-radius balls."""
-    cfg = resolve_config(ctx, config_path, data=data_path, c=c, fixed_radius=fixed_radius,
-                         m=m, seed=seed, include_originals=include_originals, out=out, name=name)
     if (cfg["c"] is None) == (cfg["fixed_radius"] is None):
         raise click.ClickException("give exactly one of --c and --fixed-radius")
+    _check(cfg, c="[0, inf)", fixed_radius="[0, inf)", m="[1, inf)")
     ds = _load(cfg["data"])
-    run = _run_dir(cfg["out"], cfg["name"])
+    run = _run_dir(cfg)
     spec = ExpansionSpec(
         c=cfg["c"] if cfg["c"] is not None else 0.5, m=cfg["m"],
         include_originals=cfg["include_originals"], seed=cfg["seed"],
         fixed_radius=cfg["fixed_radius"])
     aug, origins = augment_data(ds, spec)
     datagen.save_csv(aug, run / "data" / "augmented.csv", origins=origins)
-    _echo_config(run, cfg)
     click.echo(f"wrote {run / 'data' / 'augmented.csv'} ({aug.n} rows)")
 
 
-@main.command("train")
-@click.option("--data", "data_path", required=True, type=click.Path(exists=True))
-@click.option("--test", "test_path", required=True, type=click.Path(exists=True))
-@click.option("--model", "model_kind", default="mlp", type=click.Choice(["mlp", "nn1"]),
-              show_default=True)
+@command("train")
+@click.option("--data", required=True, type=click.Path(exists=True))
+@click.option("--test", required=True, type=click.Path(exists=True))
+@click.option("--model", default="mlp", type=click.Choice(["mlp", "nn1"]), show_default=True)
 @click.option("--epochs", default=2000, show_default=True)
 @click.option("--lr", default=0.05, show_default=True)
 @click.option("--batch", default=32, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--probes", default=100, show_default=True)
-@click.option("--r", "fixed_r", default=0.1, show_default=True,
+@click.option("--r", default=0.1, show_default=True,
               help="Radius for the fixed robust-loss evaluation.")
-@click.option("--out", default=None)
-@click.option("--name", default="train", show_default=True)
-@click.option("--config", "config_path", default=None, type=click.Path(exists=True))
-@click.pass_context
-def cmd_train(ctx, data_path, test_path, model_kind, epochs, lr, batch, seed, probes,
-              fixed_r, out, name, config_path):
+def cmd_train(cfg):
     """Fit a model and report binary, fixed-radius robust, and adaptive robust
     losses on held-out data."""
-    cfg = resolve_config(ctx, config_path, data=data_path, test=test_path, model=model_kind,
-                         epochs=epochs, lr=lr, batch=batch, seed=seed, probes=probes,
-                         r=fixed_r, out=out, name=name)
-    _check_training(cfg)
-    if not 0.0 <= cfg["r"] < math.inf:
-        raise click.ClickException(f"--r {cfg['r']!r}: must be finite and >= 0")
+    _check(cfg, **_TRAINING, r="[0, inf)")
     train_ds = _load(cfg["data"])
     test_ds = _load(cfg["test"])
     labels = train_ds.classes().tolist()
@@ -381,7 +380,7 @@ def cmd_train(ctx, data_path, test_path, model_kind, epochs, lr, batch, seed, pr
     if len(labels) < 2:
         raise click.ClickException(
             f"--data {cfg['data']}: the adaptive loss needs two classes, got {labels}")
-    run = _run_dir(cfg["out"], cfg["name"])
+    run = _run_dir(cfg)
     if cfg["model"] == "mlp":
         model = mlp.init(train_ds.dim, seed=cfg["seed"])
         model = mlp.train(model, train_ds, mlp.TrainSpec(
@@ -401,32 +400,25 @@ def cmd_train(ctx, data_path, test_path, model_kind, epochs, lr, batch, seed, pr
                                         probes=10, stream=stream.child(1)),
     ]
     _write_reports(run / "reports" / "losses.csv", reports)
-    _echo_config(run, cfg)
     for rep in reports:
         click.echo(f"{rep.name} = {rep.value:.4f}")
 
 
-@main.command("margin")
+@command("margin")
 @click.option("--shape", default=None, type=click.Choice(datagen.SHAPE_NAMES))
-@click.option("--data", "data_path", default=None, type=click.Path(exists=True))
+@click.option("--data", default=None, type=click.Path(exists=True))
 @click.option("--grid", default="0.01,0.02,0.05,0.1,0.2,0.5", show_default=True,
               help="Comma-separated radius grid.")
 @click.option("--n", default=20000, show_default=True, help="Monte-Carlo sample count.")
 @click.option("--probes", default=100, show_default=True)
 @click.option("--epsilon", default=0.05, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--out", default=None)
-@click.option("--name", default="margin", show_default=True)
-@click.option("--config", "config_path", default=None, type=click.Path(exists=True))
-@click.pass_context
-def cmd_margin(ctx, shape, data_path, grid, n, probes, epsilon, seed, out, name, config_path):
+def cmd_margin(cfg):
     """Estimate the margin-rate profile of the canonical nearest-set predictor,
     invert it at epsilon, and report the 1-NN sample bound."""
-    cfg = resolve_config(ctx, config_path, shape=shape, data=data_path, grid=grid, n=n,
-                         probes=probes, epsilon=epsilon, seed=seed, out=out, name=name)
     if (cfg["shape"] is None) == (cfg["data"] is None):
         raise click.ClickException("give exactly one of --shape and --data")
-    _check_min(cfg, "n", 1)
+    _check(cfg, n="[1, inf)", probes="[0, inf)", epsilon="(0, 1]")
     radii = _parse_radii(cfg["grid"], "--grid")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise click.ClickException(f"--grid {cfg['grid']!r}: radii must be strictly increasing")
@@ -450,7 +442,7 @@ def cmd_margin(ctx, shape, data_path, grid, n, probes, epsilon, seed, out, name,
             return _pts[idx]
 
         dim = ds.dim
-    run = _run_dir(cfg["out"], cfg["name"])
+    run = _run_dir(cfg)
     h = margin.canonical_bayes(support0, support1)
     profile = margin.margin_profile(sampler, h, radii, N=cfg["n"], probes=cfg["probes"],
                                     stream=RandomStream(cfg["seed"]))
@@ -463,59 +455,61 @@ def cmd_margin(ctx, shape, data_path, grid, n, probes, epsilon, seed, out, name,
     else:
         summary.append("nn_sample_bound=undefined (r_star = 0)")
     (run / "reports" / "margin_summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-    _echo_config(run, cfg)
     for ln in summary:
         click.echo(ln)
 
 
-@main.command("scenario")
-@click.argument("scenario_name", metavar="NAME")
+SCENARIOS = ("two_point", "four_point", "two_rectangles")
+
+
+@command("scenario")
+@click.argument("scenario", metavar="NAME")
 @click.option("--epsilon", default=0.2, show_default=True, help="Two-rectangles regression gap.")
-@click.option("--gap", default=0.5, show_default=True, help="Atom spacing for line scenarios.")
-@click.option("--r", "radius", default=1.0, show_default=True, help="Robustness parameter.")
+@click.option("--gap", default=0.5, show_default=True, help="Atom spacing for two_point.")
+@click.option("--r", default=1.0, show_default=True, help="Robustness parameter.")
 @click.option("--mc", default=100000, show_default=True, help="Monte-Carlo points.")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--out", default=None)
-@click.option("--name", default="scenario", show_default=True)
-def cmd_scenario(scenario_name, epsilon, gap, radius, mc, seed, out, name):
+def cmd_scenario(cfg):
     """Run an exact construction and print claimed-vs-computed values.
 
-    NAME is one of: two_point, four_point, two_rectangles, separable_line.
+    NAME is one of: two_point, four_point, two_rectangles.
     """
-    known = ("two_point", "four_point", "two_rectangles", "separable_line")
-    if scenario_name not in known:
-        raise click.ClickException(f"unknown scenario {scenario_name!r}; options: {', '.join(known)}")
-    run = _run_dir(out, name)
-    lines, reports = _scenario_report(scenario_name, epsilon, gap, radius, mc, seed)
-    _write_reports(run / "reports" / f"scenario_{scenario_name}.csv", reports)
+    name = cfg["scenario"]
+    if name not in SCENARIOS:
+        raise click.ClickException(f"unknown scenario {name!r}; options: {', '.join(SCENARIOS)}")
+    _check(cfg, epsilon="(0, 1)", gap="(0, inf)", r="[0, inf]", mc="[1, inf)")
+    run = _run_dir(cfg)
+    lines, reports = _scenario_report(cfg)
+    _write_reports(run / "reports" / f"scenario_{name}.csv", reports)
     text = "\n".join(lines) + "\n"
-    (run / "reports" / f"scenario_{scenario_name}.txt").write_text(text, encoding="utf-8")
+    (run / "reports" / f"scenario_{name}.txt").write_text(text, encoding="utf-8")
     click.echo(text, nl=False)
 
 
-def _scenario_report(scenario_name, epsilon, gap, radius, mc, seed):
-    lines: list[str] = [f"scenario: {scenario_name}"]
+def _scenario_report(cfg: dict):
+    name, r, seed, mc = cfg["scenario"], cfg["r"], cfg["seed"], cfg["mc"]
+    lines: list[str] = [f"scenario: {name}"]
     reports: list[losses.LossReport] = []
 
-    def add(name, value, n, claimed=None):
-        reports.append(losses.LossReport(name, float(value), 0, seed, n))
+    def add(loss_name, value, n, claimed=None):
+        reports.append(losses.LossReport(loss_name, float(value), 0, seed, n))
         claim = f" (claimed {claimed})" if claimed is not None else ""
-        lines.append(f"{name} = {float(value)!r}{claim}")
+        lines.append(f"{loss_name} = {float(value)!r}{claim}")
 
-    if scenario_name in ("two_point", "separable_line"):
-        D = scenarios.scenario_two_point(gap)
+    if name == "two_point":
+        D = scenarios.scenario_two_point(cfg["gap"])
         fam = scenarios.enumerate_family(D)
         h_bin, v_bin = scenarios.exact_best(fam, D, "binary")
-        h_rob, v_rob = scenarios.exact_best(fam, D, "robust", r=radius)
+        h_rob, v_rob = scenarios.exact_best(fam, D, "robust", r=r)
         lines.append(f"binary-optimal: {scenarios.describe_classifier(h_bin)}")
-        lines.append(f"robust-optimal (r={radius:g}): {scenarios.describe_classifier(h_rob)}")
+        lines.append(f"robust-optimal (r={r:g}): {scenarios.describe_classifier(h_rob)}")
         add("best_binary_loss", v_bin, 2, claimed=0)
-        add("binary_optimal_robust_loss", scenarios.exact_robust_loss(h_bin, D, radius), 2,
+        add("binary_optimal_robust_loss", scenarios.exact_robust_loss(h_bin, D, r), 2,
             claimed="1 when r > gap")
         add("best_robust_loss", v_rob, 2, claimed="1/2 when r > gap")
         add("disagreement_mass", scenarios.disagreement_exact(h_bin, h_rob, D), 2,
             claimed="1/2 when r > gap")
-    elif scenario_name == "four_point":
+    elif name == "four_point":
         D = scenarios.scenario_four_point()
         fam = scenarios.enumerate_family(D)
         h = scenarios.HalfspaceClassifier(axis=1, threshold=1.0, above_label=1)
@@ -524,49 +518,48 @@ def _scenario_report(scenario_name, epsilon, gap, radius, mc, seed):
         add("threshold_robust_loss_r=0.1", scenarios.exact_robust_loss(h, D, 0.1), 4, claimed=0)
         add("best_robust_loss_r=0.1", v_rob, 4, claimed=0)
     else:  # two_rectangles
-        sc = scenarios.scenario_two_rectangles(epsilon)
+        sc = scenarios.scenario_two_rectangles(cfg["epsilon"])
         stream = RandomStream(seed)
         dis = losses.disagreement_mass(sc.bayes, sc.robust_bayes, sc.sampler, mc, stream)
         add("disagreement_mass", dis, mc, claimed="1/2")
         X = sc.sampler(stream.child(0), mc)
-        mus = np.array([sc.mu(x) for x in X])
+        mus = sc.mu(X)
         pred = sc.bayes.predict_batch(X)
         emp = float(np.mean(np.where(pred == 0, mus, 1.0 - mus)))
         add("bayes_binary_loss_mc", emp, mc, claimed=f"(1-eps)/2 = {sc.bayes_binary_loss()!r}")
     return lines, reports
 
 
-@main.command("render")
+@command("render")
 @click.option("--model-file", default=None, type=click.Path(exists=True),
               help="Trained network in the flat text format.")
 @click.option("--nn1-data", default=None, type=click.Path(exists=True),
               help="Training CSV for a 1-NN model.")
-@click.option("--data", "data_path", required=True, type=click.Path(exists=True),
+@click.option("--data", required=True, type=click.Path(exists=True),
               help="Training CSV to overlay.")
 @click.option("--ambient", default=4000, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--out", default=None)
-@click.option("--name", default="render", show_default=True)
-def cmd_render(model_file, nn1_data, data_path, ambient, seed, out, name):
+def cmd_render(cfg):
     """Render decision regions plus training data into an SVG (2-D only)."""
-    if (model_file is None) == (nn1_data is None):
+    if (cfg["model_file"] is None) == (cfg["nn1_data"] is None):
         raise click.ClickException("give exactly one of --model-file and --nn1-data")
-    ds = _load(data_path)
-    if model_file is not None:
-        h = mlp.as_classifier(mlp.load_model(model_file))
+    _check(cfg, ambient="[0, inf)")
+    ds = _load(cfg["data"])
+    if cfg["model_file"] is not None:
+        h = mlp.as_classifier(mlp.load_model(cfg["model_file"]))
         note = "model=mlp"
     else:
-        h = NnClassifier(_load(nn1_data))
+        h = NnClassifier(_load(cfg["nn1_data"]))
         note = "model=nn1"
-    run = _run_dir(out, name)
-    svg = render_regions_svg(h, ds, ambient, RandomStream(seed),
-                             config_note=f"{note} ambient={ambient} seed={seed}")
+    run = _run_dir(cfg)
+    svg = render_regions_svg(h, ds, cfg["ambient"], RandomStream(cfg["seed"]),
+                             config_note=f"{note} ambient={cfg['ambient']} seed={cfg['seed']}")
     path = run / "figs" / "regions.svg"
     path.write_text(svg, encoding="utf-8")
     click.echo(f"wrote {path}")
 
 
-@main.command("sweep")
+@command("sweep")
 @click.option("--shapes", default=",".join(datagen.SHAPE_NAMES), show_default=True,
               help="Comma-separated shape list.")
 @click.option("--n", default=1000, show_default=True)
@@ -575,36 +568,26 @@ def cmd_render(model_file, nn1_data, data_path, ambient, seed, out, name):
 @click.option("--fixed-radii", default="0.1,0.5,1,2", show_default=True,
               help="Comma-separated radii; the full schedule is "
                    + ",".join(f"{r:g}" for r in FULL_FIXED_RADII) + ".")
-@click.option("--seeds", "n_seeds", default=3, show_default=True)
+@click.option("--seeds", default=3, show_default=True)
 @click.option("--base-seed", default=0, show_default=True)
 @click.option("--epochs", default=600, show_default=True)
 @click.option("--lr", default=0.3, show_default=True)
 @click.option("--batch", default=64, show_default=True)
 @click.option("--probes", default=100, show_default=True)
-@click.option("--render/--no-render", "do_render", default=True, show_default=True)
+@click.option("--render/--no-render", default=True, show_default=True)
 @click.option("--ambient", default=2000, show_default=True)
-@click.option("--out", default=None)
-@click.option("--name", default="sweep", show_default=True)
-@click.option("--config", "config_path", default=None, type=click.Path(exists=True))
-@click.pass_context
-def cmd_sweep(ctx, shapes, n, m, c, fixed_radii, n_seeds, base_seed, epochs, lr, batch,
-              probes, do_render, ambient, out, name, config_path):
+def cmd_sweep(cfg):
     """Full augmentation grid (no-aug, fixed radii, adaptive) across shapes and
     seeds, summarized in one table CSV."""
-    cfg = resolve_config(ctx, config_path, shapes=shapes, n=n, m=m, c=c,
-                         fixed_radii=fixed_radii, seeds=n_seeds, base_seed=base_seed,
-                         epochs=epochs, lr=lr, batch=batch, probes=probes,
-                         render=do_render, ambient=ambient, out=out, name=name)
     shape_list = [s.strip() for s in str(cfg["shapes"]).split(",") if s.strip()]
     unknown = [s for s in shape_list if s not in datagen.SHAPE_NAMES]
     if unknown:
         raise click.ClickException(f"--shapes {cfg['shapes']!r}: unknown shape {unknown[0]!r}; "
                                    f"expected some of {', '.join(datagen.SHAPE_NAMES)}")
     radii = _parse_radii(cfg["fixed_radii"], "--fixed-radii")
-    _check_min(cfg, "n", 2)
-    _check_min(cfg, "seeds", 1)
-    _check_training(cfg)
-    run = _run_dir(cfg["out"], cfg["name"])
+    _check(cfg, **_TRAINING, n="[2, inf)", m="[1, inf)", c="[0, inf)", seeds="[1, inf)",
+           ambient="[0, inf)")
+    run = _run_dir(cfg)
     result = run_sweep(
         shape_list, n=cfg["n"], m=cfg["m"], c=cfg["c"], fixed_radii=radii,
         n_seeds=cfg["seeds"], base_seed=cfg["base_seed"], epochs=cfg["epochs"],
@@ -615,7 +598,6 @@ def cmd_sweep(ctx, shapes, n, m, c, fixed_radii, n_seeds, base_seed, epochs, lr,
     (run / "reports" / "sweep_table.csv").write_text(
         sweep_table_csv(result, shape_list), encoding="utf-8")
     (run / "reports" / "sweep_cells.csv").write_text(sweep_cells_csv(result), encoding="utf-8")
-    _echo_config(run, cfg)
     click.echo(f"wrote {run / 'reports' / 'sweep_table.csv'}")
 
 

@@ -116,9 +116,6 @@ class LabeledDataset:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def item(self, i: int) -> tuple[Point, Label]:
-        return self.points[i], int(self.labels[i])
-
     def classes(self) -> np.ndarray:
         return np.unique(self.labels)
 

@@ -126,9 +126,6 @@ class ShapeGeometry:
     def from_unit(self, unit: np.ndarray) -> np.ndarray:
         return unit * (self.hi - self.lo) + self.lo
 
-    def class_length(self, label: int) -> float:
-        return float(self._by_class[label][1][-1])
-
     def sample_class(self, label: int, u: np.ndarray) -> np.ndarray:
         """Points at arc-length fractions u in [0, 1) of the class's curves, in
         unit coords; shape (len(u), 2)."""

@@ -170,8 +170,7 @@ def scenario_two_point(gap: float) -> FiniteDistribution:
     For any r > gap the pointwise-correct threshold suffers robust loss 1
     while a constant achieves the optimum 1/2, so the binary-optimal and
     robust-optimal predictors disagree on half the mass. The distribution is
-    strongly separable (margin rate 0 below gap/2); the CLI's `separable_line`
-    scenario is this construction.
+    strongly separable (margin rate 0 below gap/2).
     """
     if gap <= 0.0:
         raise ValueError("gap must be positive")
@@ -214,9 +213,10 @@ class TwoRectangles:
         x2 = -1.0 + 2.0 * u[:, 1]
         return np.column_stack([x1, x2])
 
-    def mu(self, x) -> float:
-        x = as_point(x)
-        return 0.5 + self.epsilon / 2.0 if x[1] >= 0.0 else 0.5 - self.epsilon / 2.0
+    def mu(self, X) -> np.ndarray:
+        """P(y=1 | x) for each row of an (n, 2) batch; x2 == 0 is the upper half."""
+        X = np.asarray(X, dtype=np.float64)
+        return np.where(X[:, 1] >= 0.0, 0.5 + self.epsilon / 2.0, 0.5 - self.epsilon / 2.0)
 
     @property
     def bayes(self) -> HalfspaceClassifier:

@@ -28,15 +28,6 @@ def test_generate_writes_csv(tmp_path):
     assert (out / "g" / "config.echo").exists()
 
 
-def test_generate_rerun_is_byte_identical(tmp_path):
-    args = ["generate", "--shape", "sines", "--n", "200", "--seed", "3",
-            "--out", str(tmp_path), "--name", "g"]
-    run_ok(args)
-    first = (tmp_path / "g" / "data" / "dataset.csv").read_bytes()
-    run_ok(args)
-    assert (tmp_path / "g" / "data" / "dataset.csv").read_bytes() == first
-
-
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n=50\nseed=9\n", encoding="utf-8")
@@ -72,8 +63,8 @@ def test_config_unparsable_value_is_rejected(tmp_path, dataset_csv):
 
 def test_config_values_use_the_option_types(tmp_path, dataset_csv):
     cfg = tmp_path / "typed.cfg"
-    # `data` names the --data option, whose parameter is data_path; the flag
-    # still wins over the file, so the missing file is never read
+    # the explicit --data flag wins over the file's `data`, so the missing
+    # file is never read
     cfg.write_text(f"c=0.5\nm=2\ninclude_originals=false\ndata={tmp_path / 'missing.csv'}\n",
                    encoding="utf-8")
     run_ok(["augment", "--data", str(dataset_csv), "--config", str(cfg),
@@ -127,15 +118,6 @@ def test_augment_requires_exactly_one_mode(dataset_csv, tmp_path):
     res = runner.invoke(main, ["augment", "--data", str(dataset_csv), "--c", "0.5",
                                "--fixed-radius", "0.1", "--out", str(tmp_path)])
     assert res.exit_code != 0 and "exactly one" in res.output
-
-
-def test_augment_rerun_identical(dataset_csv, tmp_path):
-    args = ["augment", "--data", str(dataset_csv), "--c", "0.5", "--m", "2",
-            "--seed", "5", "--out", str(tmp_path), "--name", "augd"]
-    run_ok(args)
-    first = (tmp_path / "augd" / "data" / "augmented.csv").read_bytes()
-    run_ok(args)
-    assert (tmp_path / "augd" / "data" / "augmented.csv").read_bytes() == first
 
 
 # --- train ----------------------------------------------------------------------
@@ -206,6 +188,11 @@ def bad_csvs(tmp_path):
 
 
 TRAIN01 = ["train", "--data", "{labels01}", "--test", "{labels01}"]
+AUGMENT01 = ["augment", "--data", "{labels01}"]
+# small enough that the run would finish quickly if the bad value got through
+SWEEP_SMALL = ["sweep", "--shapes", "circles", "--n", "20", "--seeds", "1", "--epochs", "1",
+               "--fixed-radii", "0.1"]
+MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
 
 
 @pytest.mark.parametrize("args, names", [
@@ -233,12 +220,35 @@ TRAIN01 = ["train", "--data", "{labels01}", "--test", "{labels01}"]
     (TRAIN01 + ["--model", "nn1", "--r", "inf"], "--r"),
     (TRAIN01 + ["--model", "nn1", "--r", "nan"], "--r"),
     (TRAIN01 + ["--r", "-0.5"], "--r"),
+    (AUGMENT01 + ["--c", "0.5", "--m", "0"], "--m"),
+    (AUGMENT01 + ["--c", "-1"], "--c"),
+    (AUGMENT01 + ["--fixed-radius", "-1"], "--fixed-radius"),
+    (AUGMENT01 + ["--fixed-radius", "nan"], "--fixed-radius"),
+    (SWEEP_SMALL + ["--m", "0"], "--m"),
+    (SWEEP_SMALL + ["--c", "-1"], "--c"),
+    (SWEEP_SMALL + ["--probes", "-1"], "--probes"),
+    (SWEEP_SMALL + ["--ambient", "-1"], "--ambient"),
+    (TRAIN01 + ["--probes", "-1"], "--probes"),
+    (MARGIN_SMALL + ["--epsilon", "2"], "--epsilon"),
+    (MARGIN_SMALL + ["--epsilon", "nan"], "--epsilon"),
+    (MARGIN_SMALL + ["--probes", "-1"], "--probes"),
+    (["scenario", "two_point", "--gap", "0"], "--gap"),
+    (["scenario", "two_point", "--gap", "nan"], "--gap"),
+    (["scenario", "two_point", "--r", "-1"], "--r"),
+    (["scenario", "two_rectangles", "--epsilon", "1"], "--epsilon"),
+    (["scenario", "two_rectangles", "--mc", "0"], "--mc"),
+    (["render", "--nn1-data", "{labels01}", "--data", "{labels01}", "--ambient", "-5"],
+     "--ambient"),
 ], ids=["margin-labels", "train-mlp-labels", "margin-grid", "margin-grid-order",
         "sweep-shapes", "sweep-radii", "malformed-csv", "train-nn1-one-class",
         "train-mlp-one-class", "train-epochs", "train-batch", "train-lr", "sweep-epochs",
         "sweep-batch", "sweep-lr", "sweep-n", "generate-n", "margin-n",
         "generate-label-noise-high", "generate-label-noise-negative", "sweep-seeds",
-        "train-r-inf", "train-r-nan", "train-r-negative"])
+        "train-r-inf", "train-r-nan", "train-r-negative", "augment-m", "augment-c",
+        "augment-fixed-radius-negative", "augment-fixed-radius-nan", "sweep-m", "sweep-c",
+        "sweep-probes", "sweep-ambient", "train-probes", "margin-epsilon-high",
+        "margin-epsilon-nan", "margin-probes", "scenario-gap-zero", "scenario-gap-nan",
+        "scenario-r-negative", "scenario-rectangles-epsilon", "scenario-mc", "render-ambient"])
 def test_bad_input_stops_with_one_line_error(tmp_path, bad_csvs, args, names):
     args = [a.format(**bad_csvs) for a in args]
     res = runner.invoke(main, args + ["--out", str(tmp_path / "out"), "--name", "bad"])
@@ -247,6 +257,68 @@ def test_bad_input_stops_with_one_line_error(tmp_path, bad_csvs, args, names):
     assert len(lines) == 1 and lines[0].startswith("Error: ")
     assert names.format(**bad_csvs) in lines[0]
     assert not (tmp_path / "out").exists()
+
+
+# --- every subcommand through the one skeleton ----------------------------------------
+
+RERUN = {
+    "generate": ["generate", "--shape", "sines", "--n", "200", "--seed", "3"],
+    "augment": ["augment", "--data", "{data}", "--c", "0.5", "--m", "2", "--seed", "5"],
+    "train": ["train", "--data", "{train}", "--test", "{test}", "--epochs", "2",
+              "--probes", "5"],
+    "margin": ["margin", "--data", "{train}", "--n", "30", "--probes", "5"],
+    "scenario": ["scenario", "two_rectangles", "--mc", "2000", "--seed", "1"],
+    "render": ["render", "--nn1-data", "{train}", "--data", "{train}", "--ambient", "100",
+               "--seed", "5"],
+    "sweep": ["sweep", "--shapes", "boxes", "--n", "40", "--m", "2", "--seeds", "1",
+              "--epochs", "2", "--fixed-radii", "0.1", "--probes", "5", "--ambient", "20"],
+}
+
+
+@pytest.mark.parametrize("command", RERUN)
+def test_every_command_reruns_to_identical_bytes(tmp_path, dataset_csv, split_csvs, command):
+    tr, te = split_csvs
+    args = [a.format(data=dataset_csv, train=tr, test=te) for a in RERUN[command]]
+    outputs = []
+    for root in ("one", "two"):
+        run_ok(args + ["--out", str(tmp_path / root), "--name", "run"])
+        run = tmp_path / root / "run"
+        outputs.append({str(f.relative_to(run)): f.read_bytes()
+                        for f in run.rglob("*") if f.is_file()})
+    assert "config.echo" in outputs[0] and len(outputs[0]) >= 2
+    assert outputs[0] == outputs[1]
+
+
+def test_scenario_and_render_read_config(tmp_path, split_csvs):
+    tr, _ = split_csvs
+    out = ["--out", str(tmp_path / "out")]
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("gap=2.0\nr=1.0\n", encoding="utf-8")
+    res = run_ok(["scenario", "two_point", "--config", str(cfg), "--name", "file"] + out)
+    assert "best_robust_loss = 0.0" in res.output  # r < gap: the threshold stays robust
+    res = run_ok(["scenario", "two_point", "--config", str(cfg), "--r", "3", "--name", "flag"]
+                 + out)
+    assert "best_robust_loss = 0.5" in res.output  # r > gap: a constant is robust-optimal
+    echo = (tmp_path / "out" / "flag" / "config.echo").read_text().splitlines()
+    assert {"gap=2.0", "r=3.0", "scenario=two_point"} <= set(echo)
+
+    cfg.write_text("ambient=0\nseed=3\n", encoding="utf-8")
+    base = ["render", "--nn1-data", str(tr), "--data", str(tr), "--config", str(cfg)] + out
+    run_ok(base + ["--name", "rfile"])
+    svg = (tmp_path / "out" / "rfile" / "figs" / "regions.svg").read_text()
+    assert "ambient=0 seed=3" in svg and 'r="2"' not in svg
+    run_ok(base + ["--ambient", "10", "--name", "rflag"])
+    svg = (tmp_path / "out" / "rflag" / "figs" / "regions.svg").read_text()
+    assert "ambient=10 seed=3" in svg and svg.count('r="2"') == 10
+    assert "ambient=10" in (tmp_path / "out" / "rflag" / "config.echo").read_text()
+
+    for args in (["scenario", "two_point"], base[:5]):
+        cfg.write_text("seed=1\nradius=2\n", encoding="utf-8")
+        res = runner.invoke(main, args + ["--config", str(cfg), "--name", "typo"] + out)
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: ") and "'radius'" in lines[0]
+        assert not (tmp_path / "out" / "typo").exists()
 
 
 # --- margin ----------------------------------------------------------------------
@@ -335,16 +407,6 @@ def test_render_zero_ambient_points_only_training(split_csvs, tmp_path):
     svg = (tmp_path / "r0" / "figs" / "regions.svg").read_text()
     assert 'r="2"' not in svg   # no ambient dots
     assert 'r="3"' in svg       # training dots present
-
-
-def test_render_rerun_byte_identical(split_csvs, tmp_path):
-    tr, _ = split_csvs
-    args = ["render", "--nn1-data", str(tr), "--data", str(tr), "--ambient", "100",
-            "--seed", "5", "--out", str(tmp_path), "--name", "rb"]
-    run_ok(args)
-    first = (tmp_path / "rb" / "figs" / "regions.svg").read_bytes()
-    run_ok(args)
-    assert (tmp_path / "rb" / "figs" / "regions.svg").read_bytes() == first
 
 
 def test_render_rejects_non_2d():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptrobust.core import FuncClassifier, LabeledDataset, RandomStream
 from adaptrobust.datagen import ShapeSpec, generate, split, SplitSpec
@@ -152,6 +154,23 @@ def test_adaptive_empirical_monotone_in_c_and_dominates_binary():
     values = [rep.value for rep in reports]
     assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
     assert values[0] >= binary_loss(h, S).value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 3),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       st.lists(st.floats(0.01, 3.0), min_size=1, max_size=6))
+def test_grid_losses_are_monotone_and_dominate_binary(seed, d, radii, cs):
+    rng = np.random.default_rng(seed)
+    S = random_dataset(rng, 30, d)
+    h = NnClassifier(random_dataset(rng, 12, d))
+    b = binary_loss(h, S).value
+    for reports in (
+        robust_loss_fixed_grid(h, S, sorted(radii), probes=8, stream=RandomStream(seed)),
+        adaptive_robust_empirical_grid(h, S, sorted(cs), probes=8, stream=RandomStream(seed)),
+    ):
+        values = [rep.value for rep in reports]
+        assert values[0] >= b and values == sorted(values)
 
 
 def test_adaptive_empirical_rejects_bad_args():

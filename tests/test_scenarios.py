@@ -158,6 +158,17 @@ def test_two_rectangles_support_and_losses():
     assert sc.bayes_binary_loss() == (1.0 - 0.2) / 2.0
 
 
+def test_two_rectangles_mu_is_batched():
+    sc = scenario_two_rectangles(0.2)
+    up, down = 0.5 + 0.2 / 2.0, 0.5 - 0.2 / 2.0
+    # x2 == 0 (either sign of zero) belongs to the upper half
+    X = np.array([[-1.5, 0.5], [1.5, -0.5], [1.2, 0.0], [-1.1, -0.0], [2.0, -1e-300]])
+    mus = sc.mu(X)
+    assert mus.shape == (5,)
+    assert mus.tolist() == [up, down, up, up, down]
+    assert sc.mu(np.empty((0, 2))).shape == (0,)
+
+
 # --- optimality-gap properties ----------------------------------------------------------------
 
 def binary_optimal_set(fam, D):
