@@ -302,12 +302,23 @@ def main():
 def command(name: str):
     """Register the decorated `body(cfg)` as subcommand `name` of `main`, with
     --out, --name (default `name`) and --config after the body's own options;
-    `cfg` is the `resolve_config` result."""
+    `cfg` is the `resolve_config` result. Required parameters are checked in
+    `cfg`, so a --config file can supply them too."""
     def register(body):
         def callback(**_):
-            return body(resolve_config(click.get_current_context()))
+            cfg = resolve_config(click.get_current_context())
+            for p in required:
+                if cfg[p.name] is None:
+                    flag = p.opts[0] if isinstance(p, click.Option) else p.human_readable_name
+                    raise click.ClickException(
+                        f"missing {flag}: give it on the command line or as "
+                        f"{p.name}=... in --config")
+            return body(cfg)
 
         cmd = main.command(name)(functools.update_wrapper(callback, body))
+        required = [p for p in cmd.params if p.required]
+        for p in required:
+            p.required = False
         cmd.params += [
             click.Option(["--out"], help="Output root (default $ADAPTROBUST_OUT or ./out)."),
             click.Option(["--name"], default=name, show_default=True, help="Run directory name."),
@@ -373,6 +384,10 @@ def cmd_train(cfg):
     _check(cfg, **_TRAINING, r="[0, inf)")
     train_ds = _load(cfg["data"])
     test_ds = _load(cfg["test"])
+    if test_ds.dim != train_ds.dim:
+        raise click.ClickException(
+            f"--test {cfg['test']} has {test_ds.dim}-D points, "
+            f"but --data {cfg['data']} has {train_ds.dim}-D points")
     labels = train_ds.classes().tolist()
     if cfg["model"] == "mlp" and not set(labels) <= {0, 1}:
         raise click.ClickException(
@@ -545,12 +560,21 @@ def cmd_render(cfg):
         raise click.ClickException("give exactly one of --model-file and --nn1-data")
     _check(cfg, ambient="[0, inf)")
     ds = _load(cfg["data"])
+    if ds.dim != 2:
+        raise click.ClickException(f"--data {cfg['data']}: rendering needs 2-D points, "
+                                   f"got {ds.dim}-D")
     if cfg["model_file"] is not None:
-        h = mlp.as_classifier(mlp.load_model(cfg["model_file"]))
+        model = mlp.load_model(cfg["model_file"])
+        source, dim = f"--model-file {cfg['model_file']}", model.dim
+        h = mlp.as_classifier(model)
         note = "model=mlp"
     else:
-        h = NnClassifier(_load(cfg["nn1_data"]))
+        nn_ds = _load(cfg["nn1_data"])
+        source, dim = f"--nn1-data {cfg['nn1_data']}", nn_ds.dim
+        h = NnClassifier(nn_ds)
         note = "model=nn1"
+    if dim != 2:
+        raise click.ClickException(f"{source} has {dim}-D inputs, but --data has 2-D points")
     run = _run_dir(cfg)
     svg = render_regions_svg(h, ds, cfg["ambient"], RandomStream(cfg["seed"]),
                              config_note=f"{note} ambient={cfg['ambient']} seed={cfg['seed']}")

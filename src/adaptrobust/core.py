@@ -141,7 +141,14 @@ class Classifier(Protocol):
 
 class BatchFirst:
     """Base for classifiers defined by `predict_batch`: the scalar `predict`
-    is a one-row batch, so both paths give the same label by construction."""
+    is a one-row batch, so both paths give the same label by construction.
+
+    `rows_independent` is True when each row's label is the same bits whatever
+    other rows share its batch, so estimators may evaluate any subset of rows.
+    A network's matmuls can round differently with the row count, so it stays
+    False unless the subclass guarantees it."""
+
+    rows_independent = False
 
     def predict(self, x) -> Label:
         return int(self.predict_batch(as_point(x)[None, :])[0])

@@ -51,15 +51,38 @@ def _point_offsets(stream: RandomStream, n: int, k: int, d: int) -> np.ndarray:
     return np.stack([sample_ball_uniform(origin, 1.0, stream.child(i)) for i in range(n)])
 
 
-def _probe_wrong(h: Classifier, X: np.ndarray, offsets: np.ndarray,
-                 radii: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per item: does any probe at x_i + radii_i * offset get a label != targets_i?"""
+_PROBE_CHUNK = 10  # probes per row and call when rows are pruned
+
+
+def probe_flags(h: Classifier, X: np.ndarray, offsets: np.ndarray, radii: np.ndarray,
+                targets: np.ndarray, todo: np.ndarray) -> tuple[np.ndarray, int]:
+    """For each row i in `todo`: does any probe X_i + radii_i * offsets_i[j] get
+    a label other than targets_i? Rows outside `todo` come back False. Also
+    returns the number of probe rows evaluated.
+
+    When h's rows are independent, only the `todo` rows are evaluated,
+    _PROBE_CHUNK probes at a time, and a row stops at its first flip; any
+    other classifier gets all n * k probe rows in one call. The flags are the
+    same bits either way: a skipped probe cannot change a decided row."""
     n, k, d = offsets.shape
+    flags = np.zeros(n, dtype=bool)
     if k == 0:
-        return np.zeros(n, dtype=bool)
-    Z = X[:, None, :] + radii[:, None, None] * offsets
-    pred = predict_batch(h, Z.reshape(n * k, d)).reshape(n, k)
-    return np.any(pred != targets[:, None], axis=1)
+        return flags, 0
+    if not getattr(h, "rows_independent", False):
+        Z = X[:, None, :] + radii[:, None, None] * offsets
+        pred = predict_batch(h, Z.reshape(n * k, d)).reshape(n, k)
+        return np.any(pred != targets[:, None], axis=1) & todo, n * k
+    live, evaluated = np.flatnonzero(todo), 0
+    for j in range(0, k, _PROBE_CHUNK):
+        if live.size == 0:
+            break
+        Z = X[live, None, :] + radii[live, None, None] * offsets[live, j:j + _PROBE_CHUNK]
+        evaluated += Z.shape[0] * Z.shape[1]
+        pred = predict_batch(h, Z.reshape(-1, d)).reshape(Z.shape[:2])
+        hit = np.any(pred != targets[live, None], axis=1)
+        flags[live[hit]] = True
+        live = live[~hit]
+    return flags, evaluated
 
 
 def robust_loss_fixed(h: Classifier, D: LabeledDataset, r: float,
@@ -90,7 +113,7 @@ def robust_loss_fixed_grid(h: Classifier, D: LabeledDataset, radii,
     offsets = _point_offsets(stream, D.n, probes, D.dim)
     reports = []
     for r in radii:
-        flags = flags | _probe_wrong(h, D.points, offsets, np.full(D.n, r), D.labels)
+        flags = flags | probe_flags(h, D.points, offsets, np.full(D.n, r), D.labels, ~flags)[0]
         reports.append(
             LossReport(f"robust_fixed_r={r:g}", float(np.mean(flags)), probes, stream.seed, D.n)
         )
@@ -126,7 +149,7 @@ def adaptive_robust_empirical_grid(h: Classifier, S: LabeledDataset, cs,
     offsets = _point_offsets(stream, S.n, probes, S.dim)
     reports = []
     for c in cs:
-        flags = flags | _probe_wrong(h, S.points, offsets, c * rhos, S.labels)
+        flags = flags | probe_flags(h, S.points, offsets, c * rhos, S.labels, ~flags)[0]
         reports.append(
             LossReport(f"adaptive_empirical_c={c:g}", float(np.mean(flags)), probes, stream.seed, S.n)
         )
@@ -150,7 +173,7 @@ def adaptive_robust_testtime(h: Classifier, test: LabeledDataset, ref: LabeledDa
     rhos = rho(ref, test.points, test.labels)
     flags = predict_batch(h, test.points) != test.labels
     offsets = _point_offsets(stream, test.n, probes, test.dim)
-    flags = flags | _probe_wrong(h, test.points, offsets, factor * rhos, test.labels)
+    flags = flags | probe_flags(h, test.points, offsets, factor * rhos, test.labels, ~flags)[0]
     return LossReport(
         f"adaptive_testtime_f={factor:g}", float(np.mean(flags)), probes, stream.seed, test.n
     )

@@ -7,6 +7,13 @@ estimated here by Monte-Carlo over domain samples, combining random ball
 probes with a directed bisection toward a witness point on the other side of
 the boundary; the witness direction is exact for nearest-set classifiers
 (which flip exactly once along the segment) and a heuristic for others.
+
+Only the test `flip distance < r` and the probe flags reach the profile, so
+work whose outcome is already decided is skipped: a row stops being probed
+once it is in the margin, nearest-set rows are not probed at radii their
+distance gap certifies, and the bisection stops once no grid radius can tell
+its bracket's ends apart. The values are the same bits as with every probe
+and bisection step evaluated.
 """
 from __future__ import annotations
 
@@ -17,7 +24,11 @@ import numpy as np
 
 from .augment import sample_ball_uniform
 from .core import BatchFirst, Classifier, RandomStream, predict_batch
+from .losses import probe_flags
 from .neighbors import GridIndex
+
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,10 +40,13 @@ class NearestSetClassifier(BatchFirst):
     support also has its own index, for the witnesses.
     """
 
+    rows_independent = True  # exact index queries answer each row alone
+
     support0: np.ndarray
     support1: np.ndarray
     _index: GridIndex = field(init=False, repr=False)
     _class_index: tuple = field(init=False, repr=False)
+    _scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
         s0 = np.asarray(self.support0, dtype=np.float64)
@@ -45,22 +59,43 @@ class NearestSetClassifier(BatchFirst):
         object.__setattr__(self, "support1", s1)
         object.__setattr__(self, "_index", GridIndex(np.vstack([s0, s1])))
         object.__setattr__(self, "_class_index", (GridIndex(s0), GridIndex(s1)))
+        object.__setattr__(self, "_scale", float(max(np.abs(s0).max(), np.abs(s1).max())))
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         _, idx = self._index.nearest(X)
         return (idx >= self.support0.shape[0]).astype(np.int64)
 
-    def opposite_witness(self, X: np.ndarray) -> np.ndarray:
-        """For each row of X, the nearest support point of the class this
-        classifier does NOT assign to it; ties go to the smallest index."""
+    def opposite_witness(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each row x of X: the nearest support point of the class this
+        classifier does NOT assign to x (ties go to the smallest index), and
+        a certified radius: every point computed as x + r * u with r at most
+        that radius and |u| <= 1 (up to rounding in u) gets x's label."""
         X = np.asarray(X, dtype=np.float64)
-        label = self.predict_batch(X)
+        d2_own, nearest = self._index.nearest(X)
+        label = nearest >= self.support0.shape[0]
         out = np.empty_like(X)
+        d2_opp = np.empty(X.shape[0])
         for y, support in ((0, self.support1), (1, self.support0)):
             rows = label == y
-            _, idx = self._class_index[1 - y].nearest(X[rows])
-            out[rows] = support[idx]
-        return out
+            d2, idx = self._class_index[1 - y].nearest(X[rows])
+            out[rows], d2_opp[rows] = support[idx], d2
+        return out, self._certified_radius(X, np.sqrt(d2_own), np.sqrt(d2_opp))
+
+    def _certified_radius(self, X, d_own, d_opp) -> np.ndarray:
+        """Largest r with d_opp - d_own >= 2 r plus a rounding slack.
+
+        If |z - x| < r then z is nearer than d_own + r to x's own support and
+        farther than d_opp - r from the other, so z keeps x's label while
+        d_opp - d_own >= 2 r. The slack keeps this true in floats: probe
+        offsets may exceed norm 1 by a few ulps, forming x + r * u rounds each
+        coordinate by about eps times the coordinate scale, and the summed
+        squares and square roots behind every distance carry a relative
+        error of (d + 3) eps plus a few subnormals. The margin taken here is
+        about four times the sum of these bounds."""
+        kappa = 4.0 * (X.shape[1] + 8) * _EPS
+        scale = np.abs(X).max(axis=1, initial=0.0) + self._scale
+        tiny = 4.0 * math.sqrt((X.shape[1] + 8) * _TINY)
+        return (d_opp - d_own - kappa * (d_opp + scale) - tiny) / (2.0 + kappa)
 
 
 def canonical_bayes(support0, support1) -> NearestSetClassifier:
@@ -69,12 +104,18 @@ def canonical_bayes(support0, support1) -> NearestSetClassifier:
 
 
 def _flip_distances_batch(h: Classifier, X: np.ndarray, W: np.ndarray,
-                          preds: np.ndarray, steps: int = 30) -> np.ndarray:
+                          preds: np.ndarray, radii=None, steps: int = 30) -> np.ndarray:
     """Distance from each row of X to a verified label flip along the segment
     to its witness row of W, by bisection; rows whose witness shares their
     label get inf. Assumes at most one flip per segment (exact for nearest-set
     classifiers); every returned distance points at an evaluated, flipped
-    point."""
+    point.
+
+    With a sorted radius grid, a row's bisection stops once its bracket
+    (lo, hi] holds no grid radius: later steps keep hi in that bracket, so
+    `distance < r` is already decided for every grid r. Rows stop one by one
+    when h's rows are independent; otherwise every row is evaluated until all
+    have stopped, as the full loop would."""
     diff = W - X
     total = np.sqrt(np.sum(diff**2, axis=1))
     valid = total > 0.0
@@ -88,23 +129,37 @@ def _flip_distances_batch(h: Classifier, X: np.ndarray, W: np.ndarray,
     lo = np.zeros(idx.shape[0])
     hi = total[idx].copy()
     base = preds[idx]
+    live = np.arange(idx.shape[0])
     for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        same = predict_batch(h, xs + mid[:, None] * dirs) == base
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
+        if radii is not None:
+            open_ = (np.searchsorted(radii, hi[live], side="right")
+                     > np.searchsorted(radii, lo[live], side="right"))
+            if not np.any(open_):
+                break
+            if getattr(h, "rows_independent", False):
+                live = live[open_]
+        mid = 0.5 * (lo[live] + hi[live])
+        same = predict_batch(h, xs[live] + mid[:, None] * dirs[live]) == base[live]
+        lo[live] = np.where(same, mid, lo[live])
+        hi[live] = np.where(same, hi[live], mid)
     out[idx] = hi
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class MarginProfile:
-    """Tabulated margin-rate estimate: nondecreasing values over a radius grid."""
+    """Tabulated margin-rate estimate: nondecreasing values over a radius grid.
+
+    `nominal_probes` counts the probe rows of every sample point at every
+    positive radius; `evaluated_probes` the ones actually classified. Neither
+    is written to the CSV."""
 
     radii: np.ndarray
     values: np.ndarray
     probes: int
     seed: int
+    nominal_probes: int = 0
+    evaluated_probes: int = 0
 
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=np.float64)
@@ -149,31 +204,36 @@ def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100,
     preds = predict_batch(h, X)
 
     flips = np.full(N, math.inf)
+    safe = np.full(N, -math.inf)  # no probe flips a row at radii <= safe
     if witness_fn is None and isinstance(h, NearestSetClassifier):
-        flips = _flip_distances_batch(h, X, h.opposite_witness(X), preds)
+        W, safe = h.opposite_witness(X)
+        flips = _flip_distances_batch(h, X, W, preds, radii)
     elif witness_fn is not None:
         found = [witness_fn(x) for x in X]
         have = np.array([w is not None for w in found])
         if np.any(have):
             W = np.stack([np.asarray(w, dtype=np.float64) for w in found if w is not None])
-            flips[have] = _flip_distances_batch(h, X[have], W, preds[have])
+            flips[have] = _flip_distances_batch(h, X[have], W, preds[have], radii)
 
     member = np.zeros(N, dtype=bool)
     values = np.empty(radii.shape[0])
-    offsets = None
+    nominal = evaluated = 0
     if probes > 0:
         origin = np.broadcast_to(0.0, (N, probes, X.shape[1]))
         offsets = sample_ball_uniform(origin, 1.0, stream.child(1))
     for j, r in enumerate(radii):
-        if r > 0.0 and offsets is not None:
-            Z = X[:, None, :] + r * offsets
-            pred = predict_batch(h, Z.reshape(N * probes, X.shape[1])).reshape(N, probes)
-            member = member | np.any(pred != preds[:, None], axis=1)
-        values[j] = np.mean(member | (flips < r))
+        decided = flips < r
+        if r > 0.0 and probes > 0:
+            todo = ~(member | decided) & (safe < r)
+            hit, count = probe_flags(h, X, offsets, np.full(N, r), preds, todo)
+            member |= hit
+            nominal += N * probes
+            evaluated += count
+        values[j] = np.mean(member | decided)
     # Monte-Carlo noise cannot break monotonicity here (flags accumulate), but
     # isotonic rounding keeps the invariant explicit for any construction path.
     values = np.maximum.accumulate(values)
-    return MarginProfile(radii, values, probes, stream.seed)
+    return MarginProfile(radii, values, probes, stream.seed, nominal, evaluated)
 
 
 def inverse_phi(profile: MarginProfile, epsilon: float) -> float:

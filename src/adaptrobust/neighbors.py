@@ -253,6 +253,8 @@ def rho_all(S: LabeledDataset) -> np.ndarray:
 class NnClassifier(BatchFirst):
     """1-NN predictor over a fixed training set; ties go to the smallest index."""
 
+    rows_independent = True  # exact index queries answer each row alone
+
     train: LabeledDataset
     _index: GridIndex = field(init=False, repr=False)
 

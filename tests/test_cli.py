@@ -39,6 +39,16 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert len((tmp_path / "flagwins" / "data" / "dataset.csv").read_text().splitlines()) == 61
 
 
+def test_config_supplies_required_options(tmp_path):
+    cfg = tmp_path / "shape.cfg"
+    cfg.write_text("shape=circles\nn=30\n", encoding="utf-8")
+    run_ok(["generate", "--config", str(cfg), "--out", str(tmp_path), "--name", "g"])
+    assert len((tmp_path / "g" / "data" / "dataset.csv").read_text().splitlines()) == 31
+    cfg.write_text("scenario=four_point\n", encoding="utf-8")
+    res = run_ok(["scenario", "--config", str(cfg), "--out", str(tmp_path), "--name", "s"])
+    assert "scenario: four_point" in res.output
+
+
 def test_config_unknown_key_is_rejected(tmp_path):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text("n=50\nepohcs=5\n", encoding="utf-8")
@@ -184,6 +194,11 @@ def bad_csvs(tmp_path):
     datagen.save_csv(LabeledDataset(pts, np.zeros(20, dtype=int)), paths["oneclass"])
     paths["malformed"] = tmp_path / "malformed.csv"
     paths["malformed"].write_text("x1,x2,label\n0.1,oops,0\n", encoding="utf-8")
+    paths["dim3"] = tmp_path / "dim3.csv"
+    datagen.save_csv(LabeledDataset(np.random.default_rng(1).random((20, 3)),
+                                    np.array([0, 1] * 10)), paths["dim3"])
+    paths["model3"] = tmp_path / "model3.txt"
+    mlp.save_model(mlp.init(3, seed=0), paths["model3"])
     return paths
 
 
@@ -239,6 +254,15 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
     (["scenario", "two_rectangles", "--mc", "0"], "--mc"),
     (["render", "--nn1-data", "{labels01}", "--data", "{labels01}", "--ambient", "-5"],
      "--ambient"),
+    (["render", "--nn1-data", "{dim3}", "--data", "{dim3}"], "--data {dim3}"),
+    (["render", "--nn1-data", "{dim3}", "--data", "{labels01}"], "--nn1-data {dim3}"),
+    (["render", "--model-file", "{model3}", "--data", "{labels01}"], "--model-file {model3}"),
+    (["train", "--data", "{dim3}", "--test", "{labels01}", "--model", "mlp"],
+     "{dim3} {labels01}"),
+    (["train", "--data", "{labels01}", "--test", "{dim3}", "--model", "nn1"],
+     "{dim3} {labels01}"),
+    (["generate", "--n", "10"], "--shape"),
+    (["scenario", "--mc", "10"], "NAME"),
 ], ids=["margin-labels", "train-mlp-labels", "margin-grid", "margin-grid-order",
         "sweep-shapes", "sweep-radii", "malformed-csv", "train-nn1-one-class",
         "train-mlp-one-class", "train-epochs", "train-batch", "train-lr", "sweep-epochs",
@@ -248,14 +272,17 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
         "augment-fixed-radius-negative", "augment-fixed-radius-nan", "sweep-m", "sweep-c",
         "sweep-probes", "sweep-ambient", "train-probes", "margin-epsilon-high",
         "margin-epsilon-nan", "margin-probes", "scenario-gap-zero", "scenario-gap-nan",
-        "scenario-r-negative", "scenario-rectangles-epsilon", "scenario-mc", "render-ambient"])
+        "scenario-r-negative", "scenario-rectangles-epsilon", "scenario-mc", "render-ambient",
+        "render-data-3d", "render-nn1-data-dim", "render-model-file-dim", "train-mlp-dim",
+        "train-nn1-dim", "generate-missing-shape", "scenario-missing-name"])
 def test_bad_input_stops_with_one_line_error(tmp_path, bad_csvs, args, names):
     args = [a.format(**bad_csvs) for a in args]
     res = runner.invoke(main, args + ["--out", str(tmp_path / "out"), "--name", "bad"])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
     lines = res.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: ")
-    assert names.format(**bad_csvs) in lines[0]
+    # every space-separated fragment of `names` appears in the error
+    assert all(n in lines[0] for n in names.format(**bad_csvs).split())
     assert not (tmp_path / "out").exists()
 
 

@@ -3,19 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptrobust.core import FuncClassifier, LabeledDataset, RandomStream
+from adaptrobust.core import FuncClassifier, LabeledDataset, RandomStream, predict_batch
 from adaptrobust.datagen import ShapeSpec, generate, split, SplitSpec
 from adaptrobust.losses import (
     adaptive_robust_empirical,
     adaptive_robust_empirical_grid,
+    _point_offsets,
     adaptive_robust_testtime,
     binary_loss,
     disagreement_mass,
+    probe_flags,
     robust_loss_fixed,
     robust_loss_fixed_grid,
 )
 from adaptrobust.margin import canonical_bayes
-from adaptrobust.neighbors import NnClassifier, rho_all
+from adaptrobust.neighbors import NnClassifier, rho, rho_all
 from adaptrobust.scenarios import scenario_two_rectangles
 
 CONST0 = FuncClassifier(lambda x: 0)
@@ -243,3 +245,76 @@ def test_report_csv_row_fields():
     rep = binary_loss(CONST0, D)
     assert rep.csv_row().split(",")[0] == "binary"
     assert rep.csv_row().count(",") == 4
+
+
+# --- pruned probing ----------------------------------------------------------------------
+
+class RowsTogether:
+    """Delegates to h without declaring independent rows, and records the row
+    count of every batch it is asked for."""
+
+    def __init__(self, h):
+        self.h, self.batches = h, []
+
+    def predict(self, x):
+        return self.h.predict(x)
+
+    def predict_batch(self, X):
+        self.batches.append(len(X))
+        return self.h.predict_batch(X)
+
+
+def unpruned_probe_wrong(h, X, offsets, radii, targets):
+    """Every probe row of every item in one call: the reference the pruned
+    path must match bit for bit."""
+    n, k, d = offsets.shape
+    if k == 0:
+        return np.zeros(n, dtype=bool)
+    Z = X[:, None, :] + radii[:, None, None] * offsets
+    pred = predict_batch(h, Z.reshape(n * k, d)).reshape(n, k)
+    return np.any(pred != targets[:, None], axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 3), st.integers(0, 25))
+def test_probe_flags_match_the_unpruned_loop(seed, d, k):
+    rng = np.random.default_rng(seed)
+    S = random_dataset(rng, 40, d)
+    h = NnClassifier(random_dataset(rng, 15, d))
+    offsets = _point_offsets(RandomStream(seed), S.n, k, d)
+    radii = rng.random(S.n) * 0.5
+    todo = rng.random(S.n) < 0.7
+    want = unpruned_probe_wrong(h, S.points, offsets, radii, S.labels) & todo
+    got, evaluated = probe_flags(h, S.points, offsets, radii, S.labels, todo)
+    assert got.tobytes() == want.tobytes()
+    assert evaluated <= todo.sum() * k
+    together = RowsTogether(h)
+    got, evaluated = probe_flags(together, S.points, offsets, radii, S.labels, todo)
+    assert got.tobytes() == want.tobytes()
+    assert together.batches == ([S.n * k] if k else []) and evaluated == S.n * k
+
+
+def test_pruned_loss_grids_match_the_unpruned_loop():
+    rng = np.random.default_rng(27)
+    S, T = random_dataset(rng, 120, 2), random_dataset(rng, 80, 2)
+    h = NnClassifier(random_dataset(rng, 40, 2))
+    radii, cs = [0.0, 0.01, 0.05, 0.1, 0.3], [0.25, 0.5, 1.0, 2.0]
+
+    def unpruned_grid(D, scales, stream, probes):
+        flags = predict_batch(h, D.points) != D.labels
+        offsets = _point_offsets(stream, D.n, probes, D.dim)
+        out = []
+        for s in scales:
+            flags = flags | unpruned_probe_wrong(h, D.points, offsets, s, D.labels)
+            out.append(float(np.mean(flags)))
+        return out
+
+    got = [r.value for r in robust_loss_fixed_grid(h, T, radii, probes=30,
+                                                   stream=RandomStream(1))]
+    assert got == unpruned_grid(T, [np.full(T.n, r) for r in radii], RandomStream(1), 30)
+    got = [r.value for r in adaptive_robust_empirical_grid(h, S, cs, probes=25,
+                                                           stream=RandomStream(2))]
+    assert got == unpruned_grid(S, [c * rho_all(S) for c in cs], RandomStream(2), 25)
+    got = adaptive_robust_testtime(h, T, S, factor=0.5, probes=10, stream=RandomStream(3))
+    want = unpruned_grid(T, [0.5 * rho(S, T.points, T.labels)], RandomStream(3), 10)
+    assert [got.value] == want

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptrobust.core import RandomStream, sq_dists_to
+from adaptrobust import margin
+from adaptrobust.core import LabeledDataset, RandomStream, predict_batch, sq_dists_to
 from adaptrobust.datagen import manifold_sampler, shape_geometry
 from adaptrobust.margin import (
     MarginProfile,
@@ -16,6 +17,7 @@ from adaptrobust.margin import (
     margin_profile,
     nn_sample_bound,
 )
+from adaptrobust.neighbors import NnClassifier
 from adaptrobust.scenarios import HalfspaceClassifier, scenario_two_rectangles
 
 
@@ -102,7 +104,7 @@ def check_against_two_scans(s0, s1, X):
     h = canonical_bayes(s0, s1)
     assert np.array_equal(h.predict_batch(X), two_scan_predict(s0, s1, X))
     want = np.array([two_scan_witness(s0, s1, x) for x in X]).reshape(X.shape)
-    assert h.opposite_witness(X).tobytes() == want.tobytes()
+    assert h.opposite_witness(X)[0].tobytes() == want.tobytes()
 
 
 def test_circles_predict_batch_matches_two_scans():
@@ -302,3 +304,185 @@ def test_profile_csv_roundtrip(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "r,phi_hat"
     assert len(lines) == 4
+
+
+# --- pruned profile against the unpruned loop ------------------------------------
+
+class RowsTogether:
+    """Delegates to h without declaring independent rows."""
+
+    def __init__(self, h):
+        self.h = h
+
+    def predict(self, x):
+        return self.h.predict(x)
+
+    def predict_batch(self, X):
+        return self.h.predict_batch(X)
+
+
+def reference_flips(h, X, W, preds, steps=30):
+    """The witness bisection with every row run for all 30 steps."""
+    diff = W - X
+    total = np.sqrt(np.sum(diff**2, axis=1))
+    valid = total > 0.0
+    valid[valid] = predict_batch(h, W[valid]) != preds[valid]
+    out = np.full(X.shape[0], math.inf)
+    idx = np.where(valid)[0]
+    if idx.size == 0:
+        return out
+    xs, dirs = X[idx], diff[idx] / total[idx, None]
+    lo, hi, base = np.zeros(idx.size), total[idx].copy(), preds[idx]
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        same = predict_batch(h, xs + mid[:, None] * dirs) == base
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    out[idx] = hi
+    return out
+
+
+def reference_profile(sampler, h, radii, N, probes, stream, witness=None):
+    """margin_profile with every probe row and bisection step evaluated, the
+    reference for the pruned estimator; `witness(X)` gives witness rows."""
+    radii = np.asarray(radii, dtype=np.float64)
+    X = np.asarray(sampler(stream.child(0), N), dtype=np.float64)
+    preds = predict_batch(h, X)
+    flips = np.full(N, math.inf) if witness is None else reference_flips(h, X, witness(X), preds)
+    member = np.zeros(N, dtype=bool)
+    values = []
+    if probes > 0:
+        origin = np.broadcast_to(0.0, (N, probes, X.shape[1]))
+        offsets = margin.sample_ball_uniform(origin, 1.0, stream.child(1))
+    for r in radii:
+        if r > 0.0 and probes > 0:
+            Z = X[:, None, :] + r * offsets
+            pred = predict_batch(h, Z.reshape(N * probes, X.shape[1])).reshape(N, probes)
+            member = member | np.any(pred != preds[:, None], axis=1)
+        values.append(np.mean(member | (flips < r)))
+    return np.maximum.accumulate(np.array(values))
+
+
+def with_axis_probes(draw):
+    """A ball sampler whose first 2 d probes per row are the unit vectors +-e_k:
+    exactly on the sphere, where the certificate's slack matters."""
+    def sample(centers, radii, stream):
+        out = draw(centers, radii, stream)
+        d = out.shape[-1]
+        m = min(out.shape[-2], 2 * d)
+        out[..., :m, :] = np.vstack([np.eye(d), -np.eye(d)])[:m]
+        return out
+    return sample
+
+
+def pruned_and_reference(s0, s1, X, radii, probes, seed):
+    h = canonical_bayes(s0, s1)
+    points = lambda stream, n: X
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(margin, "sample_ball_uniform", with_axis_probes(margin.sample_ball_uniform))
+        got = margin_profile(points, h, radii, len(X), probes, RandomStream(seed))
+        want = reference_profile(
+            points, h, radii, len(X), probes, RandomStream(seed),
+            lambda X: np.array([two_scan_witness(s0, s1, x) for x in X]))
+    return got, want
+
+
+def test_certificate_keeps_a_probe_on_the_sphere():
+    # x sits on support1 and the opposite support is 0.5 away along the axis:
+    # the gap certifies radii below 0.25 only, since the probe x + 0.25 * e_1
+    # lands on the exact tie, which goes to label 0 and flips x
+    s0, s1 = np.array([[0.5]]), np.array([[0.0]])
+    got, want = pruned_and_reference(s0, s1, np.array([[0.0]]), [0.1, 0.25, 0.3], 2, 0)
+    assert want.tolist() == [0.0, 1.0, 1.0]
+    assert got.values.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_supports(), st.integers(0, 2**31 - 1))
+def test_pruned_profile_matches_the_unpruned_loop(case, seed):
+    s0, s1, X = case
+    X = np.vstack([X, s0, s1])  # duplicates, and points on both supports tie
+    d0, d1 = np.sqrt(min_d2_scan(X, s0)), np.sqrt(min_d2_scan(X, s1))
+    # radii on every row's certificate boundary (d_opp - d_own) / 2, plus a few
+    half_gaps = np.abs(d1 - d0) / 2.0
+    radii = np.unique(np.concatenate([half_gaps[half_gaps > 0.0], [0.0, 0.25, 0.5, 2.0]]))
+    got, want = pruned_and_reference(s0, s1, X, radii, 2 * X.shape[1] + 3, seed)
+    assert got.values.tobytes() == want.tobytes()
+
+
+def test_pruned_circles_profile_matches_the_unpruned_loop():
+    geom = shape_geometry("circles")
+    h = canonical_bayes(geom.class_support(0, 1000), geom.class_support(1, 1000))
+    sampler = manifold_sampler("circles")
+    radii = [0.01, 0.05, 0.1, 0.124, 0.125, 0.126, 0.2, 0.5]
+    got = margin_profile(sampler, h, radii, N=200, probes=30, stream=RandomStream(11))
+    want = reference_profile(sampler, h, radii, 200, 30, RandomStream(11),
+                             lambda X: h.opposite_witness(X)[0])
+    assert got.values.tobytes() == want.tobytes()
+    assert got.evaluated_probes < got.nominal_probes
+
+
+def uniform_2d(stream, n):
+    return stream.uniform((n, 2))
+
+
+def test_pruned_generic_profiles_match_the_unpruned_loop():
+    rng = np.random.default_rng(12)
+    s0, s1 = rng.random((60, 2)), rng.random((60, 2)) + [0.3, 0.0]
+    nn = NnClassifier(LabeledDataset(np.vstack([s0, s1]), np.repeat([0, 1], 60)))
+    radii = [0.02, 0.05, 0.1, 0.3]
+    witness = lambda x: 1.0 - x
+    for h in (nn, RowsTogether(nn), Threshold1D(0.6)):
+        for w in (None, witness):
+            got = margin_profile(uniform_2d, h, radii, N=150, probes=25,
+                                 stream=RandomStream(13), witness_fn=w)
+            want = reference_profile(uniform_2d, h, radii, 150, 25, RandomStream(13),
+                                     w and (lambda X: np.array([witness(x) for x in X])))
+            assert got.values.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_supports())
+def test_grid_stop_decides_like_the_full_bisection(case):
+    s0, s1, X = case
+    X = np.vstack([X, s0, s1])
+    h = canonical_bayes(s0, s1)
+    W, preds = h.opposite_witness(X)[0], h.predict_batch(X)
+    full = reference_flips(h, X, W, preds)
+    assert _flip_distances_batch(h, X, W, preds).tobytes() == full.tobytes()
+    # grid radii at the exact flip distances make `flips < r` a tie
+    radii = np.unique(np.concatenate([full[np.isfinite(full)], [0.0, 0.1, 0.25, 1.0]]))
+    for clf in (h, RowsTogether(h)):
+        got = _flip_distances_batch(clf, X, W, preds, radii)
+        assert np.array_equal(got[:, None] < radii, full[:, None] < radii)
+
+
+def test_certified_radius_holds_on_its_sphere():
+    geom = shape_geometry("circles")
+    h = canonical_bayes(geom.class_support(0, 500), geom.class_support(1, 500))
+    rng = np.random.default_rng(14)
+    X = rng.random((400, 2))
+    W, safe = h.opposite_witness(X)
+    labels = h.predict_batch(X)
+    rows = safe > 0.0
+    assert rows.sum() > 300
+    toward = (W - X) / np.sqrt(np.sum((W - X) ** 2, axis=1))[:, None]
+    for u in (toward, [1.0, 0.0], [0.0, -1.0], -toward):
+        Z = X[rows] + safe[rows, None] * np.broadcast_to(u, X.shape)[rows]
+        assert np.array_equal(h.predict_batch(Z), labels[rows])
+
+
+def test_profile_counts_nominal_and_evaluated_probes():
+    geom = shape_geometry("circles")
+    h = canonical_bayes(geom.class_support(0, 1000), geom.class_support(1, 1000))
+    grid = [0.01, 0.02, 0.05, 0.1, 0.2, 0.5]
+    prof = margin_profile(manifold_sampler("circles"), h, grid, N=50, probes=20,
+                          stream=RandomStream(15))
+    # every ball below the 0.125 gap is certified, every larger one decided
+    # by the witness flip
+    assert (prof.nominal_probes, prof.evaluated_probes) == (6000, 0)
+    rng = np.random.default_rng(16)
+    pts, labels = rng.random((200, 2)), rng.integers(0, 2, 200)
+    h = canonical_bayes(pts[labels == 0], pts[labels == 1])
+    prof = margin_profile(uniform_2d, h, [0.0] + grid, N=100, probes=30,
+                          stream=RandomStream(17))
+    assert (prof.nominal_probes, prof.evaluated_probes) == (18000, 1940)
