@@ -27,11 +27,12 @@ from click.core import ParameterSource
 
 from . import datagen, losses, margin, mlp, scenarios
 from .augment import ExpansionSpec, augment as augment_data
-from .core import LabeledDataset, RandomStream, predict_batch
+from .core import LabeledDataset, RandomStream
 from .neighbors import NnClassifier
 
 FULL_FIXED_RADII = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 EVAL_RADII = (0.02, 0.05, 0.1, 0.2)
+_FILE = click.Path(exists=True, dir_okay=False)  # input files: a directory is rejected
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +77,11 @@ def resolve_config(ctx: click.Context) -> dict:
     return cfg
 
 
-def _load(path: str) -> LabeledDataset:
-    """Read a dataset CSV, turning a malformed file into a one-line error."""
+def _load(path: str, read=datagen.load_csv):
+    """Read an input file (a dataset CSV by default), turning a malformed file
+    into a one-line error."""
     try:
-        return datagen.load_csv(path)[0]
+        return read(path)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from None
 
@@ -163,7 +165,7 @@ def render_regions_svg(classifier, train: LabeledDataset, ambient_n: int,
     ]
     if ambient_n > 0:
         ambient = lo + stream.uniform((ambient_n, 2)) * (hi - lo)
-        preds = predict_batch(classifier, ambient)
+        preds = classifier.predict_batch(ambient)
         for p, lab in zip(ambient, preds):
             x, y = to_px(p)
             parts.append(f'<circle cx="{x}" cy="{y}" r="2" fill="{REGION_COLORS[int(lab)]}"/>')
@@ -207,8 +209,7 @@ def _augmentation_variants(c: float, fixed_radii) -> list[tuple[str, dict | None
 
 def run_sweep(shapes, n: int, m: int, c: float, fixed_radii, n_seeds: int,
               base_seed: int, epochs: int, lr: float, batch: int,
-              probes: int, train_fraction: float = 0.8,
-              eval_radii=EVAL_RADII, render_dir: Path | None = None,
+              probes: int, render_dir: Path | None = None,
               render_ambient: int = 2000) -> SweepResult:
     """Train one network per (shape, augmentation, seed) cell on the augmented
     training split and evaluate binary, fixed-radius robust (shared-probe grid)
@@ -221,7 +222,7 @@ def run_sweep(shapes, n: int, m: int, c: float, fixed_radii, n_seeds: int,
             data_seed = root.child(si, k, 0).derive_seed()
             ds = datagen.generate(datagen.ShapeSpec(shape=shape, n=n, seed=data_seed))
             train_ds, test_ds = datagen.split(
-                ds, datagen.SplitSpec(train_fraction, seed=root.child(si, k, 1).derive_seed())
+                ds, datagen.SplitSpec(0.8, seed=root.child(si, k, 1).derive_seed())
             )
             for vi, (vname, vspec) in enumerate(variants):
                 cell_stream = root.child(si, k, 2 + vi)
@@ -240,11 +241,11 @@ def run_sweep(shapes, n: int, m: int, c: float, fixed_radii, n_seeds: int,
                     epochs=epochs, batch_size=batch, learning_rate=lr,
                     seed=cell_stream.child(2).derive_seed(),
                 ))
-                h = mlp.as_classifier(model)
+                h = mlp.MlpClassifier(model)
                 eval_stream = RandomStream(cell_stream.child(3).derive_seed())
                 rep_bin = losses.binary_loss(h, test_ds)
                 rep_grid = tuple(losses.robust_loss_fixed_grid(
-                    h, test_ds, eval_radii, probes=probes, stream=eval_stream.child(0)))
+                    h, test_ds, EVAL_RADII, probes=probes, stream=eval_stream.child(0)))
                 rep_adp = losses.adaptive_robust_testtime(
                     h, test_ds, ref=train_ds, factor=0.5, probes=10,
                     stream=eval_stream.child(1))
@@ -322,7 +323,7 @@ def command(name: str):
         cmd.params += [
             click.Option(["--out"], help="Output root (default $ADAPTROBUST_OUT or ./out)."),
             click.Option(["--name"], default=name, show_default=True, help="Run directory name."),
-            click.Option(["--config"], type=click.Path(exists=True),
+            click.Option(["--config"], type=_FILE,
                          help="key=value file of options; explicit flags win."),
         ]
         return cmd
@@ -345,7 +346,7 @@ def cmd_generate(cfg):
 
 
 @command("augment")
-@click.option("--data", required=True, type=click.Path(exists=True))
+@click.option("--data", required=True, type=_FILE)
 @click.option("--c", default=None, type=float, help="Adaptive expansion factor (2/3 in the experiments).")
 @click.option("--fixed-radius", default=None, type=float, help="Constant expansion radius.")
 @click.option("--m", default=4, show_default=True, help="Samples per ball.")
@@ -368,8 +369,8 @@ def cmd_augment(cfg):
 
 
 @command("train")
-@click.option("--data", required=True, type=click.Path(exists=True))
-@click.option("--test", required=True, type=click.Path(exists=True))
+@click.option("--data", required=True, type=_FILE)
+@click.option("--test", required=True, type=_FILE)
 @click.option("--model", default="mlp", type=click.Choice(["mlp", "nn1"]), show_default=True)
 @click.option("--epochs", default=2000, show_default=True)
 @click.option("--lr", default=0.05, show_default=True)
@@ -402,7 +403,7 @@ def cmd_train(cfg):
             epochs=cfg["epochs"], batch_size=cfg["batch"],
             learning_rate=cfg["lr"], seed=cfg["seed"]))
         mlp.save_model(model, run / "models" / "model.txt")
-        h = mlp.as_classifier(model)
+        h = mlp.MlpClassifier(model)
     else:
         datagen.save_csv(train_ds, run / "models" / "nn1_train.csv")
         h = NnClassifier(train_ds)
@@ -421,7 +422,7 @@ def cmd_train(cfg):
 
 @command("margin")
 @click.option("--shape", default=None, type=click.Choice(datagen.SHAPE_NAMES))
-@click.option("--data", default=None, type=click.Path(exists=True))
+@click.option("--data", default=None, type=_FILE)
 @click.option("--grid", default="0.01,0.02,0.05,0.1,0.2,0.5", show_default=True,
               help="Comma-separated radius grid.")
 @click.option("--n", default=20000, show_default=True, help="Monte-Carlo sample count.")
@@ -516,8 +517,8 @@ def _scenario_report(cfg: dict):
         fam = scenarios.enumerate_family(D)
         h_bin, v_bin = scenarios.exact_best(fam, D, "binary")
         h_rob, v_rob = scenarios.exact_best(fam, D, "robust", r=r)
-        lines.append(f"binary-optimal: {scenarios.describe_classifier(h_bin)}")
-        lines.append(f"robust-optimal (r={r:g}): {scenarios.describe_classifier(h_rob)}")
+        lines.append(f"binary-optimal: {h_bin.describe()}")
+        lines.append(f"robust-optimal (r={r:g}): {h_rob.describe()}")
         add("best_binary_loss", v_bin, 2, claimed=0)
         add("binary_optimal_robust_loss", scenarios.exact_robust_loss(h_bin, D, r), 2,
             claimed="1 when r > gap")
@@ -546,11 +547,11 @@ def _scenario_report(cfg: dict):
 
 
 @command("render")
-@click.option("--model-file", default=None, type=click.Path(exists=True),
+@click.option("--model-file", default=None, type=_FILE,
               help="Trained network in the flat text format.")
-@click.option("--nn1-data", default=None, type=click.Path(exists=True),
+@click.option("--nn1-data", default=None, type=_FILE,
               help="Training CSV for a 1-NN model.")
-@click.option("--data", required=True, type=click.Path(exists=True),
+@click.option("--data", required=True, type=_FILE,
               help="Training CSV to overlay.")
 @click.option("--ambient", default=4000, show_default=True)
 @click.option("--seed", default=0, show_default=True)
@@ -564,9 +565,9 @@ def cmd_render(cfg):
         raise click.ClickException(f"--data {cfg['data']}: rendering needs 2-D points, "
                                    f"got {ds.dim}-D")
     if cfg["model_file"] is not None:
-        model = mlp.load_model(cfg["model_file"])
+        model = _load(cfg["model_file"], mlp.load_model)
         source, dim = f"--model-file {cfg['model_file']}", model.dim
-        h = mlp.as_classifier(model)
+        h = mlp.MlpClassifier(model)
         note = "model=mlp"
     else:
         nn_ds = _load(cfg["nn1_data"])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -131,12 +131,11 @@ def _default_diameter(points: np.ndarray) -> float:
     return max(math.sqrt(d), float(np.sqrt(np.sum(span**2))))
 
 
-@runtime_checkable
 class Classifier(Protocol):
-    """A total deterministic predictor. Implementations may also provide
-    `predict_batch(X) -> np.ndarray` for vectorized evaluation."""
+    """A total deterministic predictor, batch-first: `predict_batch(X)` gives
+    the int64 labels of the rows of X."""
 
-    def predict(self, x: Point) -> Label: ...
+    def predict_batch(self, X: np.ndarray) -> np.ndarray: ...
 
 
 class BatchFirst:
@@ -152,23 +151,3 @@ class BatchFirst:
 
     def predict(self, x) -> Label:
         return int(self.predict_batch(as_point(x)[None, :])[0])
-
-
-def predict_batch(h: Classifier, X: np.ndarray) -> np.ndarray:
-    """Evaluate `h` on rows of X, using its batch path when available."""
-    X = np.asarray(X, dtype=np.float64)
-    batch = getattr(h, "predict_batch", None)
-    if batch is not None:
-        return np.asarray(batch(X), dtype=np.int64)
-    return np.fromiter((h.predict(x) for x in X), dtype=np.int64, count=X.shape[0])
-
-
-@dataclass(frozen=True)
-class FuncClassifier:
-    """Wrap a plain function of one point as a Classifier."""
-
-    fn: object
-    name: str = "func"
-
-    def predict(self, x) -> int:
-        return int(self.fn(np.asarray(x, dtype=np.float64)))

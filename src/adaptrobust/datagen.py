@@ -1,4 +1,4 @@
-"""Synthetic manifold datasets, CSV ingestion with normalization, and splitting.
+"""Synthetic manifold datasets, CSV reading and writing, and splitting.
 
 Each shape is a family of one-dimensional parametric curves in the plane, one
 curve collection per class, sampled uniformly in arc length and affinely
@@ -255,25 +255,6 @@ def split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledD
 # augmented data), labels as integers, UTF-8, LF line endings.
 
 
-@dataclass(frozen=True)
-class MinMaxScale:
-    """Per-feature min-max parameters; constant features map to 0."""
-
-    lo: np.ndarray
-    span: np.ndarray  # hi - lo, zeros where the feature is constant
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        span = np.where(self.span > 0.0, self.span, 1.0)
-        scaled = (points - self.lo) / span
-        return np.where(self.span > 0.0, scaled, 0.0)
-
-
-def fit_minmax(points: np.ndarray) -> MinMaxScale:
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
-    return MinMaxScale(lo=lo, span=hi - lo)
-
-
 def save_csv(ds: LabeledDataset, path, origins: np.ndarray | None = None) -> None:
     d = ds.dim
     header = ",".join(f"x{j + 1}" for j in range(d)) + ",label"
@@ -289,9 +270,9 @@ def save_csv(ds: LabeledDataset, path, origins: np.ndarray | None = None) -> Non
         fh.write("\n".join(lines) + "\n")
 
 
-def load_csv(path, normalize: bool = False) -> tuple[LabeledDataset, MinMaxScale | None]:
-    """Read the dataset CSV schema. With normalize, min-max scale features to
-    [0, 1] and return the fitted parameters for reuse on held-out data."""
+def load_csv(path) -> LabeledDataset:
+    """Read the dataset CSV schema; a malformed file raises ValueError naming
+    `path` and, for a bad row, its number."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n").rstrip("\r") for ln in fh if ln.strip()]
     if not lines:
@@ -318,13 +299,10 @@ def load_csv(path, normalize: bool = False) -> tuple[LabeledDataset, MinMaxScale
             label = int(parts[d])
         except ValueError:
             raise ValueError(f"{path}: row {rownum}: non-integer label {parts[d]!r}") from None
+        if not 0 <= label < 2**63:  # labels are int64
+            raise ValueError(f"{path}: row {rownum}: label {label} outside [0, 2**63)")
         points.append(feats)
         labels.append(label)
     if not points:
         raise ValueError(f"{path}: no data rows")
-    pts = np.asarray(points, dtype=np.float64)
-    scale = None
-    if normalize:
-        scale = fit_minmax(pts)
-        pts = scale.apply(pts)
-    return LabeledDataset(pts, np.asarray(labels, dtype=np.int64)), scale
+    return LabeledDataset(np.asarray(points, dtype=np.float64), np.asarray(labels, dtype=np.int64))

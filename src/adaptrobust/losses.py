@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import sample_ball_uniform
-from .core import Classifier, LabeledDataset, RandomStream, predict_batch
+from .core import Classifier, LabeledDataset, RandomStream
 from .neighbors import rho, rho_all
 
 REPORT_CSV_HEADER = "loss_name,value,probes,seed,n"
@@ -41,7 +41,7 @@ def binary_loss(h: Classifier, D: LabeledDataset) -> LossReport:
     """Fraction of items with h(x) != y."""
     if D.n == 0:
         raise ValueError("binary loss needs a nonempty dataset")
-    errs = predict_batch(h, D.points) != D.labels
+    errs = h.predict_batch(D.points) != D.labels
     return LossReport("binary", float(np.mean(errs)), 0, 0, D.n)
 
 
@@ -70,7 +70,7 @@ def probe_flags(h: Classifier, X: np.ndarray, offsets: np.ndarray, radii: np.nda
         return flags, 0
     if not getattr(h, "rows_independent", False):
         Z = X[:, None, :] + radii[:, None, None] * offsets
-        pred = predict_batch(h, Z.reshape(n * k, d)).reshape(n, k)
+        pred = h.predict_batch(Z.reshape(n * k, d)).reshape(n, k)
         return np.any(pred != targets[:, None], axis=1) & todo, n * k
     live, evaluated = np.flatnonzero(todo), 0
     for j in range(0, k, _PROBE_CHUNK):
@@ -78,7 +78,7 @@ def probe_flags(h: Classifier, X: np.ndarray, offsets: np.ndarray, radii: np.nda
             break
         Z = X[live, None, :] + radii[live, None, None] * offsets[live, j:j + _PROBE_CHUNK]
         evaluated += Z.shape[0] * Z.shape[1]
-        pred = predict_batch(h, Z.reshape(-1, d)).reshape(Z.shape[:2])
+        pred = h.predict_batch(Z.reshape(-1, d)).reshape(Z.shape[:2])
         hit = np.any(pred != targets[live, None], axis=1)
         flags[live[hit]] = True
         live = live[~hit]
@@ -109,7 +109,7 @@ def robust_loss_fixed_grid(h: Classifier, D: LabeledDataset, radii,
     if probes < 0:
         raise ValueError("probe count must be >= 0")
     stream = stream if stream is not None else RandomStream(0)
-    flags = predict_batch(h, D.points) != D.labels
+    flags = h.predict_batch(D.points) != D.labels
     offsets = _point_offsets(stream, D.n, probes, D.dim)
     reports = []
     for r in radii:
@@ -145,7 +145,7 @@ def adaptive_robust_empirical_grid(h: Classifier, S: LabeledDataset, cs,
         raise ValueError("need at least one probe per ball")
     stream = stream if stream is not None else RandomStream(0)
     rhos = rho_all(S)
-    flags = predict_batch(h, S.points) != S.labels
+    flags = h.predict_batch(S.points) != S.labels
     offsets = _point_offsets(stream, S.n, probes, S.dim)
     reports = []
     for c in cs:
@@ -171,7 +171,7 @@ def adaptive_robust_testtime(h: Classifier, test: LabeledDataset, ref: LabeledDa
         raise ValueError("need at least one probe per ball")
     stream = stream if stream is not None else RandomStream(0)
     rhos = rho(ref, test.points, test.labels)
-    flags = predict_batch(h, test.points) != test.labels
+    flags = h.predict_batch(test.points) != test.labels
     offsets = _point_offsets(stream, test.n, probes, test.dim)
     flags = flags | probe_flags(h, test.points, offsets, factor * rhos, test.labels, ~flags)[0]
     return LossReport(
@@ -185,4 +185,4 @@ def disagreement_mass(h1: Classifier, h2: Classifier, sampler, N: int,
     if N < 1:
         raise ValueError("need at least one sample")
     X = np.asarray(sampler(stream, N), dtype=np.float64)
-    return float(np.mean(predict_batch(h1, X) != predict_batch(h2, X)))
+    return float(np.mean(h1.predict_batch(X) != h2.predict_batch(X)))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import sample_ball_uniform
-from .core import BatchFirst, Classifier, RandomStream, predict_batch
+from .core import BatchFirst, Classifier, RandomStream
 from .losses import probe_flags
 from .neighbors import GridIndex
 
@@ -119,7 +119,7 @@ def _flip_distances_batch(h: Classifier, X: np.ndarray, W: np.ndarray,
     diff = W - X
     total = np.sqrt(np.sum(diff**2, axis=1))
     valid = total > 0.0
-    valid[valid] = predict_batch(h, W[valid]) != preds[valid]
+    valid[valid] = h.predict_batch(W[valid]) != preds[valid]
     out = np.full(X.shape[0], math.inf)
     if not np.any(valid):
         return out
@@ -139,7 +139,7 @@ def _flip_distances_batch(h: Classifier, X: np.ndarray, W: np.ndarray,
             if getattr(h, "rows_independent", False):
                 live = live[open_]
         mid = 0.5 * (lo[live] + hi[live])
-        same = predict_batch(h, xs[live] + mid[:, None] * dirs[live]) == base[live]
+        same = h.predict_batch(xs[live] + mid[:, None] * dirs[live]) == base[live]
         lo[live] = np.where(same, mid, lo[live])
         hi[live] = np.where(same, hi[live], mid)
     out[idx] = hi
@@ -201,7 +201,7 @@ def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100,
         raise ValueError("need at least one sample point")
     stream = stream if stream is not None else RandomStream(0)
     X = np.asarray(sampler(stream.child(0), N), dtype=np.float64)
-    preds = predict_batch(h, X)
+    preds = h.predict_batch(X)
 
     flips = np.full(N, math.inf)
     safe = np.full(N, -math.inf)  # no probe flips a row at radii <= safe

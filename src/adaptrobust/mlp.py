@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BatchFirst, LabeledDataset, RandomStream, as_point
+from .core import BatchFirst, LabeledDataset, RandomStream
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +71,9 @@ class TrainSpec:
             raise ValueError("batch size and learning rate must be positive")
 
 
-def init(d: int, seed: int, h1: int = 10, h2: int = 10) -> MlpModel:
-    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
+def init(d: int, seed: int) -> MlpModel:
+    """A d -> 10 -> 10 -> 1 network: Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in))
+    weights, zero biases."""
     if d < 1:
         raise ValueError("input dimension must be >= 1")
     stream = RandomStream(seed)
@@ -82,9 +83,9 @@ def init(d: int, seed: int, h1: int = 10, h2: int = 10) -> MlpModel:
         return (stream.uniform((fan_in, fan_out)) * 2.0 - 1.0) * a
 
     return MlpModel(
-        w1=layer(d, h1), b1=np.zeros(h1),
-        w2=layer(h1, h2), b2=np.zeros(h2),
-        w3=layer(h2, 1).ravel(), b3=0.0,
+        w1=layer(d, 10), b1=np.zeros(10),
+        w2=layer(10, 10), b2=np.zeros(10),
+        w3=layer(10, 1).ravel(), b3=0.0,
     )
 
 
@@ -107,11 +108,6 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise ValueError(f"expected inputs of dimension {model.dim}")
     return _sigmoid(_logits(model, X)[4])
-
-
-def forward(model: MlpModel, x) -> float:
-    """Network output in (0, 1) for a single point."""
-    return float(forward_batch(model, as_point(x)[None, :])[0])
 
 
 def bce_loss(model: MlpModel, data: LabeledDataset) -> float:
@@ -169,16 +165,6 @@ def _epochs(model: MlpModel, data: LabeledDataset, spec: TrainSpec):
         yield params
 
 
-def training_curve(model: MlpModel, data: LabeledDataset,
-                   spec: TrainSpec) -> tuple[MlpModel, list[float]]:
-    """Mini-batch gradient descent; returns the final model and the full-data
-    BCE recorded after every epoch."""
-    params, history = model.flatten(), []
-    for params in _epochs(model, data, spec):
-        history.append(bce_loss(model.from_flat(params), data))
-    return model.from_flat(params), history
-
-
 def train(model: MlpModel, data: LabeledDataset, spec: TrainSpec) -> MlpModel:
     params = model.flatten()
     for params in _epochs(model, data, spec):
@@ -188,17 +174,14 @@ def train(model: MlpModel, data: LabeledDataset, spec: TrainSpec) -> MlpModel:
 
 @dataclass(frozen=True, eq=False)
 class MlpClassifier(BatchFirst):
-    """Thresholded network output as a Classifier: label 1 iff p >= threshold."""
+    """Thresholded network output as a Classifier: label 1 iff p >= 0.5. The
+    test is on the sigmoid output p, not on the sign of the logit: the two
+    can round differently."""
 
     model: MlpModel
-    threshold: float = 0.5
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return (forward_batch(self.model, X) >= self.threshold).astype(np.int64)
-
-
-def as_classifier(model: MlpModel, threshold: float = 0.5) -> MlpClassifier:
-    return MlpClassifier(model, threshold)
+        return (forward_batch(self.model, X) >= 0.5).astype(np.int64)
 
 
 def save_model(model: MlpModel, path) -> None:
@@ -212,11 +195,18 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """Read the `save_model` format; a malformed file raises ValueError naming
+    `path`."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if len(lines) < 2 or lines[0] != "d,h1,h2":
-        raise ValueError(f"{path}: not a model file")
-    d, h1, h2 = (int(v) for v in lines[1].split(","))
-    vec = np.array([float(v) for v in lines[2:]], dtype=np.float64)
-    L = _layers(vec, d, h1, h2)
+        raise ValueError(f"{path}: not a model file (no d,h1,h2 header)")
+    try:
+        d, h1, h2 = (int(v) for v in lines[1].split(","))
+        vec = np.array([float(v) for v in lines[2:]], dtype=np.float64)
+        if min(d, h1, h2) < 1:
+            raise ValueError("layer sizes must be positive")
+        L = _layers(vec, d, h1, h2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed model file ({exc})") from None
     return MlpModel(L.w1, L.b1, L.w2, L.b2, L.w3, float(L.b3[0]))

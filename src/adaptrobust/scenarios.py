@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BatchFirst, RandomStream, as_point, predict_batch
+from .core import BatchFirst, RandomStream, as_point
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,12 +42,6 @@ class FiniteDistribution:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    def labels(self) -> np.ndarray:
-        """Deterministic labels; errors when any atom is stochastic."""
-        if np.any((self.mu != 0.0) & (self.mu != 1.0)):
-            raise ValueError("labels are only defined for deterministic atoms")
-        return self.mu.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -105,7 +99,7 @@ def enumerate_family(D: FiniteDistribution) -> list:
 
 def exact_binary_loss(h, D: FiniteDistribution) -> float:
     """Expected binary loss: sum of mass * P(y != h(x) | x)."""
-    pred = predict_batch(h, D.points)
+    pred = h.predict_batch(D.points)
     per_atom = np.where(pred == 0, D.mu, 1.0 - D.mu)
     return float(np.sum(D.mass * per_atom))
 
@@ -125,13 +119,6 @@ def exact_robust_loss(h, D: FiniteDistribution, r: float) -> float:
             err = D.mu[i] if h.predict(x) == 0 else 1.0 - D.mu[i]
             total += float(D.mass[i]) * float(err)
     return total
-
-
-def margin_mass(h, D: FiniteDistribution, r: float) -> float:
-    """Exact mass of atoms within (strictly less than) r of h's boundary."""
-    if not hasattr(h, "in_margin"):
-        raise ValueError("margin mass needs an analytic-margin classifier")
-    return float(sum(D.mass[i] for i, x in enumerate(D.points) if h.in_margin(x, r)))
 
 
 def exact_best(family: list, D: FiniteDistribution, loss: str, r: float | None = None):
@@ -155,8 +142,8 @@ def exact_best(family: list, D: FiniteDistribution, loss: str, r: float | None =
 
 def disagreement_exact(h1, h2, D: FiniteDistribution) -> float:
     """Exact mass of atoms where the two classifiers differ."""
-    p1 = predict_batch(h1, D.points)
-    p2 = predict_batch(h2, D.points)
+    p1 = h1.predict_batch(D.points)
+    p2 = h2.predict_batch(D.points)
     return float(np.sum(D.mass[p1 != p2]))
 
 
@@ -239,8 +226,3 @@ class TwoRectangles:
 
 def scenario_two_rectangles(epsilon: float) -> TwoRectangles:
     return TwoRectangles(epsilon)
-
-
-def describe_classifier(h) -> str:
-    describe = getattr(h, "describe", None)
-    return describe() if describe is not None else repr(h)

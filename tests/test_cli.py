@@ -112,7 +112,7 @@ def test_augment_fixed_radius_bound(dataset_csv, tmp_path):
     run_ok(["augment", "--data", str(dataset_csv), "--fixed-radius", "0.1",
             "--m", "2", "--out", str(tmp_path), "--name", "augf"])
     rows = (tmp_path / "augf" / "data" / "augmented.csv").read_text().splitlines()[1:]
-    base, _ = datagen.load_csv(dataset_csv)
+    base = datagen.load_csv(dataset_csv)
     for row in rows:
         *coords, label, origin = row.split(",")
         origin = int(origin)
@@ -134,7 +134,7 @@ def test_augment_requires_exactly_one_mode(dataset_csv, tmp_path):
 
 @pytest.fixture()
 def split_csvs(tmp_path, dataset_csv):
-    ds, _ = datagen.load_csv(dataset_csv)
+    ds = datagen.load_csv(dataset_csv)
     train, test = datagen.split(ds, datagen.SplitSpec(0.8, seed=2))
     tr, te = tmp_path / "train.csv", tmp_path / "test.csv"
     datagen.save_csv(train, tr)
@@ -170,9 +170,9 @@ def test_zero_epoch_train_equals_untrained_eval(split_csvs, tmp_path):
             "--epochs", "0", "--seed", "4", "--out", str(tmp_path), "--name", "t0"])
     got = (tmp_path / "t0" / "reports" / "losses.csv").read_text().splitlines()[1:]
 
-    train_ds, _ = datagen.load_csv(tr)
-    test_ds, _ = datagen.load_csv(te)
-    h = mlp.as_classifier(mlp.init(2, seed=4))
+    train_ds = datagen.load_csv(tr)
+    test_ds = datagen.load_csv(te)
+    h = mlp.MlpClassifier(mlp.init(2, seed=4))
     stream = RandomStream(4)
     want = [
         losses.binary_loss(h, test_ds),
@@ -199,6 +199,16 @@ def bad_csvs(tmp_path):
                                     np.array([0, 1] * 10)), paths["dim3"])
     paths["model3"] = tmp_path / "model3.txt"
     mlp.save_model(mlp.init(3, seed=0), paths["model3"])
+    paths["neglabel"] = tmp_path / "neglabel.csv"
+    paths["neglabel"].write_text("x1,x2,label\n0.1,0.2,0\n0.3,0.4,-1\n", encoding="utf-8")
+    mlp.save_model(mlp.init(2, seed=0), tmp_path / "model2.txt")
+    params = (tmp_path / "model2.txt").read_text(encoding="utf-8").splitlines()[2:]
+    for name, lines in [("noheader", ["2,10,10"] + params),
+                        ("short", ["d,h1,h2", "2,10,10"] + params[:-1]),
+                        ("sizes", ["d,h1,h2", "a,b,c"] + params),
+                        ("param", ["d,h1,h2", "2,10,10", "oops"] + params[1:])]:
+        paths[f"model_{name}"] = tmp_path / f"model_{name}.txt"
+        paths[f"model_{name}"].write_text("\n".join(lines) + "\n", encoding="utf-8")
     return paths
 
 
@@ -263,6 +273,11 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
      "{dim3} {labels01}"),
     (["generate", "--n", "10"], "--shape"),
     (["scenario", "--mc", "10"], "NAME"),
+    (["augment", "--data", "{neglabel}", "--c", "0.5"], "{neglabel} row 2"),
+    (["render", "--model-file", "{model_noheader}", "--data", "{labels01}"], "{model_noheader}"),
+    (["render", "--model-file", "{model_short}", "--data", "{labels01}"], "{model_short}"),
+    (["render", "--model-file", "{model_sizes}", "--data", "{labels01}"], "{model_sizes}"),
+    (["render", "--model-file", "{model_param}", "--data", "{labels01}"], "{model_param}"),
 ], ids=["margin-labels", "train-mlp-labels", "margin-grid", "margin-grid-order",
         "sweep-shapes", "sweep-radii", "malformed-csv", "train-nn1-one-class",
         "train-mlp-one-class", "train-epochs", "train-batch", "train-lr", "sweep-epochs",
@@ -274,7 +289,8 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
         "margin-epsilon-nan", "margin-probes", "scenario-gap-zero", "scenario-gap-nan",
         "scenario-r-negative", "scenario-rectangles-epsilon", "scenario-mc", "render-ambient",
         "render-data-3d", "render-nn1-data-dim", "render-model-file-dim", "train-mlp-dim",
-        "train-nn1-dim", "generate-missing-shape", "scenario-missing-name"])
+        "train-nn1-dim", "generate-missing-shape", "scenario-missing-name", "negative-label",
+        "model-file-no-header", "model-file-short", "model-file-sizes", "model-file-param"])
 def test_bad_input_stops_with_one_line_error(tmp_path, bad_csvs, args, names):
     args = [a.format(**bad_csvs) for a in args]
     res = runner.invoke(main, args + ["--out", str(tmp_path / "out"), "--name", "bad"])
@@ -283,6 +299,22 @@ def test_bad_input_stops_with_one_line_error(tmp_path, bad_csvs, args, names):
     assert len(lines) == 1 and lines[0].startswith("Error: ")
     # every space-separated fragment of `names` appears in the error
     assert all(n in lines[0] for n in names.format(**bad_csvs).split())
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["train", "--data", "{dir}", "--test", "{labels01}"], "--data"),
+    (["train", "--data", "{labels01}", "--test", "{dir}"], "--test"),
+    (["generate", "--shape", "circles", "--config", "{dir}"], "--config"),
+    (["render", "--model-file", "{dir}", "--data", "{labels01}"], "--model-file"),
+    (["render", "--nn1-data", "{dir}", "--data", "{labels01}"], "--nn1-data"),
+], ids=["data", "test", "config", "model-file", "nn1-data"])
+def test_directory_for_a_file_option_is_a_usage_error(tmp_path, bad_csvs, args, flag):
+    args = [a.format(dir=tmp_path, **bad_csvs) for a in args]
+    res = runner.invoke(main, args + ["--out", str(tmp_path / "out"), "--name", "bad"])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    want = f"Error: Invalid value for '{flag}': File '{tmp_path}' is a directory."
+    assert res.output.strip().splitlines()[-1] == want
     assert not (tmp_path / "out").exists()
 
 

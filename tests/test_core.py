@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptrobust.core import (
-    FuncClassifier,
     LabeledDataset,
     RandomStream,
     as_point,
-    predict_batch,
     sq_dists_to,
 )
 
@@ -105,12 +103,6 @@ def test_dataset_default_diameter_covers_wide_data():
     pts = np.array([[-5.0, 0.0], [5.0, 0.0]])
     ds = LabeledDataset(pts, np.array([0, 1]))
     assert ds.diameter_bound >= 10.0
-
-
-def test_predict_batch_falls_back_to_loop():
-    h = FuncClassifier(lambda x: int(x[0] > 0))
-    X = np.array([[-1.0], [2.0], [0.5]])
-    assert np.array_equal(predict_batch(h, X), [0, 1, 1])
 
 
 def test_as_point_rejects_bad_input():

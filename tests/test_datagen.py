@@ -6,10 +6,8 @@ import pytest
 from adaptrobust.core import LabeledDataset
 from adaptrobust.datagen import (
     SHAPE_NAMES,
-    MinMaxScale,
     ShapeSpec,
     SplitSpec,
-    fit_minmax,
     generate,
     load_csv,
     manifold_sampler,
@@ -113,28 +111,11 @@ def test_split_deterministic():
 
 # --- CSV ------------------------------------------------------------------------
 
-def test_minmax_normalization_range(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("x1,label\n2.0,0\n3.0,1\n4.0,0\n", encoding="utf-8")
-    ds, scale = load_csv(path, normalize=True)
-    assert ds.points[:, 0].tolist() == [0.0, 0.5, 1.0]
-    assert scale is not None
-
-
-def test_constant_column_maps_to_zero(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("x1,x2,label\n5.0,1.0,0\n5.0,2.0,1\n", encoding="utf-8")
-    ds, _ = load_csv(path, normalize=True)
-    assert ds.points[:, 0].tolist() == [0.0, 0.0]
-    assert ds.points[:, 1].tolist() == [0.0, 1.0]
-
-
 def test_csv_roundtrip_bytes(tmp_path):
     ds = generate(ShapeSpec("sfigure", 97, seed=12))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     save_csv(ds, p1)
-    loaded, scale = load_csv(p1)
-    assert scale is None
+    loaded = load_csv(p1)
     save_csv(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -145,7 +126,7 @@ def test_csv_origin_column_roundtrip(tmp_path):
     save_csv(ds, path, origins=np.array([-1, 0]))
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "x1,x2,label,origin"
-    loaded, _ = load_csv(path)
+    loaded = load_csv(path)
     assert np.array_equal(loaded.points, ds.points)
 
 
@@ -163,6 +144,10 @@ def test_csv_errors_name_the_row(tmp_path):
     path.write_text("x1,label\n1.0,0\n2.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="row 2"):
         load_csv(path)
+    for label in ("-1", str(2**63)):
+        path.write_text(f"x1,label\n1.0,0\n2.0,{label}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"bad.csv: row 2: label {label} outside"):
+            load_csv(path)
 
 
 def test_csv_rejects_malformed_header(tmp_path):
@@ -170,21 +155,3 @@ def test_csv_rejects_malformed_header(tmp_path):
     path.write_text("a,b\n1.0,0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="header"):
         load_csv(path)
-
-
-def test_normalize_is_idempotent_on_normalized_output(tmp_path):
-    ds = generate(ShapeSpec("circles", 64, seed=2))
-    p1 = tmp_path / "n1.csv"
-    save_csv(ds, p1)
-    once, _ = load_csv(p1, normalize=True)
-    p2 = tmp_path / "n2.csv"
-    save_csv(once, p2)
-    twice, _ = load_csv(p2, normalize=True)
-    assert np.allclose(once.points, twice.points, atol=1e-15)
-
-
-def test_scale_reuse_on_heldout_data():
-    train = np.array([[0.0, 10.0], [4.0, 20.0]])
-    scale = fit_minmax(train)
-    test = scale.apply(np.array([[2.0, 15.0]]))
-    assert test.tolist() == [[0.5, 0.5]]

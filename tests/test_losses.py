@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptrobust.core import FuncClassifier, LabeledDataset, RandomStream, predict_batch
+from adaptrobust.core import BatchFirst, LabeledDataset, RandomStream
 from adaptrobust.datagen import ShapeSpec, generate, split, SplitSpec
 from adaptrobust.losses import (
     adaptive_robust_empirical,
@@ -20,8 +20,19 @@ from adaptrobust.margin import canonical_bayes
 from adaptrobust.neighbors import NnClassifier, rho, rho_all
 from adaptrobust.scenarios import scenario_two_rectangles
 
-CONST0 = FuncClassifier(lambda x: 0)
-CONST1 = FuncClassifier(lambda x: 1)
+
+class Pointwise(BatchFirst):
+    """A classifier from a function of one point; the batch is a loop over rows."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def predict_batch(self, X):
+        return np.array([self.fn(x) for x in X], dtype=np.int64)
+
+
+CONST0 = Pointwise(lambda x: 0)
+CONST1 = Pointwise(lambda x: 1)
 
 
 def dataset(points, labels):
@@ -49,7 +60,7 @@ def test_binary_constant_on_balanced_data():
 def test_binary_matches_count_oracle():
     rng = np.random.default_rng(0)
     D = random_dataset(rng, 100, 2)
-    h = FuncClassifier(lambda x: int(x[0] + x[1] > 1.0))
+    h = Pointwise(lambda x: int(x[0] + x[1] > 1.0))
     wrong = sum(1 for i in range(D.n) if h.predict(D.points[i]) != D.labels[i])
     assert binary_loss(h, D).value == wrong / D.n
 
@@ -59,7 +70,7 @@ def test_binary_matches_count_oracle():
 def test_r0_equals_binary_exactly():
     rng = np.random.default_rng(1)
     D = random_dataset(rng, 80, 2)
-    h = FuncClassifier(lambda x: int(x[0] > 0.5))
+    h = Pointwise(lambda x: int(x[0] > 0.5))
     rep = robust_loss_fixed(h, D, 0.0, probes=50, stream=RandomStream(2))
     assert rep.value == binary_loss(h, D).value
 
@@ -68,7 +79,7 @@ def test_two_close_points_with_large_radius_lose_everywhere():
     # both points sit within r of the other's label region, so any probe on the
     # segment flips them; the pointwise-correct threshold gets full robust loss
     D = dataset([[0.0], [0.5]], [0, 1])
-    h = FuncClassifier(lambda x: int(x[0] >= 0.25))
+    h = Pointwise(lambda x: int(x[0] >= 0.25))
     assert binary_loss(h, D).value == 0.0
     rep = robust_loss_fixed(h, D, 1.0, probes=200, stream=RandomStream(3))
     assert rep.value == 1.0
@@ -78,7 +89,7 @@ def test_threshold_probe_estimate_vs_analytic_margin():
     rng = np.random.default_rng(4)
     t, r = 0.5, 0.2
     pts = rng.random((400, 1))
-    h = FuncClassifier(lambda x: int(x[0] >= t))
+    h = Pointwise(lambda x: int(x[0] >= t))
     labels = np.array([h.predict(p) for p in pts])  # pointwise-correct labels
     D = LabeledDataset(pts, labels)
     rep = robust_loss_fixed(h, D, r, probes=200, stream=RandomStream(5))
@@ -142,7 +153,7 @@ def test_flip_inside_one_ball_counts_exactly_once():
             return 1 - int(S.labels[target])
         return nn.predict(x)
 
-    h = FuncClassifier(flipped)
+    h = Pointwise(flipped)
     rep = adaptive_robust_empirical(h, S, c=0.5, probes=100, stream=RandomStream(13))
     assert rep.value == pytest.approx(1 / 10)
 
@@ -271,7 +282,7 @@ def unpruned_probe_wrong(h, X, offsets, radii, targets):
     if k == 0:
         return np.zeros(n, dtype=bool)
     Z = X[:, None, :] + radii[:, None, None] * offsets
-    pred = predict_batch(h, Z.reshape(n * k, d)).reshape(n, k)
+    pred = h.predict_batch(Z.reshape(n * k, d)).reshape(n, k)
     return np.any(pred != targets[:, None], axis=1)
 
 
@@ -301,7 +312,7 @@ def test_pruned_loss_grids_match_the_unpruned_loop():
     radii, cs = [0.0, 0.01, 0.05, 0.1, 0.3], [0.25, 0.5, 1.0, 2.0]
 
     def unpruned_grid(D, scales, stream, probes):
-        flags = predict_batch(h, D.points) != D.labels
+        flags = h.predict_batch(D.points) != D.labels
         offsets = _point_offsets(stream, D.n, probes, D.dim)
         out = []
         for s in scales:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptrobust import margin
-from adaptrobust.core import LabeledDataset, RandomStream, predict_batch, sq_dists_to
+from adaptrobust.core import LabeledDataset, RandomStream, sq_dists_to
 from adaptrobust.datagen import manifold_sampler, shape_geometry
 from adaptrobust.margin import (
     MarginProfile,
@@ -326,7 +326,7 @@ def reference_flips(h, X, W, preds, steps=30):
     diff = W - X
     total = np.sqrt(np.sum(diff**2, axis=1))
     valid = total > 0.0
-    valid[valid] = predict_batch(h, W[valid]) != preds[valid]
+    valid[valid] = h.predict_batch(W[valid]) != preds[valid]
     out = np.full(X.shape[0], math.inf)
     idx = np.where(valid)[0]
     if idx.size == 0:
@@ -335,7 +335,7 @@ def reference_flips(h, X, W, preds, steps=30):
     lo, hi, base = np.zeros(idx.size), total[idx].copy(), preds[idx]
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        same = predict_batch(h, xs + mid[:, None] * dirs) == base
+        same = h.predict_batch(xs + mid[:, None] * dirs) == base
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
     out[idx] = hi
     return out
@@ -346,7 +346,7 @@ def reference_profile(sampler, h, radii, N, probes, stream, witness=None):
     reference for the pruned estimator; `witness(X)` gives witness rows."""
     radii = np.asarray(radii, dtype=np.float64)
     X = np.asarray(sampler(stream.child(0), N), dtype=np.float64)
-    preds = predict_batch(h, X)
+    preds = h.predict_batch(X)
     flips = np.full(N, math.inf) if witness is None else reference_flips(h, X, witness(X), preds)
     member = np.zeros(N, dtype=bool)
     values = []
@@ -356,7 +356,7 @@ def reference_profile(sampler, h, radii, N, probes, stream, witness=None):
     for r in radii:
         if r > 0.0 and probes > 0:
             Z = X[:, None, :] + r * offsets
-            pred = predict_batch(h, Z.reshape(N * probes, X.shape[1])).reshape(N, probes)
+            pred = h.predict_batch(Z.reshape(N * probes, X.shape[1])).reshape(N, probes)
             member = member | np.any(pred != preds[:, None], axis=1)
         values.append(np.mean(member | (flips < r)))
     return np.maximum.accumulate(np.array(values))

@@ -6,18 +6,17 @@ import pytest
 from adaptrobust.core import LabeledDataset, RandomStream
 from adaptrobust.datagen import SHAPE_NAMES, ShapeSpec, generate
 from adaptrobust.mlp import (
+    MlpClassifier,
     MlpModel,
     TrainSpec,
-    as_classifier,
+    _epochs,
     bce_loss,
-    forward,
     forward_batch,
     grad,
     init,
     load_model,
     save_model,
     train,
-    training_curve,
 )
 
 
@@ -66,7 +65,7 @@ def test_init_biases_zero_weights_bounded():
 def test_all_zero_weights_give_half():
     m = MlpModel(np.zeros((2, 10)), np.zeros(10), np.zeros((10, 10)), np.zeros(10),
                  np.zeros(10), 0.0)
-    assert forward(m, [0.3, 0.9]) == 0.5
+    assert forward_batch(m, [[0.3, 0.9]]).tolist() == [0.5]
 
 
 def test_hand_computed_single_unit_network():
@@ -78,20 +77,19 @@ def test_hand_computed_single_unit_network():
     # manual pass: z1 = 0.5*0.8 + 0.2 = 0.6; a1 = 0.6; z2 = -0.08; a2 = 0;
     # o = -0.05; p = 1 / (1 + e^0.05)
     want = 1.0 / (1.0 + math.exp(0.05))
-    assert forward(m, [0.8]) == pytest.approx(want, abs=1e-12)
+    assert forward_batch(m, [[0.8]])[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_forward_in_open_unit_interval():
     rng = np.random.default_rng(2)
     m = init(4, seed=3)
-    for x in rng.normal(size=(200, 4)):
-        p = forward(m, x)
-        assert 0.0 < p < 1.0
+    p = forward_batch(m, rng.normal(size=(200, 4)))
+    assert np.all((0.0 < p) & (p < 1.0))
 
 
 def test_forward_dimension_mismatch():
     with pytest.raises(ValueError):
-        forward(init(2, seed=0), [1.0, 2.0, 3.0])
+        forward_batch(init(2, seed=0), [[1.0, 2.0, 3.0]])
 
 
 # --- gradient -------------------------------------------------------------------
@@ -130,7 +128,7 @@ def test_training_fits_separated_blobs():
     data = two_blobs(rng)
     model = train(init(2, seed=10), data, TrainSpec(epochs=200, batch_size=32,
                                                     learning_rate=0.05, seed=11))
-    h = as_classifier(model)
+    h = MlpClassifier(model)
     errs = np.mean(h.predict_batch(data.points) != data.labels)
     assert errs < 0.02
 
@@ -174,8 +172,7 @@ def test_training_matches_reference_loop_bit_for_bit(d, epochs, batch_size):
     spec = TrainSpec(epochs=epochs, batch_size=batch_size, learning_rate=0.5, seed=40 + d)
     want_params, want_history = reference_training_curve(model, data, spec)
     assert np.array_equal(train(model, data, spec).flatten(), want_params)
-    curved, history = training_curve(model, data, spec)
-    assert np.array_equal(curved.flatten(), want_params)
+    history = [bce_loss(model.from_flat(p), data) for p in _epochs(model, data, spec)]
     assert history == want_history
     assert np.array_equal(model.flatten(), init(d, seed=30 + d).flatten())  # input untouched
 
@@ -183,8 +180,9 @@ def test_training_matches_reference_loop_bit_for_bit(d, epochs, batch_size):
 @pytest.mark.parametrize("shape", SHAPE_NAMES)
 def test_training_loss_decreases_after_smoothing(shape):
     data = generate(ShapeSpec(shape, 300, seed=18))
-    _, history = training_curve(init(2, seed=19), data,
-                                TrainSpec(epochs=80, batch_size=32, learning_rate=0.05, seed=20))
+    model = init(2, seed=19)
+    spec = TrainSpec(epochs=80, batch_size=32, learning_rate=0.05, seed=20)
+    history = [bce_loss(model.from_flat(p), data) for p in _epochs(model, data, spec)]
     windows = [float(np.mean(history[i:i + 10])) for i in range(0, 80, 10)]
     for w1, w2 in zip(windows, windows[1:]):
         assert w2 <= w1 + 1e-3
@@ -202,14 +200,12 @@ def test_training_rejects_nonbinary_labels():
 def test_threshold_rule():
     m = MlpModel(np.zeros((2, 10)), np.zeros(10), np.zeros((10, 10)), np.zeros(10),
                  np.zeros(10), 0.0)  # forward == 0.5 everywhere
-    assert as_classifier(m, threshold=0.5).predict([0.0, 0.0]) == 1  # >= rule
-    assert as_classifier(m, threshold=0.7).predict([0.0, 0.0]) == 0
-    assert as_classifier(m, threshold=1.1).predict([0.0, 0.0]) == 0  # unreachable
+    assert MlpClassifier(m).predict([0.0, 0.0]) == 1  # p >= 0.5
 
 
 def test_classifier_batch_matches_single():
     m = init(2, seed=23)
-    h = as_classifier(m)
+    h = MlpClassifier(m)
     X = np.random.default_rng(24).random((50, 2))
     assert np.array_equal(h.predict_batch(X), [h.predict(x) for x in X])
 

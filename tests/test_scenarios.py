@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from adaptrobust.core import FuncClassifier, LabeledDataset, RandomStream
+from adaptrobust.core import LabeledDataset, RandomStream
 from adaptrobust.losses import disagreement_mass, robust_loss_fixed
+from adaptrobust.neighbors import NnClassifier
 from adaptrobust.scenarios import (
     ConstantClassifier,
     FiniteDistribution,
@@ -12,11 +13,15 @@ from adaptrobust.scenarios import (
     exact_best,
     exact_binary_loss,
     exact_robust_loss,
-    margin_mass,
     scenario_four_point,
     scenario_two_point,
     scenario_two_rectangles,
 )
+
+
+def margin_mass(h, D, r):
+    """Exact mass of the atoms strictly within r of h's boundary."""
+    return float(sum(m for x, m in zip(D.points, D.mass) if h.in_margin(x, r)))
 
 
 # --- constructions -----------------------------------------------------------------
@@ -33,7 +38,7 @@ def test_four_point_construction():
     D = scenario_four_point()
     assert D.points.shape == (4, 2)
     assert np.all(D.mass == 0.25)
-    assert D.labels().tolist() == [0, 1, 0, 1]
+    assert D.mu.tolist() == [0.0, 1.0, 0.0, 1.0]  # deterministic labels
 
 
 def test_distribution_validation():
@@ -66,7 +71,7 @@ def test_exact_robust_two_point_values():
 def test_exact_robust_requires_analytic_margin():
     D = scenario_two_point(0.5)
     with pytest.raises(ValueError, match="analytic"):
-        exact_robust_loss(FuncClassifier(lambda x: 0), D, 0.1)
+        exact_robust_loss(NnClassifier(LabeledDataset(D.points, [0, 1])), D, 0.1)
 
 
 def test_robust_dominates_binary_over_full_enumeration():
