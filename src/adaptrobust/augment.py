@@ -69,21 +69,28 @@ def sample_ball_uniform(centers, radii, stream: RandomStream) -> np.ndarray:
     return draws
 
 
+def point_offsets(stream: RandomStream, n: int, k: int, d: int) -> np.ndarray:
+    """(n, k, d) uniform draws from the unit ball around the origin; item i
+    draws from the child stream keyed by i, so its offsets do not depend on
+    the other items."""
+    origin = np.zeros((k, d))
+    return np.stack([sample_ball_uniform(origin, 1.0, stream.child(i)) for i in range(n)])
+
+
 def augment(S: LabeledDataset, spec: ExpansionSpec) -> tuple[LabeledDataset, np.ndarray]:
     """m-sample augmentation of S: m uniform draws from each expansion ball,
     each labeled by its origin. Returns the augmented dataset plus an origin
-    index per row (-1 marks retained originals, which come first). Ball i draws
-    from the child stream keyed by i, so its rows do not depend on the others."""
+    index per row (-1 marks retained originals, which come first). Row j of
+    ball i is x_i + r_i * point_offsets(...)[i, j], so ball i's rows do not
+    depend on the others."""
     if S.n == 0:
         raise ValueError("cannot augment an empty dataset")
     if spec.fixed_radius is not None:
         radii = np.full(S.n, spec.fixed_radius)
     else:
         radii = expand(S, spec.c)
-    stream = RandomStream(spec.seed)
-    shape = (spec.m, S.dim)
-    rows = [sample_ball_uniform(np.broadcast_to(S.points[i], shape), radii[i], stream.child(i))
-            for i in range(S.n)]
+    offsets = point_offsets(RandomStream(spec.seed), S.n, spec.m, S.dim)
+    rows = [(S.points[:, None, :] + radii[:, None, None] * offsets).reshape(-1, S.dim)]
     labels = [np.repeat(S.labels, spec.m)]
     origins = [np.repeat(np.arange(S.n), spec.m)]
     if spec.include_originals:

@@ -27,7 +27,7 @@ from click.core import ParameterSource
 
 from . import datagen, losses, margin, mlp, scenarios
 from .augment import ExpansionSpec, augment as augment_data
-from .core import LabeledDataset, RandomStream
+from .core import LabeledDataset, RandomStream, read_text_lines
 from .neighbors import NnClassifier
 
 FULL_FIXED_RADII = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
@@ -41,7 +41,7 @@ _FILE = click.Path(exists=True, dir_okay=False)  # input files: a directory is r
 
 def _parse_config_file(path: str) -> dict[str, str]:
     vals: dict[str, str] = {}
-    for ln in Path(path).read_text(encoding="utf-8").splitlines():
+    for ln in _load(path, read_text_lines):
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
@@ -337,7 +337,7 @@ def command(name: str):
 @click.option("--label-noise", default=0.0, show_default=True)
 def cmd_generate(cfg):
     """Sample a synthetic shape dataset to CSV."""
-    _check(cfg, n="[2, inf)", label_noise="[0, 1)")
+    _check(cfg, n="[2, inf)", label_noise="[0, 1)", seed="[0, inf)")
     run = _run_dir(cfg)
     ds = datagen.generate(datagen.ShapeSpec(
         shape=cfg["shape"], n=cfg["n"], seed=cfg["seed"], label_noise=cfg["label_noise"]))
@@ -356,7 +356,7 @@ def cmd_augment(cfg):
     """Expand a dataset by sampling from adaptive or fixed-radius balls."""
     if (cfg["c"] is None) == (cfg["fixed_radius"] is None):
         raise click.ClickException("give exactly one of --c and --fixed-radius")
-    _check(cfg, c="[0, inf)", fixed_radius="[0, inf)", m="[1, inf)")
+    _check(cfg, c="[0, inf)", fixed_radius="[0, inf)", m="[1, inf)", seed="[0, inf)")
     ds = _load(cfg["data"])
     run = _run_dir(cfg)
     spec = ExpansionSpec(
@@ -382,7 +382,7 @@ def cmd_augment(cfg):
 def cmd_train(cfg):
     """Fit a model and report binary, fixed-radius robust, and adaptive robust
     losses on held-out data."""
-    _check(cfg, **_TRAINING, r="[0, inf)")
+    _check(cfg, **_TRAINING, r="[0, inf)", seed="[0, inf)")
     train_ds = _load(cfg["data"])
     test_ds = _load(cfg["test"])
     if test_ds.dim != train_ds.dim:
@@ -410,8 +410,8 @@ def cmd_train(cfg):
     stream = RandomStream(cfg["seed"])
     reports = [
         losses.binary_loss(h, test_ds),
-        losses.robust_loss_fixed(h, test_ds, cfg["r"], probes=cfg["probes"],
-                                 stream=stream.child(0)),
+        losses.robust_loss_fixed_grid(h, test_ds, [cfg["r"]], probes=cfg["probes"],
+                                      stream=stream.child(0))[0],
         losses.adaptive_robust_testtime(h, test_ds, ref=train_ds, factor=0.5,
                                         probes=10, stream=stream.child(1)),
     ]
@@ -434,7 +434,7 @@ def cmd_margin(cfg):
     invert it at epsilon, and report the 1-NN sample bound."""
     if (cfg["shape"] is None) == (cfg["data"] is None):
         raise click.ClickException("give exactly one of --shape and --data")
-    _check(cfg, n="[1, inf)", probes="[0, inf)", epsilon="(0, 1]")
+    _check(cfg, n="[1, inf)", probes="[0, inf)", epsilon="(0, 1]", seed="[0, inf)")
     radii = _parse_radii(cfg["grid"], "--grid")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise click.ClickException(f"--grid {cfg['grid']!r}: radii must be strictly increasing")
@@ -493,7 +493,7 @@ def cmd_scenario(cfg):
     name = cfg["scenario"]
     if name not in SCENARIOS:
         raise click.ClickException(f"unknown scenario {name!r}; options: {', '.join(SCENARIOS)}")
-    _check(cfg, epsilon="(0, 1)", gap="(0, inf)", r="[0, inf]", mc="[1, inf)")
+    _check(cfg, epsilon="(0, 1)", gap="(0, inf)", r="[0, inf]", mc="[1, inf)", seed="[0, inf)")
     run = _run_dir(cfg)
     lines, reports = _scenario_report(cfg)
     _write_reports(run / "reports" / f"scenario_{name}.csv", reports)
@@ -559,7 +559,7 @@ def cmd_render(cfg):
     """Render decision regions plus training data into an SVG (2-D only)."""
     if (cfg["model_file"] is None) == (cfg["nn1_data"] is None):
         raise click.ClickException("give exactly one of --model-file and --nn1-data")
-    _check(cfg, ambient="[0, inf)")
+    _check(cfg, ambient="[0, inf)", seed="[0, inf)")
     ds = _load(cfg["data"])
     if ds.dim != 2:
         raise click.ClickException(f"--data {cfg['data']}: rendering needs 2-D points, "
@@ -605,13 +605,15 @@ def cmd_sweep(cfg):
     """Full augmentation grid (no-aug, fixed radii, adaptive) across shapes and
     seeds, summarized in one table CSV."""
     shape_list = [s.strip() for s in str(cfg["shapes"]).split(",") if s.strip()]
+    if not shape_list:
+        raise click.ClickException(f"--shapes {cfg['shapes']!r}: expected at least one shape")
     unknown = [s for s in shape_list if s not in datagen.SHAPE_NAMES]
     if unknown:
         raise click.ClickException(f"--shapes {cfg['shapes']!r}: unknown shape {unknown[0]!r}; "
                                    f"expected some of {', '.join(datagen.SHAPE_NAMES)}")
     radii = _parse_radii(cfg["fixed_radii"], "--fixed-radii")
     _check(cfg, **_TRAINING, n="[2, inf)", m="[1, inf)", c="[0, inf)", seeds="[1, inf)",
-           ambient="[0, inf)")
+           base_seed="[0, inf)", ambient="[0, inf)")
     run = _run_dir(cfg)
     result = run_sweep(
         shape_list, n=cfg["n"], m=cfg["m"], c=cfg["c"], fixed_radii=radii,

@@ -27,6 +27,16 @@ def as_point(values) -> Point:
     return p
 
 
+def read_text_lines(path) -> list[str]:
+    """The lines of the UTF-8 text file `path`, without line ends; a file that
+    is not UTF-8 raises ValueError naming `path`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
+
+
 def sq_dists_to(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Squared distances from every row of `points` to `q`.
 
@@ -140,14 +150,7 @@ class Classifier(Protocol):
 
 class BatchFirst:
     """Base for classifiers defined by `predict_batch`: the scalar `predict`
-    is a one-row batch, so both paths give the same label by construction.
-
-    `rows_independent` is True when each row's label is the same bits whatever
-    other rows share its batch, so estimators may evaluate any subset of rows.
-    A network's matmuls can round differently with the row count, so it stays
-    False unless the subclass guarantees it."""
-
-    rows_independent = False
+    is a one-row batch, so both paths give the same label by construction."""
 
     def predict(self, x) -> Label:
         return int(self.predict_batch(as_point(x)[None, :])[0])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledDataset, RandomStream
+from .core import LabeledDataset, RandomStream, read_text_lines
 
 SHAPE_NAMES = ("sines", "sfigure", "nnn", "circles", "boxes")
 
@@ -273,8 +273,7 @@ def save_csv(ds: LabeledDataset, path, origins: np.ndarray | None = None) -> Non
 def load_csv(path) -> LabeledDataset:
     """Read the dataset CSV schema; a malformed file raises ValueError naming
     `path` and, for a bad row, its number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh if ln.strip()]
+    lines = [ln for ln in read_text_lines(path) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = lines[0].split(",")

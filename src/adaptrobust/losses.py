@@ -4,9 +4,10 @@ The robust losses quantify over entire balls, which cannot be decided for an
 arbitrary classifier; estimators here probe each ball with k uniform samples
 (plus the center) and therefore report LOWER bounds on the true existential
 losses. Probe offsets for item i are drawn from a child stream keyed by i, so
-results are independent of evaluation order, and the grid variants accumulate
-flags over increasing radii, which makes monotonicity in the radius hold by
-construction.
+results are independent of evaluation order, and the fixed-radius grid
+accumulates flags over increasing radii, which makes monotonicity in the
+radius hold by construction. All three probe estimators share one core,
+`_probe_losses`, and one probe path, `probe_flags`.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import sample_ball_uniform
+from .augment import point_offsets
 from .core import Classifier, LabeledDataset, RandomStream
 from .neighbors import rho, rho_all
 
@@ -45,13 +46,7 @@ def binary_loss(h: Classifier, D: LabeledDataset) -> LossReport:
     return LossReport("binary", float(np.mean(errs)), 0, 0, D.n)
 
 
-def _point_offsets(stream: RandomStream, n: int, k: int, d: int) -> np.ndarray:
-    """(n, k, d) unit-ball offsets, one child stream per item index."""
-    origin = np.zeros((k, d))
-    return np.stack([sample_ball_uniform(origin, 1.0, stream.child(i)) for i in range(n)])
-
-
-_PROBE_CHUNK = 10  # probes per row and call when rows are pruned
+_PROBE_CHUNK = 10  # probes per row and call
 
 
 def probe_flags(h: Classifier, X: np.ndarray, offsets: np.ndarray, radii: np.ndarray,
@@ -60,18 +55,10 @@ def probe_flags(h: Classifier, X: np.ndarray, offsets: np.ndarray, radii: np.nda
     a label other than targets_i? Rows outside `todo` come back False. Also
     returns the number of probe rows evaluated.
 
-    When h's rows are independent, only the `todo` rows are evaluated,
-    _PROBE_CHUNK probes at a time, and a row stops at its first flip; any
-    other classifier gets all n * k probe rows in one call. The flags are the
-    same bits either way: a skipped probe cannot change a decided row."""
+    Only the `todo` rows are evaluated, _PROBE_CHUNK probes at a time, and a
+    row stops at its first flip: a skipped probe cannot change a decided row."""
     n, k, d = offsets.shape
     flags = np.zeros(n, dtype=bool)
-    if k == 0:
-        return flags, 0
-    if not getattr(h, "rows_independent", False):
-        Z = X[:, None, :] + radii[:, None, None] * offsets
-        pred = h.predict_batch(Z.reshape(n * k, d)).reshape(n, k)
-        return np.any(pred != targets[:, None], axis=1) & todo, n * k
     live, evaluated = np.flatnonzero(todo), 0
     for j in range(0, k, _PROBE_CHUNK):
         if live.size == 0:
@@ -85,20 +72,28 @@ def probe_flags(h: Classifier, X: np.ndarray, offsets: np.ndarray, radii: np.nda
     return flags, evaluated
 
 
-def robust_loss_fixed(h: Classifier, D: LabeledDataset, r: float,
-                      probes: int = 100, stream: RandomStream | None = None) -> LossReport:
-    """Probe estimate of the fixed-radius robust loss: an item counts when it is
-    misclassified or any of `probes` uniform draws from the radius-r ball around
-    it receives a label different from the true one."""
-    return robust_loss_fixed_grid(h, D, [r], probes, stream)[0]
+def _probe_losses(h: Classifier, D: LabeledDataset, scales, probes: int,
+                  stream: RandomStream) -> list[LossReport]:
+    """One report per (name, per-item radii) in `scales`: the fraction of items
+    that h mislabels or that some probe of their ball flips. Probe directions
+    are shared across `scales` and flags accumulate, so the values are
+    nondecreasing along it."""
+    flags = h.predict_batch(D.points) != D.labels
+    offsets = point_offsets(stream, D.n, probes, D.dim)
+    reports = []
+    for name, radii in scales:
+        flags = flags | probe_flags(h, D.points, offsets, radii, D.labels, ~flags)[0]
+        reports.append(LossReport(name, float(np.mean(flags)), probes, stream.seed, D.n))
+    return reports
 
 
-def robust_loss_fixed_grid(h: Classifier, D: LabeledDataset, radii,
-                           probes: int = 100,
-                           stream: RandomStream | None = None) -> list[LossReport]:
-    """Evaluate the fixed-radius robust loss on an increasing radius grid with
-    shared probe directions; flags accumulate over the grid, so the reported
-    values are nondecreasing in r."""
+def robust_loss_fixed_grid(h: Classifier, D: LabeledDataset, radii, probes: int = 100, *,
+                           stream: RandomStream) -> list[LossReport]:
+    """Probe estimate of the fixed-radius robust loss on a nondecreasing
+    radius grid: an item counts at r when it is misclassified or any of
+    `probes` uniform draws from the radius-r ball around it receives a label
+    different from the true one. Flags accumulate over the grid, so the values
+    are nondecreasing in r."""
     if D.n == 0:
         raise ValueError("robust loss needs a nonempty dataset")
     radii = [float(r) for r in radii]
@@ -108,57 +103,28 @@ def robust_loss_fixed_grid(h: Classifier, D: LabeledDataset, radii,
         raise ValueError("radius grid must be nondecreasing")
     if probes < 0:
         raise ValueError("probe count must be >= 0")
-    stream = stream if stream is not None else RandomStream(0)
-    flags = h.predict_batch(D.points) != D.labels
-    offsets = _point_offsets(stream, D.n, probes, D.dim)
-    reports = []
-    for r in radii:
-        flags = flags | probe_flags(h, D.points, offsets, np.full(D.n, r), D.labels, ~flags)[0]
-        reports.append(
-            LossReport(f"robust_fixed_r={r:g}", float(np.mean(flags)), probes, stream.seed, D.n)
-        )
-    return reports
+    scales = [(f"robust_fixed_r={r:g}", np.full(D.n, r)) for r in radii]
+    return _probe_losses(h, D, scales, probes, stream)
 
 
 def adaptive_robust_empirical(h: Classifier, S: LabeledDataset, c: float = 0.5,
-                              probes: int = 100,
-                              stream: RandomStream | None = None) -> LossReport:
+                              probes: int = 100, *, stream: RandomStream) -> LossReport:
     """Probe estimate of the empirical adaptive robust loss on S: item i counts
     when h mislabels x_i or any probe from the ball of radius c * rho_S(x_i, y_i)
     gets a label other than y_i."""
-    return adaptive_robust_empirical_grid(h, S, [c], probes, stream)[0]
-
-
-def adaptive_robust_empirical_grid(h: Classifier, S: LabeledDataset, cs,
-                                   probes: int = 100,
-                                   stream: RandomStream | None = None) -> list[LossReport]:
-    """Empirical adaptive robust loss over an increasing grid of expansion
-    factors, with shared probe directions and accumulated flags (monotone in c)."""
     if S.n == 0:
         raise ValueError("adaptive robust loss needs a nonempty dataset")
-    cs = [float(c) for c in cs]
-    if any(c <= 0.0 for c in cs):
-        raise ValueError("expansion factors must be positive")
-    if any(b < a for a, b in zip(cs, cs[1:])):
-        raise ValueError("expansion grid must be nondecreasing")
+    if c <= 0.0:
+        raise ValueError("expansion factor must be positive")
     if probes < 1:
         raise ValueError("need at least one probe per ball")
-    stream = stream if stream is not None else RandomStream(0)
-    rhos = rho_all(S)
-    flags = h.predict_batch(S.points) != S.labels
-    offsets = _point_offsets(stream, S.n, probes, S.dim)
-    reports = []
-    for c in cs:
-        flags = flags | probe_flags(h, S.points, offsets, c * rhos, S.labels, ~flags)[0]
-        reports.append(
-            LossReport(f"adaptive_empirical_c={c:g}", float(np.mean(flags)), probes, stream.seed, S.n)
-        )
-    return reports
+    scales = [(f"adaptive_empirical_c={c:g}", c * rho_all(S))]
+    return _probe_losses(h, S, scales, probes, stream)[0]
 
 
 def adaptive_robust_testtime(h: Classifier, test: LabeledDataset, ref: LabeledDataset,
-                             factor: float = 0.5, probes: int = 10,
-                             stream: RandomStream | None = None) -> LossReport:
+                             factor: float = 0.5, probes: int = 10, *,
+                             stream: RandomStream) -> LossReport:
     """Test-time adaptive robust loss: for each test item, find its distance to
     the nearest differently-labeled reference point and probe the ball of
     factor * that distance; the item counts when it is mislabeled or any probe
@@ -169,14 +135,8 @@ def adaptive_robust_testtime(h: Classifier, test: LabeledDataset, ref: LabeledDa
         raise ValueError("reference set must contain at least two classes")
     if probes < 1:
         raise ValueError("need at least one probe per ball")
-    stream = stream if stream is not None else RandomStream(0)
-    rhos = rho(ref, test.points, test.labels)
-    flags = h.predict_batch(test.points) != test.labels
-    offsets = _point_offsets(stream, test.n, probes, test.dim)
-    flags = flags | probe_flags(h, test.points, offsets, factor * rhos, test.labels, ~flags)[0]
-    return LossReport(
-        f"adaptive_testtime_f={factor:g}", float(np.mean(flags)), probes, stream.seed, test.n
-    )
+    scales = [(f"adaptive_testtime_f={factor:g}", factor * rho(ref, test.points, test.labels))]
+    return _probe_losses(h, test, scales, probes, stream)[0]
 
 
 def disagreement_mass(h1: Classifier, h2: Classifier, sampler, N: int,

@@ -12,8 +12,9 @@ Only the test `flip distance < r` and the probe flags reach the profile, so
 work whose outcome is already decided is skipped: a row stops being probed
 once it is in the margin, nearest-set rows are not probed at radii their
 distance gap certifies, and the bisection stops once no grid radius can tell
-its bracket's ends apart. The values are the same bits as with every probe
-and bisection step evaluated.
+its bracket's ends apart. For a classifier that labels each row on its own,
+such as the nearest-set one, the values are the same bits as with every
+probe and bisection step evaluated.
 """
 from __future__ import annotations
 
@@ -39,8 +40,6 @@ class NearestSetClassifier(BatchFirst):
     is 1-NN over [support0; support1] with ties to the smallest index. Each
     support also has its own index, for the witnesses.
     """
-
-    rows_independent = True  # exact index queries answer each row alone
 
     support0: np.ndarray
     support1: np.ndarray
@@ -103,19 +102,20 @@ def canonical_bayes(support0, support1) -> NearestSetClassifier:
     return NearestSetClassifier(np.asarray(support0), np.asarray(support1))
 
 
+_BISECTION_STEPS = 30
+
+
 def _flip_distances_batch(h: Classifier, X: np.ndarray, W: np.ndarray,
-                          preds: np.ndarray, radii=None, steps: int = 30) -> np.ndarray:
+                          preds: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Distance from each row of X to a verified label flip along the segment
     to its witness row of W, by bisection; rows whose witness shares their
     label get inf. Assumes at most one flip per segment (exact for nearest-set
     classifiers); every returned distance points at an evaluated, flipped
     point.
 
-    With a sorted radius grid, a row's bisection stops once its bracket
-    (lo, hi] holds no grid radius: later steps keep hi in that bracket, so
-    `distance < r` is already decided for every grid r. Rows stop one by one
-    when h's rows are independent; otherwise every row is evaluated until all
-    have stopped, as the full loop would."""
+    A row's bisection stops once its bracket (lo, hi] holds no radius of the
+    sorted grid `radii`: later steps keep hi in that bracket, so
+    `distance < r` is already decided for every grid r."""
     diff = W - X
     total = np.sqrt(np.sum(diff**2, axis=1))
     valid = total > 0.0
@@ -130,14 +130,11 @@ def _flip_distances_batch(h: Classifier, X: np.ndarray, W: np.ndarray,
     hi = total[idx].copy()
     base = preds[idx]
     live = np.arange(idx.shape[0])
-    for _ in range(steps):
-        if radii is not None:
-            open_ = (np.searchsorted(radii, hi[live], side="right")
-                     > np.searchsorted(radii, lo[live], side="right"))
-            if not np.any(open_):
-                break
-            if getattr(h, "rows_independent", False):
-                live = live[open_]
+    for _ in range(_BISECTION_STEPS):
+        live = live[np.searchsorted(radii, hi[live], side="right")
+                    > np.searchsorted(radii, lo[live], side="right")]
+        if live.size == 0:
+            break
         mid = 0.5 * (lo[live] + hi[live])
         same = h.predict_batch(xs[live] + mid[:, None] * dirs[live]) == base[live]
         lo[live] = np.where(same, mid, lo[live])
@@ -183,8 +180,8 @@ class MarginProfile:
             fh.write("\n".join(self.csv_lines()) + "\n")
 
 
-def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100,
-                   stream: RandomStream | None = None, witness_fn=None) -> MarginProfile:
+def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100, *,
+                   stream: RandomStream, witness_fn=None) -> MarginProfile:
     """Monte-Carlo margin-rate profile of h over the sampler's distribution.
 
     For each of N sampled points, membership in the radius-r margin is tested
@@ -199,7 +196,6 @@ def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100,
         raise ValueError("radii must be >= 0")
     if N < 1:
         raise ValueError("need at least one sample point")
-    stream = stream if stream is not None else RandomStream(0)
     X = np.asarray(sampler(stream.child(0), N), dtype=np.float64)
     preds = h.predict_batch(X)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BatchFirst, LabeledDataset, RandomStream
+from .core import BatchFirst, LabeledDataset, RandomStream, read_text_lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +197,7 @@ def save_model(model: MlpModel, path) -> None:
 def load_model(path) -> MlpModel:
     """Read the `save_model` format; a malformed file raises ValueError naming
     `path`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in read_text_lines(path) if ln.strip()]
     if len(lines) < 2 or lines[0] != "d,h1,h2":
         raise ValueError(f"{path}: not a model file (no d,h1,h2 header)")
     try:

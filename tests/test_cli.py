@@ -176,7 +176,7 @@ def test_zero_epoch_train_equals_untrained_eval(split_csvs, tmp_path):
     stream = RandomStream(4)
     want = [
         losses.binary_loss(h, test_ds),
-        losses.robust_loss_fixed(h, test_ds, 0.1, probes=100, stream=stream.child(0)),
+        losses.robust_loss_fixed_grid(h, test_ds, [0.1], probes=100, stream=stream.child(0))[0],
         losses.adaptive_robust_testtime(h, test_ds, ref=train_ds, probes=10,
                                         stream=stream.child(1)),
     ]
@@ -209,6 +209,8 @@ def bad_csvs(tmp_path):
                         ("param", ["d,h1,h2", "2,10,10", "oops"] + params[1:])]:
         paths[f"model_{name}"] = tmp_path / f"model_{name}.txt"
         paths[f"model_{name}"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    paths["binary"] = tmp_path / "binary.bin"
+    paths["binary"].write_bytes(b"\xff\xfe\x00\x81" * 75)  # 0xff is never UTF-8
     return paths
 
 
@@ -278,6 +280,18 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
     (["render", "--model-file", "{model_short}", "--data", "{labels01}"], "{model_short}"),
     (["render", "--model-file", "{model_sizes}", "--data", "{labels01}"], "{model_sizes}"),
     (["render", "--model-file", "{model_param}", "--data", "{labels01}"], "{model_param}"),
+    (["generate", "--shape", "circles", "--config", "{binary}"], "{binary}"),
+    (["augment", "--data", "{binary}", "--c", "0.5"], "{binary}"),
+    (["render", "--model-file", "{binary}", "--data", "{labels01}"], "{binary}"),
+    (["generate", "--shape", "circles", "--n", "10", "--seed", "-1"], "--seed"),
+    (AUGMENT01 + ["--c", "0.5", "--seed", "-1"], "--seed"),
+    (TRAIN01 + ["--model", "nn1", "--seed", "-1"], "--seed"),
+    (MARGIN_SMALL + ["--seed", "-1"], "--seed"),
+    (["scenario", "two_point", "--seed", "-1"], "--seed"),
+    (["render", "--nn1-data", "{labels01}", "--data", "{labels01}", "--seed", "-1"], "--seed"),
+    (SWEEP_SMALL + ["--base-seed", "-1"], "--base-seed"),
+    (["sweep", "--shapes", ","], "--shapes"),
+    (["sweep", "--shapes", ""], "--shapes"),
 ], ids=["margin-labels", "train-mlp-labels", "margin-grid", "margin-grid-order",
         "sweep-shapes", "sweep-radii", "malformed-csv", "train-nn1-one-class",
         "train-mlp-one-class", "train-epochs", "train-batch", "train-lr", "sweep-epochs",
@@ -290,7 +304,10 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
         "scenario-r-negative", "scenario-rectangles-epsilon", "scenario-mc", "render-ambient",
         "render-data-3d", "render-nn1-data-dim", "render-model-file-dim", "train-mlp-dim",
         "train-nn1-dim", "generate-missing-shape", "scenario-missing-name", "negative-label",
-        "model-file-no-header", "model-file-short", "model-file-sizes", "model-file-param"])
+        "model-file-no-header", "model-file-short", "model-file-sizes", "model-file-param",
+        "config-not-utf8", "data-not-utf8", "model-file-not-utf8", "generate-seed",
+        "augment-seed", "train-seed", "margin-seed", "scenario-seed", "render-seed",
+        "sweep-base-seed", "sweep-shapes-comma", "sweep-shapes-empty"])
 def test_bad_input_stops_with_one_line_error(tmp_path, bad_csvs, args, names):
     args = [a.format(**bad_csvs) for a in args]
     res = runner.invoke(main, args + ["--out", str(tmp_path / "out"), "--name", "bad"])

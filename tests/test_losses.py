@@ -3,17 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adaptrobust import mlp
+from adaptrobust.augment import point_offsets
 from adaptrobust.core import BatchFirst, LabeledDataset, RandomStream
 from adaptrobust.datagen import ShapeSpec, generate, split, SplitSpec
 from adaptrobust.losses import (
     adaptive_robust_empirical,
-    adaptive_robust_empirical_grid,
-    _point_offsets,
     adaptive_robust_testtime,
     binary_loss,
     disagreement_mass,
     probe_flags,
-    robust_loss_fixed,
     robust_loss_fixed_grid,
 )
 from adaptrobust.margin import canonical_bayes
@@ -71,7 +70,7 @@ def test_r0_equals_binary_exactly():
     rng = np.random.default_rng(1)
     D = random_dataset(rng, 80, 2)
     h = Pointwise(lambda x: int(x[0] > 0.5))
-    rep = robust_loss_fixed(h, D, 0.0, probes=50, stream=RandomStream(2))
+    rep = robust_loss_fixed_grid(h, D, [0.0], probes=50, stream=RandomStream(2))[0]
     assert rep.value == binary_loss(h, D).value
 
 
@@ -81,7 +80,7 @@ def test_two_close_points_with_large_radius_lose_everywhere():
     D = dataset([[0.0], [0.5]], [0, 1])
     h = Pointwise(lambda x: int(x[0] >= 0.25))
     assert binary_loss(h, D).value == 0.0
-    rep = robust_loss_fixed(h, D, 1.0, probes=200, stream=RandomStream(3))
+    rep = robust_loss_fixed_grid(h, D, [1.0], probes=200, stream=RandomStream(3))[0]
     assert rep.value == 1.0
 
 
@@ -92,7 +91,7 @@ def test_threshold_probe_estimate_vs_analytic_margin():
     h = Pointwise(lambda x: int(x[0] >= t))
     labels = np.array([h.predict(p) for p in pts])  # pointwise-correct labels
     D = LabeledDataset(pts, labels)
-    rep = robust_loss_fixed(h, D, r, probes=200, stream=RandomStream(5))
+    rep = robust_loss_fixed_grid(h, D, [r], probes=200, stream=RandomStream(5))[0]
     analytic = np.mean(np.abs(pts[:, 0] - t) < r)
     assert rep.value <= analytic + 1e-12  # probes never overestimate
     assert analytic - rep.value <= 0.01   # >= 99% per-point agreement
@@ -114,8 +113,8 @@ def test_fixed_deterministic_given_seed():
     rng = np.random.default_rng(8)
     D = random_dataset(rng, 60, 3)
     h = NnClassifier(random_dataset(rng, 30, 3))
-    r1 = robust_loss_fixed(h, D, 0.1, probes=64, stream=RandomStream(9)).value
-    r2 = robust_loss_fixed(h, D, 0.1, probes=64, stream=RandomStream(9)).value
+    r1 = robust_loss_fixed_grid(h, D, [0.1], probes=64, stream=RandomStream(9))[0].value
+    r2 = robust_loss_fixed_grid(h, D, [0.1], probes=64, stream=RandomStream(9))[0].value
     assert r1 == r2
 
 
@@ -158,40 +157,35 @@ def test_flip_inside_one_ball_counts_exactly_once():
     assert rep.value == pytest.approx(1 / 10)
 
 
-def test_adaptive_empirical_monotone_in_c_and_dominates_binary():
+def test_adaptive_empirical_dominates_binary():
     rng = np.random.default_rng(14)
     S = random_dataset(rng, 100, 2)
     h = NnClassifier(random_dataset(rng, 40, 2))
-    reports = adaptive_robust_empirical_grid(h, S, [0.25, 0.5, 1.0, 2.0], probes=50,
-                                             stream=RandomStream(15))
-    values = [rep.value for rep in reports]
-    assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
-    assert values[0] >= binary_loss(h, S).value
+    b = binary_loss(h, S).value
+    for c in (0.25, 0.5, 1.0, 2.0):
+        assert adaptive_robust_empirical(h, S, c=c, probes=50, stream=RandomStream(15)).value >= b
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(1, 3),
-       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
-       st.lists(st.floats(0.01, 3.0), min_size=1, max_size=6))
-def test_grid_losses_are_monotone_and_dominate_binary(seed, d, radii, cs):
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6), st.floats(0.01, 3.0))
+def test_fixed_grid_is_monotone_and_losses_dominate_binary(seed, d, radii, c):
     rng = np.random.default_rng(seed)
     S = random_dataset(rng, 30, d)
     h = NnClassifier(random_dataset(rng, 12, d))
     b = binary_loss(h, S).value
-    for reports in (
-        robust_loss_fixed_grid(h, S, sorted(radii), probes=8, stream=RandomStream(seed)),
-        adaptive_robust_empirical_grid(h, S, sorted(cs), probes=8, stream=RandomStream(seed)),
-    ):
-        values = [rep.value for rep in reports]
-        assert values[0] >= b and values == sorted(values)
+    reports = robust_loss_fixed_grid(h, S, sorted(radii), probes=8, stream=RandomStream(seed))
+    values = [rep.value for rep in reports]
+    assert values[0] >= b and values == sorted(values)
+    assert adaptive_robust_empirical(h, S, c=c, probes=8, stream=RandomStream(seed)).value >= b
 
 
 def test_adaptive_empirical_rejects_bad_args():
     S = dataset([[0.0], [1.0]], [0, 1])
     with pytest.raises(ValueError):
-        adaptive_robust_empirical(CONST0, S, c=0.0)
+        adaptive_robust_empirical(CONST0, S, c=0.0, stream=RandomStream(0))
     with pytest.raises(ValueError):
-        adaptive_robust_empirical(CONST0, S, c=0.5, probes=0)
+        adaptive_robust_empirical(CONST0, S, c=0.5, probes=0, stream=RandomStream(0))
 
 
 # --- adaptive test-time ------------------------------------------------------------------
@@ -218,7 +212,7 @@ def test_testtime_single_class_ref_errors():
     ref = dataset([[0.0], [1.0]], [0, 0])
     test = dataset([[0.5]], [0])
     with pytest.raises(ValueError, match="two classes"):
-        adaptive_robust_testtime(CONST0, test, ref)
+        adaptive_robust_testtime(CONST0, test, ref, stream=RandomStream(0))
 
 
 def test_testtime_estimator_stability_across_probe_seeds():
@@ -260,21 +254,6 @@ def test_report_csv_row_fields():
 
 # --- pruned probing ----------------------------------------------------------------------
 
-class RowsTogether:
-    """Delegates to h without declaring independent rows, and records the row
-    count of every batch it is asked for."""
-
-    def __init__(self, h):
-        self.h, self.batches = h, []
-
-    def predict(self, x):
-        return self.h.predict(x)
-
-    def predict_batch(self, X):
-        self.batches.append(len(X))
-        return self.h.predict_batch(X)
-
-
 def unpruned_probe_wrong(h, X, offsets, radii, targets):
     """Every probe row of every item in one call: the reference the pruned
     path must match bit for bit."""
@@ -291,18 +270,18 @@ def unpruned_probe_wrong(h, X, offsets, radii, targets):
 def test_probe_flags_match_the_unpruned_loop(seed, d, k):
     rng = np.random.default_rng(seed)
     S = random_dataset(rng, 40, d)
-    h = NnClassifier(random_dataset(rng, 15, d))
-    offsets = _point_offsets(RandomStream(seed), S.n, k, d)
+    nn = NnClassifier(random_dataset(rng, 15, d))
+    offsets = point_offsets(RandomStream(seed), S.n, k, d)
     radii = rng.random(S.n) * 0.5
     todo = rng.random(S.n) < 0.7
-    want = unpruned_probe_wrong(h, S.points, offsets, radii, S.labels) & todo
-    got, evaluated = probe_flags(h, S.points, offsets, radii, S.labels, todo)
-    assert got.tobytes() == want.tobytes()
-    assert evaluated <= todo.sum() * k
-    together = RowsTogether(h)
-    got, evaluated = probe_flags(together, S.points, offsets, radii, S.labels, todo)
-    assert got.tobytes() == want.tobytes()
-    assert together.batches == ([S.n * k] if k else []) and evaluated == S.n * k
+    # a few-epoch network, whose logits can round differently with the batch rows
+    net = mlp.train(mlp.init(d, seed=seed), S, mlp.TrainSpec(epochs=3, batch_size=8,
+                                                            learning_rate=0.5, seed=seed))
+    for h in (nn, mlp.MlpClassifier(net)):
+        want = unpruned_probe_wrong(h, S.points, offsets, radii, S.labels) & todo
+        got, evaluated = probe_flags(h, S.points, offsets, radii, S.labels, todo)
+        assert got.tobytes() == want.tobytes()
+        assert evaluated <= todo.sum() * k and (evaluated < S.n * k or k == 0)
 
 
 def test_pruned_loss_grids_match_the_unpruned_loop():
@@ -313,7 +292,7 @@ def test_pruned_loss_grids_match_the_unpruned_loop():
 
     def unpruned_grid(D, scales, stream, probes):
         flags = h.predict_batch(D.points) != D.labels
-        offsets = _point_offsets(stream, D.n, probes, D.dim)
+        offsets = point_offsets(stream, D.n, probes, D.dim)
         out = []
         for s in scales:
             flags = flags | unpruned_probe_wrong(h, D.points, offsets, s, D.labels)
@@ -323,9 +302,9 @@ def test_pruned_loss_grids_match_the_unpruned_loop():
     got = [r.value for r in robust_loss_fixed_grid(h, T, radii, probes=30,
                                                    stream=RandomStream(1))]
     assert got == unpruned_grid(T, [np.full(T.n, r) for r in radii], RandomStream(1), 30)
-    got = [r.value for r in adaptive_robust_empirical_grid(h, S, cs, probes=25,
-                                                           stream=RandomStream(2))]
-    assert got == unpruned_grid(S, [c * rho_all(S) for c in cs], RandomStream(2), 25)
+    for c in cs:
+        got = adaptive_robust_empirical(h, S, c=c, probes=25, stream=RandomStream(2))
+        assert [got.value] == unpruned_grid(S, [c * rho_all(S)], RandomStream(2), 25)
     got = adaptive_robust_testtime(h, T, S, factor=0.5, probes=10, stream=RandomStream(3))
     want = unpruned_grid(T, [0.5 * rho(S, T.points, T.labels)], RandomStream(3), 10)
     assert [got.value] == want

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adaptrobust.core import LabeledDataset, RandomStream
-from adaptrobust.losses import disagreement_mass, robust_loss_fixed
+from adaptrobust.losses import disagreement_mass, robust_loss_fixed_grid
 from adaptrobust.neighbors import NnClassifier
 from adaptrobust.scenarios import (
     ConstantClassifier,
@@ -92,7 +92,7 @@ def test_probe_estimator_agrees_with_exact_on_random_family_members():
     for k, h in enumerate(members):
         r = float(rng.choice([0.05, 0.2, 0.5]))
         exact = exact_robust_loss(h, D, r)
-        est = robust_loss_fixed(h, S, r, probes=500, stream=RandomStream(k)).value
+        est = robust_loss_fixed_grid(h, S, [r], probes=500, stream=RandomStream(k))[0].value
         assert est <= exact + 1e-12
         assert exact - est <= 0.02
 
