@@ -1,11 +1,7 @@
-"""Adaptive robust expansion, the uniform-ball sampler, and sampled data
-augmentation.
-
-Expansion replaces each sample with a constant-label open ball whose radius is
-the expansion factor times the distance to the nearest differently-labeled
-sample; augmentation draws points uniformly from those balls. A fixed-radius
-variant (constant radius) supports parameter sweeps.
-"""
+"""Adaptive robust expansion, the uniform-ball sampler and sampled augmentation.
+Expansion makes each sample a constant-label open ball whose radius is c times
+its distance to the nearest differently-labeled sample (or a constant, for
+parameter sweeps); augmentation draws points uniformly from those balls."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -51,30 +47,37 @@ def expand(S: LabeledDataset, c: float) -> np.ndarray:
 
 def sample_ball_uniform(centers, radii, stream: RandomStream) -> np.ndarray:
     """Uniform draws from the balls around `centers` (shape (..., d)), with
-    `radii` broadcast over the leading axes: a normalized Gaussian direction
-    scaled by radius * U^(1/d) per draw. All Gaussians are drawn before all
+    `radii` broadcast over the leading axes. All Gaussians are drawn before all
     uniforms, so the draws depend only on the stream and the leading shape."""
     centers = np.asarray(centers, dtype=np.float64)
-    lead, d = centers.shape[:-1], centers.shape[-1]
-    radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), lead)
+    radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), centers.shape[:-1])
     if np.any(radii < 0.0):
         raise ValueError("radius must be >= 0")
-    draws = stream.normal(lead + (d,))
-    norms = np.sqrt(np.sum(draws**2, axis=-1, keepdims=True))
+    return _ball_points(stream.normal(centers.shape), stream.uniform(radii.shape), radii, centers)
+
+
+def _ball_points(gauss, u, radii, centers) -> np.ndarray:
+    """The one ball transform, in place on `gauss` (..., d), elementwise per draw:
+    the normalized Gaussian direction times u^(1/d), times radius, plus centre."""
+    norms = np.sqrt(np.sum(gauss**2, axis=-1, keepdims=True))
     norms[norms == 0.0] = 1.0
-    draws /= norms
-    draws *= stream.uniform(lead)[..., None] ** (1.0 / d)
-    draws *= radii[..., None]
-    draws += centers
-    return draws
+    gauss /= norms
+    gauss *= u[..., None] ** (1.0 / gauss.shape[-1])
+    gauss *= radii[..., None]
+    gauss += centers
+    return gauss
 
 
 def point_offsets(stream: RandomStream, n: int, k: int, d: int) -> np.ndarray:
-    """(n, k, d) uniform draws from the unit ball around the origin; item i
-    draws from the child stream keyed by i, so its offsets do not depend on
-    the other items."""
-    origin = np.zeros((k, d))
-    return np.stack([sample_ball_uniform(origin, 1.0, stream.child(i)) for i in range(n)])
+    """(n, k, d) uniform draws from the unit ball around the origin. Item i's
+    child stream, keyed by i, makes only its draws (k Gaussian directions, then
+    k uniforms) and one ball transform makes every point, so item i's offsets
+    do not depend on the other items."""
+    gauss, u = np.empty((n, k, d)), np.empty((n, k))
+    for i in range(n):
+        item = stream.child(i)
+        gauss[i], u[i] = item.normal((k, d)), item.uniform(k)
+    return _ball_points(gauss, u, np.ones(k), np.zeros((k, d)))
 
 
 def augment(S: LabeledDataset, spec: ExpansionSpec) -> tuple[LabeledDataset, np.ndarray]:
@@ -85,10 +88,7 @@ def augment(S: LabeledDataset, spec: ExpansionSpec) -> tuple[LabeledDataset, np.
     depend on the others."""
     if S.n == 0:
         raise ValueError("cannot augment an empty dataset")
-    if spec.fixed_radius is not None:
-        radii = np.full(S.n, spec.fixed_radius)
-    else:
-        radii = expand(S, spec.c)
+    radii = np.full(S.n, spec.fixed_radius) if spec.fixed_radius is not None else expand(S, spec.c)
     offsets = point_offsets(RandomStream(spec.seed), S.n, spec.m, S.dim)
     rows = [(S.points[:, None, :] + radii[:, None, None] * offsets).reshape(-1, S.dim)]
     labels = [np.repeat(S.labels, spec.m)]

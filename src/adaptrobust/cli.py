@@ -612,7 +612,7 @@ def cmd_sweep(cfg):
         raise click.ClickException(f"--shapes {cfg['shapes']!r}: unknown shape {unknown[0]!r}; "
                                    f"expected some of {', '.join(datagen.SHAPE_NAMES)}")
     radii = _parse_radii(cfg["fixed_radii"], "--fixed-radii")
-    _check(cfg, **_TRAINING, n="[2, inf)", m="[1, inf)", c="[0, inf)", seeds="[1, inf)",
+    _check(cfg, **_TRAINING, n="[4, inf)", m="[1, inf)", c="[0, inf)", seeds="[1, inf)",
            base_seed="[0, inf)", ambient="[0, inf)")
     run = _run_dir(cfg)
     result = run_sweep(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptrobust.augment import ExpansionSpec, augment, expand, sample_ball_uniform
+from adaptrobust.augment import ExpansionSpec, augment, expand, point_offsets, sample_ball_uniform
 from adaptrobust.core import LabeledDataset, RandomStream
 from adaptrobust.datagen import ShapeSpec, generate
 from adaptrobust.neighbors import rho_all
@@ -117,6 +117,23 @@ def test_broadcast_draws_consume_the_stream_like_one_call():
     assert np.array_equal(a, want)
     with pytest.raises(ValueError):
         sample_ball_uniform(np.zeros((2, 2)), [0.1, -0.1], RandomStream(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 25), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_point_offsets_equal_the_per_item_sampler(n, k, d, seed):
+    # the batched transform gives every item the bytes of its own sampler call
+    stream = RandomStream(seed).child(5)
+    want = np.stack([sample_ball_uniform(np.zeros((k, d)), 1.0, stream.child(i))
+                     for i in range(n)])
+    got = point_offsets(stream, n, k, d)
+    assert got.shape == (n, k, d) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k, d", [(0, 1), (4, 2), (10, 5)])
+def test_point_offsets_of_no_items_are_empty(k, d):
+    out = point_offsets(RandomStream(0), 0, k, d)
+    assert out.shape == (0, k, d) and out.dtype == np.float64
 
 
 # --- augmentation ----------------------------------------------------------------

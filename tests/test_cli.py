@@ -239,6 +239,9 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
     (["sweep", "--batch", "0"], "--batch"),
     (["sweep", "--lr", "-0.5"], "--lr"),
     (["sweep", "--n", "1"], "--n"),
+    # n=2 leaves an empty test split; n=3 can leave a one-class training split
+    (["sweep", "--shapes", "circles", "--n", "2", "--seeds", "1", "--epochs", "1"], "--n"),
+    (["sweep", "--shapes", "circles", "--n", "3", "--seeds", "1", "--epochs", "1"], "--n"),
     (["generate", "--shape", "circles", "--n", "1"], "--n"),
     (["margin", "--shape", "circles", "--n", "0"], "--n"),
     (["generate", "--shape", "circles", "--n", "10", "--label-noise", "1.5"], "--label-noise"),
@@ -295,7 +298,7 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
 ], ids=["margin-labels", "train-mlp-labels", "margin-grid", "margin-grid-order",
         "sweep-shapes", "sweep-radii", "malformed-csv", "train-nn1-one-class",
         "train-mlp-one-class", "train-epochs", "train-batch", "train-lr", "sweep-epochs",
-        "sweep-batch", "sweep-lr", "sweep-n", "generate-n", "margin-n",
+        "sweep-batch", "sweep-lr", "sweep-n", "sweep-n-2", "sweep-n-3", "generate-n", "margin-n",
         "generate-label-noise-high", "generate-label-noise-negative", "sweep-seeds",
         "train-r-inf", "train-r-nan", "train-r-negative", "augment-m", "augment-c",
         "augment-fixed-radius-negative", "augment-fixed-radius-nan", "sweep-m", "sweep-c",
