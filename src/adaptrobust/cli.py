@@ -116,10 +116,18 @@ _TRAINING = dict(epochs="[0, inf)", batch="[1, inf)", lr="(0, inf)", probes="[0,
 
 
 def _run_dir(cfg: dict) -> Path:
-    """Make the run directory and echo the resolved config into it."""
-    run = Path(cfg["out"] or os.environ.get("ADAPTROBUST_OUT") or "out") / cfg["name"]
-    for sub in ("data", "models", "reports", "figs"):
-        (run / sub).mkdir(parents=True, exist_ok=True)
+    """Make the run directory and echo the resolved config into it. A --name
+    that is not one directory name, or a run path mkdir fails on, is an error."""
+    root, name = Path(cfg["out"] or os.environ.get("ADAPTROBUST_OUT") or "out"), cfg["name"]
+    if name in ("", ".", "..") or Path(name).name != name:
+        raise click.ClickException(f"--name {name!r}: must be one directory name")
+    run = root / name
+    try:
+        for sub in ("data", "models", "reports", "figs"):
+            (run / sub).mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise click.ClickException(
+            f"--out {root} --name {name}: cannot make the run directory ({exc})") from None
     lines = [f"{k}={v}" for k, v in sorted(cfg.items())
              if k not in ("out", "name") and v is not None]
     (run / "config.echo").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -139,10 +147,10 @@ POINT_COLORS = {0: "#1f77b4", 1: "#2ca02c"}   # blue / green
 
 
 def render_regions_svg(classifier, train: LabeledDataset, ambient_n: int,
-                       stream: RandomStream, config_note: str = "",
-                       size: int = 480) -> str:
+                       stream: RandomStream, config_note: str) -> str:
     """Decision-region picture: ambient points colored by predicted label,
     training points overlaid by class. 2-D data only."""
+    size = 480  # pixels per side
     if train.dim != 2:
         raise ValueError("decision-region rendering requires 2-D data")
     lo = train.points.min(axis=0)
@@ -159,8 +167,7 @@ def render_regions_svg(classifier, train: LabeledDataset, ambient_n: int,
         f'viewBox="0 0 {size} {size}">',
         f"<desc>decision regions | ambient={ambient_n} | "
         f"region colors: 0={REGION_COLORS[0]} 1={REGION_COLORS[1]} | "
-        f"data colors: 0={POINT_COLORS[0]} 1={POINT_COLORS[1]}"
-        + (f" | {config_note}" if config_note else "") + "</desc>",
+        f"data colors: 0={POINT_COLORS[0]} 1={POINT_COLORS[1]} | {config_note}</desc>",
         f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
     ]
     if ambient_n > 0:
@@ -201,10 +208,26 @@ class SweepResult:
 
 
 def _augmentation_variants(c: float, fixed_radii) -> list[tuple[str, dict | None]]:
+    """Cells and table columns are keyed by variant name, so two fixed radii
+    with one name raise ValueError."""
     variants: list[tuple[str, dict | None]] = [("none", None)]
     variants += [(f"fixed{r:g}", {"fixed_radius": float(r)}) for r in fixed_radii]
     variants.append(("adaptive", {"c": float(c)}))
+    if len({v for v, _ in variants}) < len(variants):
+        raise ValueError(f"two fixed radii share a variant name in {[v for v, _ in variants]}")
     return variants
+
+
+def _evaluate(h, test: LabeledDataset, ref: LabeledDataset, radii, probes: int,
+              stream: RandomStream) -> list[losses.LossReport]:
+    """The scoring protocol of `train` and `sweep`: binary loss, fixed-radius
+    robust loss at each radius, and the test-time adaptive loss."""
+    return [
+        losses.binary_loss(h, test),
+        *losses.robust_loss_fixed_grid(h, test, radii, probes=probes, stream=stream.child(0)),
+        losses.adaptive_robust_testtime(h, test, ref=ref, factor=0.5, probes=10,
+                                        stream=stream.child(1)),
+    ]
 
 
 def run_sweep(shapes, n: int, m: int, c: float, fixed_radii, n_seeds: int,
@@ -226,30 +249,21 @@ def run_sweep(shapes, n: int, m: int, c: float, fixed_radii, n_seeds: int,
             )
             for vi, (vname, vspec) in enumerate(variants):
                 cell_stream = root.child(si, k, 2 + vi)
-                if vspec is None:
-                    fitted = train_ds
-                    origins = None
-                else:
-                    spec = ExpansionSpec(
-                        c=vspec.get("c", 0.5), m=m, include_originals=True,
-                        seed=cell_stream.child(0).derive_seed(),
-                        fixed_radius=vspec.get("fixed_radius"),
-                    )
-                    fitted, origins = augment_data(train_ds, spec)
+                fitted = train_ds
+                if vspec is not None:
+                    fitted, _ = augment_data(train_ds, ExpansionSpec(
+                        m=m, include_originals=True, seed=cell_stream.child(0).derive_seed(),
+                        **vspec))
                 model = mlp.init(train_ds.dim, seed=cell_stream.child(1).derive_seed())
                 model = mlp.train(model, fitted, mlp.TrainSpec(
                     epochs=epochs, batch_size=batch, learning_rate=lr,
                     seed=cell_stream.child(2).derive_seed(),
                 ))
                 h = mlp.MlpClassifier(model)
-                eval_stream = RandomStream(cell_stream.child(3).derive_seed())
-                rep_bin = losses.binary_loss(h, test_ds)
-                rep_grid = tuple(losses.robust_loss_fixed_grid(
-                    h, test_ds, EVAL_RADII, probes=probes, stream=eval_stream.child(0)))
-                rep_adp = losses.adaptive_robust_testtime(
-                    h, test_ds, ref=train_ds, factor=0.5, probes=10,
-                    stream=eval_stream.child(1))
-                cells.append(SweepCell(shape, vname, k, rep_bin, rep_grid, rep_adp))
+                rep_bin, *rep_grid, rep_adp = _evaluate(
+                    h, test_ds, train_ds, EVAL_RADII, probes,
+                    RandomStream(cell_stream.child(3).derive_seed()))
+                cells.append(SweepCell(shape, vname, k, rep_bin, tuple(rep_grid), rep_adp))
                 if render_dir is not None:
                     svg = render_regions_svg(
                         h, fitted, render_ambient, RandomStream(cell_stream.child(4).derive_seed()),
@@ -283,7 +297,7 @@ def sweep_table_csv(result: SweepResult, shapes) -> str:
 
 
 def sweep_cells_csv(result: SweepResult) -> str:
-    lines = ["shape,variant,seed_index,loss_name,value,probes,seed,n"]
+    lines = ["shape,variant,seed_index," + losses.REPORT_CSV_HEADER]
     for cell in result.cells:
         for rep in (cell.binary, *cell.fixed_grid, cell.adaptive):
             lines.append(f"{cell.shape},{cell.variant},{cell.seed_index},{rep.csv_row()}")
@@ -407,14 +421,8 @@ def cmd_train(cfg):
     else:
         datagen.save_csv(train_ds, run / "models" / "nn1_train.csv")
         h = NnClassifier(train_ds)
-    stream = RandomStream(cfg["seed"])
-    reports = [
-        losses.binary_loss(h, test_ds),
-        losses.robust_loss_fixed_grid(h, test_ds, [cfg["r"]], probes=cfg["probes"],
-                                      stream=stream.child(0))[0],
-        losses.adaptive_robust_testtime(h, test_ds, ref=train_ds, factor=0.5,
-                                        probes=10, stream=stream.child(1)),
-    ]
+    reports = _evaluate(h, test_ds, train_ds, [cfg["r"]], cfg["probes"],
+                        RandomStream(cfg["seed"]))
     _write_reports(run / "reports" / "losses.csv", reports)
     for rep in reports:
         click.echo(f"{rep.name} = {rep.value:.4f}")
@@ -443,7 +451,6 @@ def cmd_margin(cfg):
         support0 = geom.class_support(0, 10000)
         support1 = geom.class_support(1, 10000)
         sampler = datagen.manifold_sampler(cfg["shape"])
-        dim = 2
     else:
         ds = _load(cfg["data"])
         labels = ds.classes().tolist()
@@ -457,16 +464,15 @@ def cmd_margin(cfg):
             idx = stream.integers(0, _pts.shape[0], count)
             return _pts[idx]
 
-        dim = ds.dim
     run = _run_dir(cfg)
-    h = margin.canonical_bayes(support0, support1)
+    h = margin.NearestSetClassifier(support0, support1)
     profile = margin.margin_profile(sampler, h, radii, N=cfg["n"], probes=cfg["probes"],
                                     stream=RandomStream(cfg["seed"]))
     profile.save(run / "reports" / "margin.csv")
     r_star = margin.inverse_phi(profile, cfg["epsilon"])
     summary = [f"epsilon={cfg['epsilon']}", f"r_star={r_star!r}"]
     if r_star > 0.0:
-        bound = margin.nn_sample_bound(dim, cfg["epsilon"], cfg["epsilon"], r_star)
+        bound = margin.nn_sample_bound(support0.shape[1], cfg["epsilon"], cfg["epsilon"], r_star)
         summary.append(f"nn_sample_bound={bound!r}")
     else:
         summary.append("nn_sample_bound=undefined (r_star = 0)")
@@ -614,6 +620,10 @@ def cmd_sweep(cfg):
     radii = _parse_radii(cfg["fixed_radii"], "--fixed-radii")
     _check(cfg, **_TRAINING, n="[4, inf)", m="[1, inf)", c="[0, inf)", seeds="[1, inf)",
            base_seed="[0, inf)", ambient="[0, inf)")
+    try:
+        _augmentation_variants(cfg["c"], radii)
+    except ValueError as exc:
+        raise click.ClickException(f"--fixed-radii {cfg['fixed_radii']!r}: {exc}") from None
     run = _run_dir(cfg)
     result = run_sweep(
         shape_list, n=cfg["n"], m=cfg["m"], c=cfg["c"], fixed_radii=radii,

@@ -13,11 +13,8 @@ from typing import Protocol
 
 import numpy as np
 
-Point = np.ndarray  # 1-D float64 array, length d >= 1
-Label = int
 
-
-def as_point(values) -> Point:
+def as_point(values) -> np.ndarray:
     """Coerce a coordinate sequence to a finite float64 point."""
     p = np.asarray(values, dtype=np.float64)
     if p.ndim != 1 or p.shape[0] < 1:
@@ -152,5 +149,5 @@ class BatchFirst:
     """Base for classifiers defined by `predict_batch`: the scalar `predict`
     is a one-row batch, so both paths give the same label by construction."""
 
-    def predict(self, x) -> Label:
+    def predict(self, x) -> int:
         return int(self.predict_batch(as_point(x)[None, :])[0])

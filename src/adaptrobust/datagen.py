@@ -8,6 +8,7 @@ their curves to machine precision after de-normalization.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,12 +107,10 @@ class _Graph:
 
 
 class ShapeGeometry:
-    """A named shape: labeled curve pieces plus the affine map into [0, 1]^2."""
+    """A shape: labeled curve pieces plus the affine map into [0, 1]^2."""
 
-    def __init__(self, name: str, pieces: list[tuple[int, object]],
-                 lo: tuple[float, float], hi: tuple[float, float]):
-        self.name = name
-        self.pieces = pieces
+    def __init__(self, pieces: list[tuple[int, object]], lo: tuple[float, float],
+                 hi: tuple[float, float]):
         self.lo = np.asarray(lo, dtype=np.float64)
         self.hi = np.asarray(hi, dtype=np.float64)
         self._by_class: dict[int, tuple[list, np.ndarray]] = {}
@@ -119,12 +118,6 @@ class ShapeGeometry:
             ps = [p for (lab, p) in pieces if lab == label]
             lengths = np.array([p.length for p in ps])
             self._by_class[label] = (ps, np.concatenate([[0.0], np.cumsum(lengths)]))
-
-    def to_unit(self, raw: np.ndarray) -> np.ndarray:
-        return (raw - self.lo) / (self.hi - self.lo)
-
-    def from_unit(self, unit: np.ndarray) -> np.ndarray:
-        return unit * (self.hi - self.lo) + self.lo
 
     def sample_class(self, label: int, u: np.ndarray) -> np.ndarray:
         """Points at arc-length fractions u in [0, 1) of the class's curves, in
@@ -136,7 +129,7 @@ class ShapeGeometry:
         for j, piece in enumerate(ps):
             on = k == j
             raw[on] = piece.point_at(s[on] - cum[j])
-        return self.to_unit(raw)
+        return (raw - self.lo) / (self.hi - self.lo)
 
     def sample_alternating(self, u: np.ndarray) -> np.ndarray:
         """Point i on class i % 2's curves at arc-length fraction u[i]."""
@@ -155,7 +148,7 @@ def _build_sines() -> ShapeGeometry:
         (0, _Graph(lambda x: 0.5 * np.sin(2 * math.pi * x), 0.0, 2.0)),
         (1, _Graph(lambda x: 0.5 * np.sin(2 * math.pi * x) + 0.6, 0.0, 2.0)),
     ]
-    return ShapeGeometry("sines", pieces, lo=(0.0, -0.5), hi=(2.0, 1.1))
+    return ShapeGeometry(pieces, lo=(0.0, -0.5), hi=(2.0, 1.1))
 
 
 def _build_sfigure() -> ShapeGeometry:
@@ -167,7 +160,7 @@ def _build_sfigure() -> ShapeGeometry:
         (1, _Arc((1.0, 0.4), 1.0, 0.0, math.pi)),
         (1, _Arc((3.0, 0.4), 1.0, math.pi, 2 * math.pi)),
     ]
-    return ShapeGeometry("sfigure", pieces, lo=(-1.0, -1.0), hi=(4.0, 1.4))
+    return ShapeGeometry(pieces, lo=(-1.0, -1.0), hi=(4.0, 1.4))
 
 
 def _build_nnn() -> ShapeGeometry:
@@ -181,7 +174,7 @@ def _build_nnn() -> ShapeGeometry:
             (label, _Segment((x, 1.0), (x + w, 0.0))),
             (label, _Segment((x + w, 0.0), (x + w, 1.0))),
         ]
-    return ShapeGeometry("nnn", pieces, lo=(0.0, 0.0), hi=(2 * (w + gap) + w, 1.0))
+    return ShapeGeometry(pieces, lo=(0.0, 0.0), hi=(2 * (w + gap) + w, 1.0))
 
 
 def _build_circles() -> ShapeGeometry:
@@ -189,7 +182,7 @@ def _build_circles() -> ShapeGeometry:
         (0, _Arc((0.0, 0.0), 1.0, 0.0, 2 * math.pi)),
         (1, _Arc((0.0, 0.0), 2.0, 0.0, 2 * math.pi)),
     ]
-    return ShapeGeometry("circles", pieces, lo=(-2.0, -2.0), hi=(2.0, 2.0))
+    return ShapeGeometry(pieces, lo=(-2.0, -2.0), hi=(2.0, 2.0))
 
 
 def _build_boxes() -> ShapeGeometry:
@@ -198,7 +191,7 @@ def _build_boxes() -> ShapeGeometry:
         return [(label, _Segment(c[i], c[(i + 1) % 4])) for i in range(4)]
 
     pieces = square(0.5, 0) + square(1.0, 1)
-    return ShapeGeometry("boxes", pieces, lo=(-1.0, -1.0), hi=(1.0, 1.0))
+    return ShapeGeometry(pieces, lo=(-1.0, -1.0), hi=(1.0, 1.0))
 
 
 _BUILDERS = {
@@ -208,15 +201,13 @@ _BUILDERS = {
     "circles": _build_circles,
     "boxes": _build_boxes,
 }
-_GEOMETRY_CACHE: dict[str, ShapeGeometry] = {}
 
 
+@functools.cache
 def shape_geometry(name: str) -> ShapeGeometry:
     if name not in _BUILDERS:
         raise ValueError(f"unknown shape {name!r}; expected one of {SHAPE_NAMES}")
-    if name not in _GEOMETRY_CACHE:
-        _GEOMETRY_CACHE[name] = _BUILDERS[name]()
-    return _GEOMETRY_CACHE[name]
+    return _BUILDERS[name]()
 
 
 def generate(spec: ShapeSpec) -> LabeledDataset:

@@ -97,11 +97,6 @@ class NearestSetClassifier(BatchFirst):
         return (d_opp - d_own - kappa * (d_opp + scale) - tiny) / (2.0 + kappa)
 
 
-def canonical_bayes(support0, support1) -> NearestSetClassifier:
-    """Margin-canonical predictor from dense class-region samplings."""
-    return NearestSetClassifier(np.asarray(support0), np.asarray(support1))
-
-
 _BISECTION_STEPS = 30
 
 
@@ -153,8 +148,6 @@ class MarginProfile:
 
     radii: np.ndarray
     values: np.ndarray
-    probes: int
-    seed: int
     nominal_probes: int = 0
     evaluated_probes: int = 0
 
@@ -170,14 +163,11 @@ class MarginProfile:
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "values", v)
 
-    def csv_lines(self) -> list[str]:
+    def save(self, path) -> None:
         lines = ["r,phi_hat"]
         lines += [f"{float(r)!r},{float(v)!r}" for r, v in zip(self.radii, self.values)]
-        return lines
-
-    def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(self.csv_lines()) + "\n")
+            fh.write("\n".join(lines) + "\n")
 
 
 def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100, *,
@@ -225,11 +215,9 @@ def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100, *,
             member |= hit
             nominal += N * probes
             evaluated += count
+        # Nondecreasing: `member` and `flips < r` only grow along the grid.
         values[j] = np.mean(member | decided)
-    # Monte-Carlo noise cannot break monotonicity here (flags accumulate), but
-    # isotonic rounding keeps the invariant explicit for any construction path.
-    values = np.maximum.accumulate(values)
-    return MarginProfile(radii, values, probes, stream.seed, nominal, evaluated)
+    return MarginProfile(radii, values, nominal, evaluated)
 
 
 def inverse_phi(profile: MarginProfile, epsilon: float) -> float:

@@ -144,9 +144,9 @@ def grad(model: MlpModel, batch: LabeledDataset) -> np.ndarray:
     return out
 
 
-def _epochs(model: MlpModel, data: LabeledDataset, spec: TrainSpec):
+def train(model: MlpModel, data: LabeledDataset, spec: TrainSpec) -> MlpModel:
     """Mini-batch gradient descent on one flat parameter vector, updated in
-    place; yields that vector after every epoch."""
+    place."""
     if data.n == 0:
         raise ValueError("cannot train on an empty dataset")
     if not set(np.unique(data.labels)) <= {0, 1}:
@@ -162,13 +162,6 @@ def _epochs(model: MlpModel, data: LabeledDataset, spec: TrainSpec):
             idx = perm[start:start + spec.batch_size]
             _backprop(G, P, X[idx], y[idx])
             params -= spec.learning_rate * grads
-        yield params
-
-
-def train(model: MlpModel, data: LabeledDataset, spec: TrainSpec) -> MlpModel:
-    params = model.flatten()
-    for params in _epochs(model, data, spec):
-        pass
     return model.from_flat(params)
 
 

@@ -9,12 +9,11 @@ interval test around the threshold (open balls, boundary excluded).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BatchFirst, RandomStream, as_point
+from .core import BatchFirst, RandomStream
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,8 +50,8 @@ class ConstantClassifier(BatchFirst):
     def predict_batch(self, X) -> np.ndarray:
         return np.full(np.asarray(X).shape[0], self.label, dtype=np.int64)
 
-    def in_margin(self, x, r: float) -> bool:
-        return False  # constants have no decision boundary
+    def in_margin(self, X, r: float) -> np.ndarray:
+        return np.zeros(np.asarray(X).shape[0], dtype=bool)  # no decision boundary
 
     def describe(self) -> str:
         return f"constant {self.label}"
@@ -71,14 +70,15 @@ class HalfspaceClassifier(BatchFirst):
         above = X[:, self.axis] >= self.threshold
         return np.where(above, self.above_label, 1 - self.above_label).astype(np.int64)
 
-    def in_margin(self, x, r: float) -> bool:
-        """Is some point of the open radius-r ball labeled differently than x?
-        Evaluated as strict interval bounds (t - r < x[axis] < t + r) rather
-        than abs(x - t) < r: for decimal-specified constructions the bounds
-        round back to the atoms' own representations, keeping boundary cases
-        exact (a point at real distance exactly r is NOT in the margin)."""
-        v = float(as_point(x)[self.axis])
-        return self.threshold - r < v < self.threshold + r
+    def in_margin(self, X, r: float) -> np.ndarray:
+        """For each row x of X: is some point of the open radius-r ball around
+        x labeled differently than x? Evaluated as strict interval bounds
+        (t - r < x[axis] < t + r) rather than abs(x - t) < r: for
+        decimal-specified constructions the bounds round back to the atoms'
+        own representations, keeping boundary cases exact (a point at real
+        distance exactly r is NOT in the margin)."""
+        v = np.asarray(X, dtype=np.float64)[:, self.axis]
+        return (self.threshold - r < v) & (v < self.threshold + r)
 
     def describe(self) -> str:
         op = ">=" if self.above_label == 1 else "<"
@@ -97,11 +97,14 @@ def enumerate_family(D: FiniteDistribution) -> list:
     return family
 
 
+def _atom_errors(h, D: FiniteDistribution) -> np.ndarray:
+    """P(y != h(x) | x) at each atom."""
+    return np.where(h.predict_batch(D.points) == 0, D.mu, 1.0 - D.mu)
+
+
 def exact_binary_loss(h, D: FiniteDistribution) -> float:
     """Expected binary loss: sum of mass * P(y != h(x) | x)."""
-    pred = h.predict_batch(D.points)
-    per_atom = np.where(pred == 0, D.mu, 1.0 - D.mu)
-    return float(np.sum(D.mass * per_atom))
+    return float(np.sum(D.mass * _atom_errors(h, D)))
 
 
 def exact_robust_loss(h, D: FiniteDistribution, r: float) -> float:
@@ -111,14 +114,7 @@ def exact_robust_loss(h, D: FiniteDistribution, r: float) -> float:
         raise ValueError("exact robust loss needs an analytic-margin classifier")
     if r < 0.0:
         raise ValueError("radius must be >= 0")
-    total = 0.0
-    for i, x in enumerate(D.points):
-        if h.in_margin(x, r):
-            total += float(D.mass[i])
-        else:
-            err = D.mu[i] if h.predict(x) == 0 else 1.0 - D.mu[i]
-            total += float(D.mass[i]) * float(err)
-    return total
+    return float(np.sum(D.mass * np.where(h.in_margin(D.points, r), 1.0, _atom_errors(h, D))))
 
 
 def exact_best(family: list, D: FiniteDistribution, loss: str, r: float | None = None):
@@ -132,12 +128,8 @@ def exact_best(family: list, D: FiniteDistribution, loss: str, r: float | None =
         evaluate = lambda h: exact_robust_loss(h, D, r)
     else:
         raise ValueError(f"unknown loss {loss!r}")
-    best_h, best_v = None, math.inf
-    for h in family:
-        v = evaluate(h)
-        if v < best_v:
-            best_h, best_v = h, v
-    return best_h, best_v
+    best = min(family, key=evaluate)
+    return best, evaluate(best)
 
 
 def disagreement_exact(h1, h2, D: FiniteDistribution) -> float:

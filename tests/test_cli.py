@@ -295,6 +295,8 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
     (SWEEP_SMALL + ["--base-seed", "-1"], "--base-seed"),
     (["sweep", "--shapes", ","], "--shapes"),
     (["sweep", "--shapes", ""], "--shapes"),
+    (SWEEP_SMALL[:-1] + ["0.1,0.1"], "--fixed-radii fixed0.1"),
+    (SWEEP_SMALL[:-1] + ["0.1000001,0.1"], "--fixed-radii fixed0.1"),
 ], ids=["margin-labels", "train-mlp-labels", "margin-grid", "margin-grid-order",
         "sweep-shapes", "sweep-radii", "malformed-csv", "train-nn1-one-class",
         "train-mlp-one-class", "train-epochs", "train-batch", "train-lr", "sweep-epochs",
@@ -310,7 +312,8 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
         "model-file-no-header", "model-file-short", "model-file-sizes", "model-file-param",
         "config-not-utf8", "data-not-utf8", "model-file-not-utf8", "generate-seed",
         "augment-seed", "train-seed", "margin-seed", "scenario-seed", "render-seed",
-        "sweep-base-seed", "sweep-shapes-comma", "sweep-shapes-empty"])
+        "sweep-base-seed", "sweep-shapes-comma", "sweep-shapes-empty",
+        "sweep-radii-repeated", "sweep-radii-same-name"])
 def test_bad_input_stops_with_one_line_error(tmp_path, bad_csvs, args, names):
     args = [a.format(**bad_csvs) for a in args]
     res = runner.invoke(main, args + ["--out", str(tmp_path / "out"), "--name", "bad"])
@@ -366,6 +369,47 @@ def test_every_command_reruns_to_identical_bytes(tmp_path, dataset_csv, split_cs
                         for f in run.rglob("*") if f.is_file()})
     assert "config.echo" in outputs[0] and len(outputs[0]) >= 2
     assert outputs[0] == outputs[1]
+
+
+def tree(root):
+    return sorted((str(p.relative_to(root)), p.is_dir()) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("command", RERUN)
+def test_out_or_name_through_a_file_is_a_one_line_error(tmp_path, dataset_csv, split_csvs,
+                                                        command):
+    tr, te = split_csvs
+    args = [a.format(data=dataset_csv, train=tr, test=te) for a in RERUN[command]]
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n", encoding="utf-8")
+    before = tree(tmp_path)
+    for out, name in [(afile, "run"), (afile / "sub", "run"), (tmp_path, "afile")]:
+        res = runner.invoke(main, args + ["--out", str(out), "--name", name])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: --out ") and str(afile) in lines[0]
+    assert tree(tmp_path) == before and afile.read_text(encoding="utf-8") == "keep\n"
+
+
+@pytest.mark.parametrize("command", RERUN)
+def test_name_must_be_one_directory_name(tmp_path, dataset_csv, split_csvs, command):
+    tr, te = split_csvs
+    args = [a.format(data=dataset_csv, train=tr, test=te) for a in RERUN[command]]
+    out = tmp_path / "o2" / "inner"
+    before = tree(tmp_path)
+    for name in ["", ".", "..", "../../escaped", "a/b", "a/", str(tmp_path / "abs")]:
+        res = runner.invoke(main, args + ["--out", str(out), "--name", name])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: --name "), (name, lines)
+        assert tree(tmp_path) == before, name
+
+
+def test_benchmark_style_run_names_stay_valid(tmp_path):
+    for name in ("margin-0", "margin-17", "run.v2", "..hidden"):
+        run_ok(["generate", "--shape", "boxes", "--n", "10", "--out", str(tmp_path),
+                "--name", name])
+        assert (tmp_path / name / "data" / "dataset.csv").exists()
 
 
 def test_scenario_and_render_read_config(tmp_path, split_csvs):
@@ -492,7 +536,7 @@ def test_render_rejects_non_2d():
     ds = LabeledDataset(np.random.default_rng(1).random((10, 3)),
                         np.array([0, 1] * 5))
     with pytest.raises(ValueError, match="2-D"):
-        render_regions_svg(NnClassifier(ds), ds, 10, RandomStream(0))
+        render_regions_svg(NnClassifier(ds), ds, 10, RandomStream(0), "note")
 
 
 def test_full_pipeline_reports_reproduce(tmp_path):

@@ -21,7 +21,7 @@ from adaptrobust.core import RandomStream
 def test_circles_points_satisfy_circle_equation():
     ds = generate(ShapeSpec("circles", 1000, seed=7))
     geom = shape_geometry("circles")
-    raw = geom.from_unit(ds.points)
+    raw = ds.points * (geom.hi - geom.lo) + geom.lo
     r2 = raw[:, 0] ** 2 + raw[:, 1] ** 2
     assert np.abs(r2[ds.labels == 0] - 1.0).max() <= 1e-9
     assert np.abs(r2[ds.labels == 1] - 4.0).max() <= 1e-9
@@ -30,7 +30,7 @@ def test_circles_points_satisfy_circle_equation():
 def test_sines_points_lie_on_their_curves():
     ds = generate(ShapeSpec("sines", 400, seed=3))
     geom = shape_geometry("sines")
-    raw = geom.from_unit(ds.points)
+    raw = ds.points * (geom.hi - geom.lo) + geom.lo
     resid0 = raw[ds.labels == 0, 1] - 0.5 * np.sin(2 * np.pi * raw[ds.labels == 0, 0])
     resid1 = raw[ds.labels == 1, 1] - 0.5 * np.sin(2 * np.pi * raw[ds.labels == 1, 0]) - 0.6
     assert np.abs(resid0).max() <= 1e-9

@@ -15,7 +15,7 @@ from adaptrobust.losses import (
     probe_flags,
     robust_loss_fixed_grid,
 )
-from adaptrobust.margin import canonical_bayes
+from adaptrobust.margin import NearestSetClassifier
 from adaptrobust.neighbors import NnClassifier, rho, rho_all
 from adaptrobust.scenarios import scenario_two_rectangles
 
@@ -193,7 +193,7 @@ def test_adaptive_empirical_rejects_bad_args():
 def test_testtime_zero_for_widely_margined_predictor():
     ref = dataset([[0.0, 0.0], [10.0, 0.0]], [0, 1])
     test = dataset([[0.5, 0.0], [9.5, 0.0]], [0, 1])
-    h = canonical_bayes(np.array([[0.0, 0.0]]), np.array([[10.0, 0.0]]))
+    h = NearestSetClassifier(np.array([[0.0, 0.0]]), np.array([[10.0, 0.0]]))
     rep = adaptive_robust_testtime(h, test, ref, factor=0.5, probes=10, stream=RandomStream(16))
     assert rep.value == 0.0
 

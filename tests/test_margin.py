@@ -12,7 +12,6 @@ from adaptrobust.margin import (
     MarginProfile,
     NearestSetClassifier,
     _flip_distances_batch,
-    canonical_bayes,
     inverse_phi,
     margin_profile,
     nn_sample_bound,
@@ -37,13 +36,13 @@ class Threshold1D:
 # --- canonical bayes -------------------------------------------------------------
 
 def test_support_point_gets_its_own_label():
-    h = canonical_bayes(np.array([[0.0, 0.0]]), np.array([[2.0, 0.0]]))
+    h = NearestSetClassifier(np.array([[0.0, 0.0]]), np.array([[2.0, 0.0]]))
     assert h.predict([0.0, 0.0]) == 0
     assert h.predict([2.0, 0.0]) == 1
 
 
 def test_nearer_set_wins():
-    h = canonical_bayes(np.array([[0.0, 0.0]]), np.array([[2.0, 0.0]]))
+    h = NearestSetClassifier(np.array([[0.0, 0.0]]), np.array([[2.0, 0.0]]))
     assert h.predict([0.5, 0.0]) == 0
     assert h.predict([1.5, 0.0]) == 1
     assert h.predict([1.0, 0.0]) == 0  # exact tie -> label 0
@@ -51,10 +50,10 @@ def test_nearer_set_wins():
 
 def test_dense_circle_supports_match_radius_midpoint_rule():
     geom = shape_geometry("circles")
-    h = canonical_bayes(geom.class_support(0, 10000), geom.class_support(1, 10000))
+    h = NearestSetClassifier(geom.class_support(0, 10000), geom.class_support(1, 10000))
     rng = np.random.default_rng(0)
     X = rng.random((10_000, 2))
-    raw = geom.from_unit(X)
+    raw = X * (geom.hi - geom.lo) + geom.lo
     want = (np.sqrt(raw[:, 0] ** 2 + raw[:, 1] ** 2) >= 1.5).astype(np.int64)
     assert np.array_equal(h.predict_batch(X), want)
 
@@ -62,15 +61,15 @@ def test_dense_circle_supports_match_radius_midpoint_rule():
 def test_swapped_supports_flip_predictions():
     rng = np.random.default_rng(1)
     s0, s1 = rng.random((40, 2)), rng.random((40, 2)) + 2.0
-    h = canonical_bayes(s0, s1)
-    h_swapped = canonical_bayes(s1, s0)
+    h = NearestSetClassifier(s0, s1)
+    h_swapped = NearestSetClassifier(s1, s0)
     X = rng.random((300, 2)) * 3.0
     assert np.array_equal(h.predict_batch(X), 1 - h_swapped.predict_batch(X))
 
 
 def test_batch_equals_single_point_predictions():
     rng = np.random.default_rng(2)
-    h = canonical_bayes(rng.random((30, 3)), rng.random((30, 3)) + 0.5)
+    h = NearestSetClassifier(rng.random((30, 3)), rng.random((30, 3)) + 0.5)
     X = rng.random((100, 3)) * 1.5
     assert np.array_equal(h.predict_batch(X), [h.predict(x) for x in X])
 
@@ -101,7 +100,7 @@ def two_scan_witness(support0, support1, x):
 
 
 def check_against_two_scans(s0, s1, X):
-    h = canonical_bayes(s0, s1)
+    h = NearestSetClassifier(s0, s1)
     assert np.array_equal(h.predict_batch(X), two_scan_predict(s0, s1, X))
     want = np.array([two_scan_witness(s0, s1, x) for x in X]).reshape(X.shape)
     assert h.opposite_witness(X)[0].tobytes() == want.tobytes()
@@ -150,7 +149,7 @@ def test_lattice_predict_batch_matches_two_scans(case):
 
 def test_empty_support_errors():
     with pytest.raises(ValueError):
-        canonical_bayes(np.zeros((0, 2)), np.array([[1.0, 1.0]]))
+        NearestSetClassifier(np.zeros((0, 2)), np.array([[1.0, 1.0]]))
 
 
 # --- membership -----------------------------------------------------------------
@@ -217,7 +216,7 @@ def test_two_rectangle_slab_formula():
 
 def test_circles_profile_is_zero_below_the_gap():
     geom = shape_geometry("circles")
-    h = canonical_bayes(geom.class_support(0, 2000), geom.class_support(1, 2000))
+    h = NearestSetClassifier(geom.class_support(0, 2000), geom.class_support(1, 2000))
     # normalized gap between the circles is 0.25; probe well below it
     prof = margin_profile(manifold_sampler("circles"), h, [0.025], N=400, probes=20,
                           stream=RandomStream(7))
@@ -226,7 +225,7 @@ def test_circles_profile_is_zero_below_the_gap():
 
 def test_profile_is_one_beyond_the_diameter():
     geom = shape_geometry("circles")
-    h = canonical_bayes(geom.class_support(0, 1000), geom.class_support(1, 1000))
+    h = NearestSetClassifier(geom.class_support(0, 1000), geom.class_support(1, 1000))
     prof = margin_profile(manifold_sampler("circles"), h, [math.sqrt(2.0)], N=300, probes=10,
                           stream=RandomStream(8))
     assert prof.values[0] == 1.0
@@ -362,7 +361,7 @@ def with_axis_probes(draw):
 
 
 def pruned_and_reference(s0, s1, X, radii, probes, seed):
-    h = canonical_bayes(s0, s1)
+    h = NearestSetClassifier(s0, s1)
     points = lambda stream, n: X
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(margin, "sample_ball_uniform", with_axis_probes(margin.sample_ball_uniform))
@@ -398,7 +397,7 @@ def test_pruned_profile_matches_the_unpruned_loop(case, seed):
 
 def test_pruned_circles_profile_matches_the_unpruned_loop():
     geom = shape_geometry("circles")
-    h = canonical_bayes(geom.class_support(0, 1000), geom.class_support(1, 1000))
+    h = NearestSetClassifier(geom.class_support(0, 1000), geom.class_support(1, 1000))
     sampler = manifold_sampler("circles")
     radii = [0.01, 0.05, 0.1, 0.124, 0.125, 0.126, 0.2, 0.5]
     got = margin_profile(sampler, h, radii, N=200, probes=30, stream=RandomStream(11))
@@ -432,7 +431,7 @@ def test_pruned_generic_profiles_match_the_unpruned_loop():
 def test_grid_stop_decides_like_the_full_bisection(case):
     s0, s1, X = case
     X = np.vstack([X, s0, s1])
-    h = canonical_bayes(s0, s1)
+    h = NearestSetClassifier(s0, s1)
     W, preds = h.opposite_witness(X)[0], h.predict_batch(X)
     full = reference_flips(h, X, W, preds)
     # grid radii at the exact flip distances make `flips < r` a tie
@@ -443,7 +442,7 @@ def test_grid_stop_decides_like_the_full_bisection(case):
 
 def test_certified_radius_holds_on_its_sphere():
     geom = shape_geometry("circles")
-    h = canonical_bayes(geom.class_support(0, 500), geom.class_support(1, 500))
+    h = NearestSetClassifier(geom.class_support(0, 500), geom.class_support(1, 500))
     rng = np.random.default_rng(14)
     X = rng.random((400, 2))
     W, safe = h.opposite_witness(X)
@@ -458,7 +457,7 @@ def test_certified_radius_holds_on_its_sphere():
 
 def test_profile_counts_nominal_and_evaluated_probes():
     geom = shape_geometry("circles")
-    h = canonical_bayes(geom.class_support(0, 1000), geom.class_support(1, 1000))
+    h = NearestSetClassifier(geom.class_support(0, 1000), geom.class_support(1, 1000))
     grid = [0.01, 0.02, 0.05, 0.1, 0.2, 0.5]
     prof = margin_profile(manifold_sampler("circles"), h, grid, N=50, probes=20,
                           stream=RandomStream(15))
@@ -467,7 +466,7 @@ def test_profile_counts_nominal_and_evaluated_probes():
     assert (prof.nominal_probes, prof.evaluated_probes) == (6000, 0)
     rng = np.random.default_rng(16)
     pts, labels = rng.random((200, 2)), rng.integers(0, 2, 200)
-    h = canonical_bayes(pts[labels == 0], pts[labels == 1])
+    h = NearestSetClassifier(pts[labels == 0], pts[labels == 1])
     prof = margin_profile(uniform_2d, h, [0.0] + grid, N=100, probes=30,
                           stream=RandomStream(17))
     assert (prof.nominal_probes, prof.evaluated_probes) == (18000, 1940)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptrobust.core import LabeledDataset, RandomStream
 from adaptrobust.losses import disagreement_mass, robust_loss_fixed_grid
@@ -21,7 +23,7 @@ from adaptrobust.scenarios import (
 
 def margin_mass(h, D, r):
     """Exact mass of the atoms strictly within r of h's boundary."""
-    return float(sum(m for x, m in zip(D.points, D.mass) if h.in_margin(x, r)))
+    return float(np.sum(D.mass[h.in_margin(D.points, r)]))
 
 
 # --- constructions -----------------------------------------------------------------
@@ -66,6 +68,63 @@ def test_exact_robust_two_point_values():
     correct = HalfspaceClassifier(0, 0.25, 1)
     assert exact_robust_loss(correct, D, 1.0) == 1.0
     assert exact_robust_loss(ConstantClassifier(0), D, 1.0) == 0.5
+
+
+def reference_robust_loss(h, D, r):
+    """The per-atom loop the batched exact robust loss replaces: scalar margin
+    test (strict interval bounds) and scalar predict, summed in atom order."""
+    total, margins = 0.0, []
+    for i, x in enumerate(D.points):
+        v = float(x[h.axis]) if isinstance(h, HalfspaceClassifier) else None
+        margins.append(v is not None and h.threshold - r < v < h.threshold + r)
+        if margins[-1]:
+            total += float(D.mass[i])
+        else:
+            err = D.mu[i] if h.predict(x) == 0 else 1.0 - D.mu[i]
+            total += float(D.mass[i]) * float(err)
+    return total, margins
+
+
+@st.composite
+def atoms_classifier_radius(draw):
+    """Atoms on the quarter lattice, a family member, and a radius that is
+    often the exact distance from an atom to the threshold (a boundary case:
+    open balls exclude that atom)."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 2))
+    pts = np.array(draw(st.lists(st.integers(-8, 8), min_size=n * d, max_size=n * d)),
+                   dtype=np.float64).reshape(n, d) / 4.0
+    mu = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    D = FiniteDistribution(pts, mu, w / w.sum())
+    h = draw(st.sampled_from(enumerate_family(D)))
+    if isinstance(h, HalfspaceClassifier) and draw(st.booleans()):
+        r = abs(float(pts[draw(st.integers(0, n - 1)), h.axis]) - h.threshold)
+    else:
+        r = draw(st.floats(0.0, 3.0))
+    return D, h, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(atoms_classifier_radius())
+def test_batched_exact_robust_loss_matches_the_atom_loop(case):
+    D, h, r = case
+    want, margins = reference_robust_loss(h, D, r)
+    assert h.in_margin(D.points, r).tolist() == margins
+    got = exact_robust_loss(h, D, r)
+    if D.points.shape[0] < 8:  # numpy sums fewer than 8 terms in order
+        assert got == want
+    else:  # pairwise summation: two orders of n terms in [0, 1] summing to 1
+        assert abs(got - want) <= D.points.shape[0] * np.finfo(np.float64).eps
+
+
+def test_atom_at_exactly_r_is_outside_the_margin():
+    D = FiniteDistribution(np.array([[0.0], [0.25], [0.75]]), np.array([0.0, 0.0, 1.0]),
+                           np.array([0.25, 0.25, 0.5]))
+    h = HalfspaceClassifier(0, 0.5, 1)
+    assert h.in_margin(D.points, 0.25).tolist() == [False, False, False]
+    assert h.in_margin(D.points, 0.5).tolist() == [False, True, True]
+    assert exact_robust_loss(h, D, 0.25) == 0.0
+    assert exact_robust_loss(h, D, 0.5) == 0.75
 
 
 def test_exact_robust_requires_analytic_margin():
@@ -215,6 +274,16 @@ def test_exact_best_tie_goes_to_first_member():
     fam = enumerate_family(D)
     h, v = exact_best(fam, D, "robust", r=10.0)
     assert v == 0.5 and h is fam[0]  # both constants tie at 1/2
+
+
+def test_exact_best_tie_among_later_members_goes_to_the_earliest():
+    D = scenario_two_point(0.5)
+    fam = [ConstantClassifier(0), HalfspaceClassifier(0, 0.25, 1),
+           HalfspaceClassifier(0, 0.2, 1), HalfspaceClassifier(0, 0.25, 0)]
+    h, v = exact_best(fam, D, "binary")
+    assert v == 0.0 and h is fam[1]  # fam[1] and fam[2] both classify exactly
+    h, v = exact_best(fam[::-1], D, "binary")
+    assert v == 0.0 and h is fam[2]
 
 
 def test_exact_best_rejects_unknown_loss():
