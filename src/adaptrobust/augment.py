@@ -53,31 +53,30 @@ def sample_ball_uniform(centers, radii, stream: RandomStream) -> np.ndarray:
     radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), centers.shape[:-1])
     if np.any(radii < 0.0):
         raise ValueError("radius must be >= 0")
-    return _ball_points(stream.normal(centers.shape), stream.uniform(radii.shape), radii, centers)
+    return centers + radii[..., None] * _unit_ball(stream.normal(centers.shape),
+                                                   stream.uniform(radii.shape))
 
 
-def _ball_points(gauss, u, radii, centers) -> np.ndarray:
-    """The one ball transform, in place on `gauss` (..., d), elementwise per draw:
-    the normalized Gaussian direction times u^(1/d), times radius, plus centre."""
+def _unit_ball(gauss, u) -> np.ndarray:
+    """The one unit-ball transform, in place on `gauss` (..., d), elementwise
+    per draw: the normalized Gaussian direction times u^(1/d)."""
     norms = np.sqrt(np.sum(gauss**2, axis=-1, keepdims=True))
     norms[norms == 0.0] = 1.0
     gauss /= norms
     gauss *= u[..., None] ** (1.0 / gauss.shape[-1])
-    gauss *= radii[..., None]
-    gauss += centers
     return gauss
 
 
 def point_offsets(stream: RandomStream, n: int, k: int, d: int) -> np.ndarray:
     """(n, k, d) uniform draws from the unit ball around the origin. Item i's
     child stream, keyed by i, makes only its draws (k Gaussian directions, then
-    k uniforms) and one ball transform makes every point, so item i's offsets
-    do not depend on the other items."""
+    k uniforms) and one unit-ball transform makes every offset, so item i's
+    offsets do not depend on the other items."""
     gauss, u = np.empty((n, k, d)), np.empty((n, k))
     for i in range(n):
         item = stream.child(i)
         gauss[i], u[i] = item.normal((k, d)), item.uniform(k)
-    return _ball_points(gauss, u, np.ones(k), np.zeros((k, d)))
+    return _unit_ball(gauss, u)
 
 
 def augment(S: LabeledDataset, spec: ExpansionSpec) -> tuple[LabeledDataset, np.ndarray]:

@@ -117,15 +117,21 @@ _TRAINING = dict(epochs="[0, inf)", batch="[1, inf)", lr="(0, inf)", probes="[0,
 
 def _run_dir(cfg: dict) -> Path:
     """Make the run directory and echo the resolved config into it. A --name
-    that is not one directory name, or a run path mkdir fails on, is an error."""
+    that is not one directory name, or a run path mkdir fails on, is an error,
+    and a failed call removes the directories it made."""
     root, name = Path(cfg["out"] or os.environ.get("ADAPTROBUST_OUT") or "out"), cfg["name"]
     if name in ("", ".", "..") or Path(name).name != name:
         raise click.ClickException(f"--name {name!r}: must be one directory name")
-    run = root / name
+    run, made = root / name, []
+    subs = [run / sub for sub in ("data", "models", "reports", "figs")]
     try:
-        for sub in ("data", "models", "reports", "figs"):
-            (run / sub).mkdir(parents=True, exist_ok=True)
+        for path in [*reversed(run.parents), run, *subs]:
+            if not path.is_dir():
+                path.mkdir()
+                made.append(path)
     except (OSError, ValueError) as exc:
+        for path in reversed(made):
+            path.rmdir()
         raise click.ClickException(
             f"--out {root} --name {name}: cannot make the run directory ({exc})") from None
     lines = [f"{k}={v}" for k, v in sorted(cfg.items())
@@ -230,6 +236,20 @@ def _evaluate(h, test: LabeledDataset, ref: LabeledDataset, radii, probes: int,
     ]
 
 
+def _check_shapes(shapes) -> None:
+    """Cells and table rows are keyed by shape name, so a repeated shape raises
+    ValueError, as do no shape and an unknown one."""
+    if not shapes:
+        raise ValueError("expected at least one shape")
+    unknown = [s for s in shapes if s not in datagen.SHAPE_NAMES]
+    if unknown:
+        raise ValueError(f"unknown shape {unknown[0]!r}; "
+                         f"expected some of {', '.join(datagen.SHAPE_NAMES)}")
+    repeated = [s for i, s in enumerate(shapes) if s in shapes[:i]]
+    if repeated:
+        raise ValueError(f"shape {repeated[0]!r} is repeated")
+
+
 def run_sweep(shapes, n: int, m: int, c: float, fixed_radii, n_seeds: int,
               base_seed: int, epochs: int, lr: float, batch: int,
               probes: int, render_dir: Path | None = None,
@@ -237,6 +257,7 @@ def run_sweep(shapes, n: int, m: int, c: float, fixed_radii, n_seeds: int,
     """Train one network per (shape, augmentation, seed) cell on the augmented
     training split and evaluate binary, fixed-radius robust (shared-probe grid)
     and test-time adaptive robust losses on the held-out split."""
+    _check_shapes(shapes)
     variants = _augmentation_variants(c, fixed_radii)
     root = RandomStream(base_seed)
     cells = []
@@ -611,12 +632,10 @@ def cmd_sweep(cfg):
     """Full augmentation grid (no-aug, fixed radii, adaptive) across shapes and
     seeds, summarized in one table CSV."""
     shape_list = [s.strip() for s in str(cfg["shapes"]).split(",") if s.strip()]
-    if not shape_list:
-        raise click.ClickException(f"--shapes {cfg['shapes']!r}: expected at least one shape")
-    unknown = [s for s in shape_list if s not in datagen.SHAPE_NAMES]
-    if unknown:
-        raise click.ClickException(f"--shapes {cfg['shapes']!r}: unknown shape {unknown[0]!r}; "
-                                   f"expected some of {', '.join(datagen.SHAPE_NAMES)}")
+    try:
+        _check_shapes(shape_list)
+    except ValueError as exc:
+        raise click.ClickException(f"--shapes {cfg['shapes']!r}: {exc}") from None
     radii = _parse_radii(cfg["fixed_radii"], "--fixed-radii")
     _check(cfg, **_TRAINING, n="[4, inf)", m="[1, inf)", c="[0, inf)", seeds="[1, inf)",
            base_seed="[0, inf)", ambient="[0, inf)")

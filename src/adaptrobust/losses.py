@@ -50,26 +50,24 @@ _PROBE_CHUNK = 10  # probes per row and call
 
 
 def probe_flags(h: Classifier, X: np.ndarray, offsets: np.ndarray, radii: np.ndarray,
-                targets: np.ndarray, todo: np.ndarray) -> tuple[np.ndarray, int]:
+                targets: np.ndarray, todo: np.ndarray) -> np.ndarray:
     """For each row i in `todo`: does any probe X_i + radii_i * offsets_i[j] get
-    a label other than targets_i? Rows outside `todo` come back False. Also
-    returns the number of probe rows evaluated.
+    a label other than targets_i? Rows outside `todo` come back False.
 
     Only the `todo` rows are evaluated, _PROBE_CHUNK probes at a time, and a
     row stops at its first flip: a skipped probe cannot change a decided row."""
     n, k, d = offsets.shape
     flags = np.zeros(n, dtype=bool)
-    live, evaluated = np.flatnonzero(todo), 0
+    live = np.flatnonzero(todo)
     for j in range(0, k, _PROBE_CHUNK):
         if live.size == 0:
             break
         Z = X[live, None, :] + radii[live, None, None] * offsets[live, j:j + _PROBE_CHUNK]
-        evaluated += Z.shape[0] * Z.shape[1]
         pred = h.predict_batch(Z.reshape(-1, d)).reshape(Z.shape[:2])
         hit = np.any(pred != targets[live, None], axis=1)
         flags[live[hit]] = True
         live = live[~hit]
-    return flags, evaluated
+    return flags
 
 
 def _probe_losses(h: Classifier, D: LabeledDataset, scales, probes: int,
@@ -82,7 +80,7 @@ def _probe_losses(h: Classifier, D: LabeledDataset, scales, probes: int,
     offsets = point_offsets(stream, D.n, probes, D.dim)
     reports = []
     for name, radii in scales:
-        flags = flags | probe_flags(h, D.points, offsets, radii, D.labels, ~flags)[0]
+        flags = flags | probe_flags(h, D.points, offsets, radii, D.labels, ~flags)
         reports.append(LossReport(name, float(np.mean(flags)), probes, stream.seed, D.n))
     return reports
 

@@ -140,16 +140,10 @@ def _flip_distances_batch(h: Classifier, X: np.ndarray, W: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class MarginProfile:
-    """Tabulated margin-rate estimate: nondecreasing values over a radius grid.
-
-    `nominal_probes` counts the probe rows of every sample point at every
-    positive radius; `evaluated_probes` the ones actually classified. Neither
-    is written to the CSV."""
+    """Tabulated margin-rate estimate: nondecreasing values over a radius grid."""
 
     radii: np.ndarray
     values: np.ndarray
-    nominal_probes: int = 0
-    evaluated_probes: int = 0
 
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=np.float64)
@@ -203,7 +197,6 @@ def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100, *,
 
     member = np.zeros(N, dtype=bool)
     values = np.empty(radii.shape[0])
-    nominal = evaluated = 0
     if probes > 0:
         origin = np.broadcast_to(0.0, (N, probes, X.shape[1]))
         offsets = sample_ball_uniform(origin, 1.0, stream.child(1))
@@ -211,13 +204,10 @@ def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100, *,
         decided = flips < r
         if r > 0.0 and probes > 0:
             todo = ~(member | decided) & (safe < r)
-            hit, count = probe_flags(h, X, offsets, np.full(N, r), preds, todo)
-            member |= hit
-            nominal += N * probes
-            evaluated += count
+            member |= probe_flags(h, X, offsets, np.full(N, r), preds, todo)
         # Nondecreasing: `member` and `flips < r` only grow along the grid.
         values[j] = np.mean(member | decided)
-    return MarginProfile(radii, values, nominal, evaluated)
+    return MarginProfile(radii, values)
 
 
 def inverse_phi(profile: MarginProfile, epsilon: float) -> float:

@@ -9,52 +9,46 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import BatchFirst, LabeledDataset, RandomStream, read_text_lines
-
-
-@dataclass(frozen=True, eq=False)
-class MlpModel:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: float
-
-    @property
-    def dim(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def widths(self) -> tuple[int, int]:
-        return self.w1.shape[1], self.w2.shape[1]
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate(
-            [self.w1.ravel(), self.b1, self.w2.ravel(), self.b2, self.w3, [self.b3]]
-        )
-
-    def from_flat(self, vec: np.ndarray) -> "MlpModel":
-        # Copy once, so in-place updates of `vec` cannot reach the new model.
-        L = _layers(np.array(vec, dtype=np.float64), self.dim, *self.widths)
-        return MlpModel(L.w1, L.b1, L.w2, L.b2, L.w3, float(L.b3[0]))
-
 
 # Per-layer views of one flat parameter or gradient vector; b3 has shape (1,).
 _Layers = namedtuple("_Layers", "w1 b1 w2 b2 w3 b3")
 
 
 def _layers(vec: np.ndarray, d: int, h1: int, h2: int) -> _Layers:
-    """Views of `vec` in `MlpModel.flatten` order; writing a view writes `vec`."""
+    """Views of `vec` in w1, b1, w2, b2, w3, b3 order; writing a view writes `vec`."""
     sizes = [d * h1, h1, h1 * h2, h2, h2, 1]
     if vec.shape != (sum(sizes),):
         raise ValueError("parameter vector has the wrong length")
     w1, b1, w2, b2, w3, b3 = np.split(vec, np.cumsum(sizes)[:-1])
     return _Layers(w1.reshape(d, h1), b1, w2.reshape(h1, h2), b2, w3, b3)
+
+
+@dataclass(frozen=True, eq=False)
+class MlpModel:
+    """A d -> h1 -> h2 -> 1 network as one flat parameter vector; `layers`
+    are views of it."""
+
+    params: np.ndarray
+    dim: int
+    widths: tuple[int, int]
+    layers: _Layers = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # Copy once, so in-place updates of the caller's vector cannot reach the model.
+        params = np.array(self.params, dtype=np.float64)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "layers", _layers(params, self.dim, *self.widths))
+
+    def flatten(self) -> np.ndarray:
+        return self.params.copy()
+
+    def from_flat(self, vec: np.ndarray) -> "MlpModel":
+        return MlpModel(vec, self.dim, self.widths)
 
 
 @dataclass(frozen=True)
@@ -82,19 +76,16 @@ def init(d: int, seed: int) -> MlpModel:
         a = 1.0 / math.sqrt(fan_in)
         return (stream.uniform((fan_in, fan_out)) * 2.0 - 1.0) * a
 
-    return MlpModel(
-        w1=layer(d, 10), b1=np.zeros(10),
-        w2=layer(10, 10), b2=np.zeros(10),
-        w3=layer(10, 1).ravel(), b3=0.0,
-    )
+    return MlpModel(np.concatenate([layer(d, 10).ravel(), np.zeros(10), layer(10, 10).ravel(),
+                                    np.zeros(10), layer(10, 1).ravel(), [0.0]]), d, (10, 10))
 
 
 def _sigmoid(o: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * o))
 
 
-def _logits(P, X: np.ndarray):
-    """Forward pass; `P` is an `MlpModel` or the `_Layers` of a flat vector."""
+def _logits(P: _Layers, X: np.ndarray):
+    """Forward pass through the layer views `P`."""
     z1 = X @ P.w1 + P.b1
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ P.w2 + P.b2
@@ -107,17 +98,17 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise ValueError(f"expected inputs of dimension {model.dim}")
-    return _sigmoid(_logits(model, X)[4])
+    return _sigmoid(_logits(model.layers, X)[4])
 
 
 def bce_loss(model: MlpModel, data: LabeledDataset) -> float:
     """Mean binary cross-entropy, computed in the numerically stable logit form."""
-    o = _logits(model, data.points)[4]
+    o = _logits(model.layers, data.points)[4]
     y = data.labels.astype(np.float64)
     return float(np.mean(np.logaddexp(0.0, o) - y * o))
 
 
-def _backprop(G: _Layers, P, X: np.ndarray, y: np.ndarray) -> None:
+def _backprop(G: _Layers, P: _Layers, X: np.ndarray, y: np.ndarray) -> None:
     """Gradient of mean BCE over the rows of X, written into the views `G`.
     `np.add.reduce` is `np.sum` without its Python wrapper: the same sums."""
     z1, a1, z2, a2, o = _logits(P, X)
@@ -135,11 +126,11 @@ def _backprop(G: _Layers, P, X: np.ndarray, y: np.ndarray) -> None:
 
 
 def grad(model: MlpModel, batch: LabeledDataset) -> np.ndarray:
-    """Gradient of mean BCE over the batch, flattened in `MlpModel.flatten` order."""
+    """Gradient of mean BCE over the batch, in `MlpModel.params` order."""
     if batch.n == 0:
         raise ValueError("gradient needs a nonempty batch")
-    out = np.empty_like(model.flatten())
-    _backprop(_layers(out, model.dim, *model.widths), model, batch.points,
+    out = np.empty_like(model.params)
+    _backprop(_layers(out, model.dim, *model.widths), model.layers, batch.points,
               batch.labels.astype(np.float64))
     return out
 
@@ -182,7 +173,7 @@ def save_model(model: MlpModel, path) -> None:
     line with 17 significant digits (lossless for float64)."""
     h1, h2 = model.widths
     lines = ["d,h1,h2", f"{model.dim},{h1},{h2}"]
-    lines += [f"{v:.17g}" for v in model.flatten()]
+    lines += [f"{v:.17g}" for v in model.params]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -198,7 +189,6 @@ def load_model(path) -> MlpModel:
         vec = np.array([float(v) for v in lines[2:]], dtype=np.float64)
         if min(d, h1, h2) < 1:
             raise ValueError("layer sizes must be positive")
-        L = _layers(vec, d, h1, h2)
+        return MlpModel(vec, d, (h1, h2))
     except ValueError as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from None
-    return MlpModel(L.w1, L.b1, L.w2, L.b2, L.w3, float(L.b3[0]))

@@ -122,12 +122,14 @@ def test_broadcast_draws_consume_the_stream_like_one_call():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 40), st.integers(0, 25), st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_point_offsets_equal_the_per_item_sampler(n, k, d, seed):
-    # the batched transform gives every item the bytes of its own sampler call
+    # the batched transform gives every item the bytes of its own sampler call,
+    # up to the sign of a zero: adding the sampler's 0.0 centre turns -0.0 into
+    # 0.0, and the offsets keep -0.0 (which needs a draw of exactly 0)
     stream = RandomStream(seed).child(5)
     want = np.stack([sample_ball_uniform(np.zeros((k, d)), 1.0, stream.child(i))
                      for i in range(n)])
     got = point_offsets(stream, n, k, d)
-    assert got.shape == (n, k, d) and got.tobytes() == want.tobytes()
+    assert got.shape == (n, k, d) and (got + 0.0).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("k, d", [(0, 1), (4, 2), (10, 5)])

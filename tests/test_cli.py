@@ -3,7 +3,7 @@ import pytest
 from click.testing import CliRunner
 
 from adaptrobust import datagen, losses, mlp
-from adaptrobust.cli import main, render_regions_svg
+from adaptrobust.cli import main, render_regions_svg, run_sweep
 from adaptrobust.core import LabeledDataset, RandomStream
 from adaptrobust.neighbors import NnClassifier
 
@@ -297,6 +297,7 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
     (["sweep", "--shapes", ""], "--shapes"),
     (SWEEP_SMALL[:-1] + ["0.1,0.1"], "--fixed-radii fixed0.1"),
     (SWEEP_SMALL[:-1] + ["0.1000001,0.1"], "--fixed-radii fixed0.1"),
+    (["sweep", "--shapes", "circles,boxes,circles"] + SWEEP_SMALL[3:], "--shapes 'circles'"),
 ], ids=["margin-labels", "train-mlp-labels", "margin-grid", "margin-grid-order",
         "sweep-shapes", "sweep-radii", "malformed-csv", "train-nn1-one-class",
         "train-mlp-one-class", "train-epochs", "train-batch", "train-lr", "sweep-epochs",
@@ -313,7 +314,7 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
         "config-not-utf8", "data-not-utf8", "model-file-not-utf8", "generate-seed",
         "augment-seed", "train-seed", "margin-seed", "scenario-seed", "render-seed",
         "sweep-base-seed", "sweep-shapes-comma", "sweep-shapes-empty",
-        "sweep-radii-repeated", "sweep-radii-same-name"])
+        "sweep-radii-repeated", "sweep-radii-same-name", "sweep-shapes-repeated"])
 def test_bad_input_stops_with_one_line_error(tmp_path, bad_csvs, args, names):
     args = [a.format(**bad_csvs) for a in args]
     res = runner.invoke(main, args + ["--out", str(tmp_path / "out"), "--name", "bad"])
@@ -403,6 +404,18 @@ def test_name_must_be_one_directory_name(tmp_path, dataset_csv, split_csvs, comm
         lines = res.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("Error: --name "), (name, lines)
         assert tree(tmp_path) == before, name
+
+
+@pytest.mark.parametrize("out", ["lo", "lo/deeper/still", "keep/lo"])
+def test_a_run_directory_that_cannot_be_made_leaves_nothing_behind(tmp_path, out):
+    (tmp_path / "keep").mkdir()
+    before = tree(tmp_path)
+    res = runner.invoke(main, ["generate", "--shape", "circles", "--n", "10",
+                               "--out", str(tmp_path / out), "--name", "x" * 300])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: --out ") and "--name" in lines[0]
+    assert tree(tmp_path) == before
 
 
 def test_benchmark_style_run_names_stay_valid(tmp_path):
@@ -569,3 +582,12 @@ def test_sweep_table_structure(tmp_path):
     figs = sorted(p.name for p in (tmp_path / "sw" / "figs").glob("*.svg"))
     assert figs == ["circles_adaptive_s0.svg", "circles_fixed0.1_s0.svg",
                     "circles_fixed0.5_s0.svg", "circles_none_s0.svg"]
+
+
+def test_run_sweep_rejects_a_repeated_shape(tmp_path):
+    # cells, table rows and figure names are keyed by shape
+    with pytest.raises(ValueError, match="shape 'circles' is repeated"):
+        run_sweep(["circles", "boxes", "circles"], n=40, m=1, c=0.5, fixed_radii=[0.1],
+                  n_seeds=1, base_seed=0, epochs=1, lr=0.3, batch=8, probes=2,
+                  render_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from adaptrobust import margin
 from adaptrobust.core import LabeledDataset, RandomStream, sq_dists_to
 from adaptrobust.datagen import manifold_sampler, shape_geometry
+from adaptrobust.losses import probe_flags
 from adaptrobust.margin import (
     MarginProfile,
     NearestSetClassifier,
@@ -242,15 +243,15 @@ def test_profile_monotone_and_zero_at_zero():
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        MarginProfile(np.array([0.1, 0.1]), np.array([0.0, 0.0]), 0, 0)
+        MarginProfile(np.array([0.1, 0.1]), np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
-        MarginProfile(np.array([0.1, 0.2]), np.array([0.5, 0.2]), 0, 0)
+        MarginProfile(np.array([0.1, 0.2]), np.array([0.5, 0.2]))
 
 
 # --- inverse and the sample bound ---------------------------------------------------
 
 def step_profile():
-    return MarginProfile(np.array([0.1, 0.2, 0.3]), np.array([0.0, 0.05, 0.2]), 0, 0)
+    return MarginProfile(np.array([0.1, 0.2, 0.3]), np.array([0.0, 0.05, 0.2]))
 
 
 def test_inverse_epsilon_one_returns_last_radius():
@@ -258,7 +259,7 @@ def test_inverse_epsilon_one_returns_last_radius():
 
 
 def test_inverse_epsilon_zero_on_positive_profile():
-    prof = MarginProfile(np.array([0.1, 0.2]), np.array([0.01, 0.5]), 0, 0)
+    prof = MarginProfile(np.array([0.1, 0.2]), np.array([0.01, 0.5]))
     assert inverse_phi(prof, 0.0) == 0.0
 
 
@@ -395,16 +396,39 @@ def test_pruned_profile_matches_the_unpruned_loop(case, seed):
     assert got.values.tobytes() == want.tobytes()
 
 
-def test_pruned_circles_profile_matches_the_unpruned_loop():
+def count_probe_rows(monkeypatch):
+    """[nominal, evaluated], filled by later `margin_profile` calls: the probe
+    rows it hands to `probe_flags` (every sample point at every probed radius)
+    and the ones `probe_flags` classifies."""
+    counts = [0, 0]
+
+    class Counted:
+        def __init__(self, h):
+            self.h = h
+
+        def predict_batch(self, X):
+            counts[1] += len(X)
+            return self.h.predict_batch(X)
+
+    def counted(h, X, offsets, *rest):
+        counts[0] += offsets.shape[0] * offsets.shape[1]
+        return probe_flags(Counted(h), X, offsets, *rest)
+
+    monkeypatch.setattr(margin, "probe_flags", counted)
+    return counts
+
+
+def test_pruned_circles_profile_matches_the_unpruned_loop(monkeypatch):
     geom = shape_geometry("circles")
     h = NearestSetClassifier(geom.class_support(0, 1000), geom.class_support(1, 1000))
     sampler = manifold_sampler("circles")
     radii = [0.01, 0.05, 0.1, 0.124, 0.125, 0.126, 0.2, 0.5]
-    got = margin_profile(sampler, h, radii, N=200, probes=30, stream=RandomStream(11))
     want = reference_profile(sampler, h, radii, 200, 30, RandomStream(11),
                              lambda X: h.opposite_witness(X)[0])
+    counts = count_probe_rows(monkeypatch)
+    got = margin_profile(sampler, h, radii, N=200, probes=30, stream=RandomStream(11))
     assert got.values.tobytes() == want.tobytes()
-    assert got.evaluated_probes < got.nominal_probes
+    assert counts[1] < counts[0]
 
 
 def uniform_2d(stream, n):
@@ -455,18 +479,19 @@ def test_certified_radius_holds_on_its_sphere():
         assert np.array_equal(h.predict_batch(Z), labels[rows])
 
 
-def test_profile_counts_nominal_and_evaluated_probes():
+def test_profile_counts_nominal_and_evaluated_probes(monkeypatch):
     geom = shape_geometry("circles")
     h = NearestSetClassifier(geom.class_support(0, 1000), geom.class_support(1, 1000))
     grid = [0.01, 0.02, 0.05, 0.1, 0.2, 0.5]
-    prof = margin_profile(manifold_sampler("circles"), h, grid, N=50, probes=20,
-                          stream=RandomStream(15))
+    counts = count_probe_rows(monkeypatch)
+    margin_profile(manifold_sampler("circles"), h, grid, N=50, probes=20,
+                   stream=RandomStream(15))
     # every ball below the 0.125 gap is certified, every larger one decided
     # by the witness flip
-    assert (prof.nominal_probes, prof.evaluated_probes) == (6000, 0)
+    assert counts == [6000, 0]
     rng = np.random.default_rng(16)
     pts, labels = rng.random((200, 2)), rng.integers(0, 2, 200)
     h = NearestSetClassifier(pts[labels == 0], pts[labels == 1])
-    prof = margin_profile(uniform_2d, h, [0.0] + grid, N=100, probes=30,
-                          stream=RandomStream(17))
-    assert (prof.nominal_probes, prof.evaluated_probes) == (18000, 1940)
+    counts[:] = [0, 0]
+    margin_profile(uniform_2d, h, [0.0] + grid, N=100, probes=30, stream=RandomStream(17))
+    assert counts == [18000, 1940]

@@ -54,26 +54,31 @@ def test_init_parameter_count_d2():
 
 
 def test_init_biases_zero_weights_bounded():
-    m = init(3, seed=1)
-    assert np.all(m.b1 == 0.0) and np.all(m.b2 == 0.0) and m.b3 == 0.0
-    assert np.abs(m.w1).max() <= 1.0 / math.sqrt(3)
-    assert np.abs(m.w2).max() <= 1.0 / math.sqrt(10)
+    L = init(3, seed=1).layers
+    assert np.all(L.b1 == 0.0) and np.all(L.b2 == 0.0) and np.all(L.b3 == 0.0)
+    assert np.abs(L.w1).max() <= 1.0 / math.sqrt(3)
+    assert np.abs(L.w2).max() <= 1.0 / math.sqrt(10)
 
 
 # --- forward -------------------------------------------------------------------
 
 def test_all_zero_weights_give_half():
-    m = MlpModel(np.zeros((2, 10)), np.zeros(10), np.zeros((10, 10)), np.zeros(10),
-                 np.zeros(10), 0.0)
+    m = MlpModel(np.zeros(151), 2, (10, 10))
     assert forward_batch(m, [[0.3, 0.9]]).tolist() == [0.5]
 
 
+def test_model_copies_its_vector_and_checks_its_length():
+    vec = np.zeros(151)
+    m = MlpModel(vec, 2, (10, 10))
+    vec[-1] = 40.0
+    assert m.params[-1] == 0.0 and m.layers.b3[0] == 0.0
+    with pytest.raises(ValueError, match="wrong length"):
+        MlpModel(np.zeros(150), 2, (10, 10))
+
+
 def test_hand_computed_single_unit_network():
-    m = MlpModel(
-        w1=np.array([[0.5]]), b1=np.array([0.2]),
-        w2=np.array([[-0.3]]), b2=np.array([0.1]),
-        w3=np.array([0.7]), b3=-0.05,
-    )
+    # w1, b1, w2, b2, w3, b3
+    m = MlpModel(np.array([0.5, 0.2, -0.3, 0.1, 0.7, -0.05]), 1, (1, 1))
     # manual pass: z1 = 0.5*0.8 + 0.2 = 0.6; a1 = 0.6; z2 = -0.08; a2 = 0;
     # o = -0.05; p = 1 / (1 + e^0.05)
     want = 1.0 / (1.0 + math.exp(0.05))
@@ -106,8 +111,7 @@ def test_gradient_matches_finite_differences():
 
 
 def test_saturated_correct_predictions_have_tiny_gradient():
-    m = MlpModel(np.zeros((2, 10)), np.zeros(10), np.zeros((10, 10)), np.zeros(10),
-                 np.zeros(10), 40.0)
+    m = MlpModel(np.r_[np.zeros(150), 40.0], 2, (10, 10))
     batch = LabeledDataset(np.random.default_rng(6).random((16, 2)), np.ones(16, dtype=int))
     assert np.linalg.norm(grad(m, batch)) < 1e-6
 
@@ -199,8 +203,7 @@ def test_training_rejects_nonbinary_labels():
 # --- classifier and persistence -------------------------------------------------------
 
 def test_threshold_rule():
-    m = MlpModel(np.zeros((2, 10)), np.zeros(10), np.zeros((10, 10)), np.zeros(10),
-                 np.zeros(10), 0.0)  # forward == 0.5 everywhere
+    m = MlpModel(np.zeros(151), 2, (10, 10))  # forward == 0.5 everywhere
     assert MlpClassifier(m).predict([0.0, 0.0]) == 1  # p >= 0.5
 
 
