@@ -27,9 +27,9 @@ class ExpansionSpec:
     fixed_radius: float | None = None
 
     def __post_init__(self):
-        if self.fixed_radius is None and self.c < 0.0:
+        if self.fixed_radius is None and not self.c >= 0.0:
             raise ValueError("expansion factor c must be >= 0")
-        if self.fixed_radius is not None and self.fixed_radius < 0.0:
+        if self.fixed_radius is not None and not self.fixed_radius >= 0.0:
             raise ValueError("fixed_radius must be >= 0")
         if self.m < 1:
             raise ValueError("need m >= 1 samples per ball")
@@ -38,9 +38,7 @@ class ExpansionSpec:
 def expand(S: LabeledDataset, c: float) -> np.ndarray:
     """c-adaptive expansion radii: ball i is centred on x_i, keeps label y_i and
     has radius c * rho_S(x_i, y_i)."""
-    if S.n == 0:
-        raise ValueError("cannot expand an empty dataset")
-    if c < 0.0:
+    if not c >= 0.0:
         raise ValueError("expansion factor must be >= 0")
     return c * rho_all(S)
 
@@ -51,7 +49,7 @@ def sample_ball_uniform(centers, radii, stream: RandomStream) -> np.ndarray:
     uniforms, so the draws depend only on the stream and the leading shape."""
     centers = np.asarray(centers, dtype=np.float64)
     radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), centers.shape[:-1])
-    if np.any(radii < 0.0):
+    if not np.all(radii >= 0.0):
         raise ValueError("radius must be >= 0")
     return centers + radii[..., None] * _unit_ball(stream.normal(centers.shape),
                                                    stream.uniform(radii.shape))
@@ -85,8 +83,6 @@ def augment(S: LabeledDataset, spec: ExpansionSpec) -> tuple[LabeledDataset, np.
     index per row (-1 marks retained originals, which come first). Row j of
     ball i is x_i + r_i * point_offsets(...)[i, j], so ball i's rows do not
     depend on the others."""
-    if S.n == 0:
-        raise ValueError("cannot augment an empty dataset")
     radii = np.full(S.n, spec.fixed_radius) if spec.fixed_radius is not None else expand(S, spec.c)
     offsets = point_offsets(RandomStream(spec.seed), S.n, spec.m, S.dim)
     rows = [(S.points[:, None, :] + radii[:, None, None] * offsets).reshape(-1, S.dim)]

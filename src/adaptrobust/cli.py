@@ -47,8 +47,10 @@ def _parse_config_file(path: str) -> dict[str, str]:
             continue
         if "=" not in ln:
             raise click.ClickException(f"{path}: expected key=value, got {ln!r}")
-        k, v = ln.split("=", 1)
-        vals[k.strip()] = v.strip()
+        k, v = (s.strip() for s in ln.split("=", 1))
+        if k in vals:
+            raise click.ClickException(f"{path}: key {k!r} is given twice")
+        vals[k] = v
     return vals
 
 

@@ -8,7 +8,7 @@ bit-for-bit from a seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
@@ -87,33 +87,36 @@ class RandomStream:
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """A finite labeled sample: points (n, d), integer labels (n,).
+    """A finite nonempty labeled sample: points (n, d), integer labels (n,).
 
     `diameter_bound` is an upper bound on pairwise distances and doubles as
     the sentinel value for nearest-opposite-label distances on single-class
-    data. Defaults to max(sqrt(d), bounding-box diagonal), which is sqrt(d)
-    for data normalized to [0, 1]^d.
+    data: max(sqrt(d), bounding-box diagonal), which is sqrt(d) for data in
+    [0, 1]^d.
     """
 
     points: np.ndarray
     labels: np.ndarray
-    diameter_bound: float = 0.0
+    diameter_bound: float = field(init=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
         labs = np.asarray(self.labels, dtype=np.int64)
         if pts.ndim != 2 or pts.shape[1] < 1:
             raise ValueError(f"points must have shape (n, d) with d >= 1, got {pts.shape}")
+        if pts.shape[0] == 0:
+            raise ValueError("a dataset needs at least one point")
         if labs.ndim != 1 or labs.shape[0] != pts.shape[0]:
             raise ValueError("labels must be a 1-D array matching the number of points")
-        if pts.size and not np.all(np.isfinite(pts)):
+        if not np.all(np.isfinite(pts)):
             raise ValueError("all coordinates must be finite")
-        if labs.size and labs.min() < 0:
+        if labs.min() < 0:
             raise ValueError("labels must be nonnegative integers")
+        span = pts.max(axis=0) - pts.min(axis=0)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "labels", labs)
-        if self.diameter_bound <= 0.0:
-            object.__setattr__(self, "diameter_bound", _default_diameter(pts))
+        object.__setattr__(self, "diameter_bound",
+                           max(math.sqrt(pts.shape[1]), float(np.sqrt(np.sum(span**2)))))
 
     @property
     def n(self) -> int:
@@ -127,15 +130,7 @@ class LabeledDataset:
         return np.unique(self.labels)
 
     def subset(self, idx) -> "LabeledDataset":
-        return LabeledDataset(self.points[idx], self.labels[idx], self.diameter_bound)
-
-
-def _default_diameter(points: np.ndarray) -> float:
-    d = points.shape[1]
-    if points.shape[0] == 0:
-        return math.sqrt(d)
-    span = points.max(axis=0) - points.min(axis=0)
-    return max(math.sqrt(d), float(np.sqrt(np.sum(span**2))))
+        return LabeledDataset(self.points[idx], self.labels[idx])
 
 
 class Classifier(Protocol):

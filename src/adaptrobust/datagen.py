@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,16 +235,16 @@ def manifold_sampler(name: str):
 
 def split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledDataset]:
     """Deterministic shuffled split; train size = round(train_fraction * n)."""
-    if ds.n < 2:
-        raise ValueError("need at least 2 points to split")
-    perm = RandomStream(spec.seed).permutation(ds.n)
     k = round(spec.train_fraction * ds.n)
+    if not 0 < k < ds.n:
+        raise ValueError(f"split of {ds.n} points at {spec.train_fraction} leaves a side empty")
+    perm = RandomStream(spec.seed).permutation(ds.n)
     return ds.subset(perm[:k]), ds.subset(perm[k:])
 
 
 # ---------------------------------------------------------------------------
 # CSV schema: header x1,...,xd,label (optional trailing `origin` column for
-# augmented data), labels as integers, UTF-8, LF line endings.
+# augmented data, -1 for a retained original), integer labels, UTF-8, LF endings.
 
 
 def save_csv(ds: LabeledDataset, path, origins: np.ndarray | None = None) -> None:
@@ -291,6 +292,8 @@ def load_csv(path) -> LabeledDataset:
             raise ValueError(f"{path}: row {rownum}: non-integer label {parts[d]!r}") from None
         if not 0 <= label < 2**63:  # labels are int64
             raise ValueError(f"{path}: row {rownum}: label {label} outside [0, 2**63)")
+        if has_origin and not re.fullmatch(r"-1|[0-9]+", parts[-1].strip()):
+            raise ValueError(f"{path}: row {rownum}: origin {parts[-1]!r} is not an integer >= -1")
         points.append(feats)
         labels.append(label)
     if not points:

@@ -40,8 +40,6 @@ class LossReport:
 
 def binary_loss(h: Classifier, D: LabeledDataset) -> LossReport:
     """Fraction of items with h(x) != y."""
-    if D.n == 0:
-        raise ValueError("binary loss needs a nonempty dataset")
     errs = h.predict_batch(D.points) != D.labels
     return LossReport("binary", float(np.mean(errs)), 0, 0, D.n)
 
@@ -92,10 +90,8 @@ def robust_loss_fixed_grid(h: Classifier, D: LabeledDataset, radii, probes: int 
     `probes` uniform draws from the radius-r ball around it receives a label
     different from the true one. Flags accumulate over the grid, so the values
     are nondecreasing in r."""
-    if D.n == 0:
-        raise ValueError("robust loss needs a nonempty dataset")
     radii = [float(r) for r in radii]
-    if any(r < 0.0 for r in radii):
+    if not all(r >= 0.0 for r in radii):
         raise ValueError("radii must be >= 0")
     if any(b < a for a, b in zip(radii, radii[1:])):
         raise ValueError("radius grid must be nondecreasing")
@@ -110,9 +106,7 @@ def adaptive_robust_empirical(h: Classifier, S: LabeledDataset, c: float = 0.5,
     """Probe estimate of the empirical adaptive robust loss on S: item i counts
     when h mislabels x_i or any probe from the ball of radius c * rho_S(x_i, y_i)
     gets a label other than y_i."""
-    if S.n == 0:
-        raise ValueError("adaptive robust loss needs a nonempty dataset")
-    if c <= 0.0:
+    if not c > 0.0:
         raise ValueError("expansion factor must be positive")
     if probes < 1:
         raise ValueError("need at least one probe per ball")
@@ -127,10 +121,10 @@ def adaptive_robust_testtime(h: Classifier, test: LabeledDataset, ref: LabeledDa
     the nearest differently-labeled reference point and probe the ball of
     factor * that distance; the item counts when it is mislabeled or any probe
     flips."""
-    if test.n == 0:
-        raise ValueError("need a nonempty test set")
-    if ref.n == 0 or len(ref.classes()) < 2:
+    if len(ref.classes()) < 2:
         raise ValueError("reference set must contain at least two classes")
+    if not factor > 0.0:
+        raise ValueError("ball factor must be positive")
     if probes < 1:
         raise ValueError("need at least one probe per ball")
     scales = [(f"adaptive_testtime_f={factor:g}", factor * rho(ref, test.points, test.labels))]

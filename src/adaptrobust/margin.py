@@ -174,9 +174,9 @@ def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100, *,
     overrides the witness; nearest-set classifiers supply their own.
     """
     radii = np.asarray([float(r) for r in radii], dtype=np.float64)
-    if radii.ndim != 1 or radii.shape[0] == 0 or np.any(np.diff(radii) <= 0.0):
+    if radii.ndim != 1 or radii.shape[0] == 0 or not np.all(np.diff(radii) > 0.0):
         raise ValueError("need a strictly increasing radius grid")
-    if radii[0] < 0.0:
+    if not radii[0] >= 0.0:
         raise ValueError("radii must be >= 0")
     if N < 1:
         raise ValueError("need at least one sample point")
@@ -228,6 +228,6 @@ def nn_sample_bound(d: int, epsilon: float, delta: float, r_eps: float) -> float
         raise ValueError("dimension must be >= 1")
     if not (0.0 < epsilon <= 1.0 and 0.0 < delta <= 1.0):
         raise ValueError("epsilon and delta must lie in (0, 1]")
-    if r_eps <= 0.0:
+    if not r_eps > 0.0:
         raise ValueError("the bound is undefined for r_eps = 0")
     return (3.0**d * d ** (0.5 * d)) / (math.e * r_eps**d * epsilon * delta)

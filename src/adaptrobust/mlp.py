@@ -61,7 +61,7 @@ class TrainSpec:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1 or self.learning_rate <= 0.0:
+        if self.batch_size < 1 or not self.learning_rate > 0.0:
             raise ValueError("batch size and learning rate must be positive")
 
 
@@ -127,8 +127,6 @@ def _backprop(G: _Layers, P: _Layers, X: np.ndarray, y: np.ndarray) -> None:
 
 def grad(model: MlpModel, batch: LabeledDataset) -> np.ndarray:
     """Gradient of mean BCE over the batch, in `MlpModel.params` order."""
-    if batch.n == 0:
-        raise ValueError("gradient needs a nonempty batch")
     out = np.empty_like(model.params)
     _backprop(_layers(out, model.dim, *model.widths), model.layers, batch.points,
               batch.labels.astype(np.float64))
@@ -138,8 +136,6 @@ def grad(model: MlpModel, batch: LabeledDataset) -> np.ndarray:
 def train(model: MlpModel, data: LabeledDataset, spec: TrainSpec) -> MlpModel:
     """Mini-batch gradient descent on one flat parameter vector, updated in
     place."""
-    if data.n == 0:
-        raise ValueError("cannot train on an empty dataset")
     if not set(np.unique(data.labels)) <= {0, 1}:
         raise ValueError("the network is binary; labels must be 0/1")
     params = model.flatten()

@@ -223,8 +223,6 @@ def rho(S: LabeledDataset, x, y):
     bit for bit). Gives S.diameter_bound when no such point exists
     (single-class data).
     """
-    if S.n == 0:
-        raise ValueError("rho is undefined on an empty dataset")
     X = np.asarray(x, dtype=np.float64)
     if X.ndim == 1:  # one point: the defining scan, the reference for batches
         x = as_point(X)
@@ -244,8 +242,6 @@ def rho(S: LabeledDataset, x, y):
 
 def rho_all(S: LabeledDataset) -> np.ndarray:
     """rho(S, x_i, y_i) for every item of S."""
-    if S.n == 0:
-        raise ValueError("rho is undefined on an empty dataset")
     return _nearest_opposite(S, S.points, S.labels)
 
 
@@ -257,8 +253,6 @@ class NnClassifier(BatchFirst):
     _index: GridIndex = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.train.n == 0:
-            raise ValueError("1-NN needs a nonempty training set")
         object.__setattr__(self, "_index", GridIndex(self.train.points))
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:

@@ -30,9 +30,9 @@ class FiniteDistribution:
         mass = np.asarray(self.mass, dtype=np.float64)
         if pts.shape[0] != mu.shape[0] or pts.shape[0] != mass.shape[0]:
             raise ValueError("points, mu, mass must have matching lengths")
-        if np.any(mass <= 0.0) or abs(float(mass.sum()) - 1.0) > 1e-12:
+        if not (np.all(mass > 0.0) and abs(float(mass.sum()) - 1.0) <= 1e-12):
             raise ValueError("masses must be positive and sum to 1")
-        if np.any(mu < 0.0) or np.any(mu > 1.0):
+        if not np.all((mu >= 0.0) & (mu <= 1.0)):
             raise ValueError("regression values must lie in [0, 1]")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "mu", mu)
@@ -112,7 +112,7 @@ def exact_robust_loss(h, D: FiniteDistribution, r: float) -> float:
     analytically (only defined for classifiers exposing in_margin)."""
     if not hasattr(h, "in_margin"):
         raise ValueError("exact robust loss needs an analytic-margin classifier")
-    if r < 0.0:
+    if not r >= 0.0:
         raise ValueError("radius must be >= 0")
     return float(np.sum(D.mass * np.where(h.in_margin(D.points, r), 1.0, _atom_errors(h, D))))
 
@@ -151,7 +151,7 @@ def scenario_two_point(gap: float) -> FiniteDistribution:
     robust-optimal predictors disagree on half the mass. The distribution is
     strongly separable (margin rate 0 below gap/2).
     """
-    if gap <= 0.0:
+    if not gap > 0.0:
         raise ValueError("gap must be positive")
     return FiniteDistribution(
         points=np.array([[0.0], [gap]]), mu=np.array([0.0, 1.0]), mass=np.array([0.5, 0.5])
@@ -211,7 +211,7 @@ class TwoRectangles:
     def margin_slab_mass(self, r: float) -> float:
         """Mass of the bayes predictor's radius-r margin: the |x2| < r slab
         covers fraction r of each unit-width, height-2 rectangle."""
-        if r < 0.0:
+        if not r >= 0.0:
             raise ValueError("radius must be >= 0")
         return min(1.0, r)
 

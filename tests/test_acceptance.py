@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-verdicts inline. The training sweep behind criteria 9 and 10 runs once as a
-module fixture (5 shapes x 6 augmentations x 3 seeds).
+verdicts inline. The training sweep behind criteria 9 and 10 is the
+session fixture `sweep_result` of conftest.py (5 shapes x 6 augmentations x
+3 seeds).
 """
 import math
 import time
@@ -13,7 +14,6 @@ from click.testing import CliRunner
 
 from adaptrobust.augment import ExpansionSpec, augment, expand, sample_ball_uniform
 from adaptrobust.cli import main as cli_main
-from adaptrobust.cli import run_sweep
 from adaptrobust.core import LabeledDataset, RandomStream
 from adaptrobust.datagen import ShapeSpec, SplitSpec, generate, split
 from adaptrobust.losses import (
@@ -37,24 +37,12 @@ from adaptrobust.scenarios import (
     scenario_two_rectangles,
 )
 
-SWEEP_SHAPES = ("sines", "sfigure", "nnn", "circles", "boxes")
-SWEEP_SEEDS = 3
+SWEEP_SHAPES = ("sines", "sfigure", "nnn", "circles", "boxes")  # the sweep fixture's shapes
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> None:
     print(f"\ncriterion {criterion:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {criterion}: {detail}"
-
-
-@pytest.fixture(scope="module")
-def sweep_result():
-    t0 = time.perf_counter()
-    result = run_sweep(
-        SWEEP_SHAPES, n=1000, m=4, c=2.0 / 3.0, fixed_radii=[0.1, 0.5, 1.0, 2.0],
-        n_seeds=SWEEP_SEEDS, base_seed=0, epochs=600, lr=0.3, batch=64, probes=100,
-    )
-    print(f"\n[sweep fixture: {len(result.cells)} cells in {time.perf_counter() - t0:.0f}s]")
-    return result
 
 
 def test_criterion_01_two_point_exactness():

@@ -201,6 +201,10 @@ def bad_csvs(tmp_path):
     mlp.save_model(mlp.init(3, seed=0), paths["model3"])
     paths["neglabel"] = tmp_path / "neglabel.csv"
     paths["neglabel"].write_text("x1,x2,label\n0.1,0.2,0\n0.3,0.4,-1\n", encoding="utf-8")
+    for name, origin in [("origin_text", "abc"), ("origin_fraction", "-7.5")]:
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(f"x1,x2,label,origin\n0.1,0.2,0,-1\n0.3,0.4,1,{origin}\n",
+                               encoding="utf-8")
     mlp.save_model(mlp.init(2, seed=0), tmp_path / "model2.txt")
     params = (tmp_path / "model2.txt").read_text(encoding="utf-8").splitlines()[2:]
     for name, lines in [("noheader", ["2,10,10"] + params),
@@ -209,6 +213,8 @@ def bad_csvs(tmp_path):
                         ("param", ["d,h1,h2", "2,10,10", "oops"] + params[1:])]:
         paths[f"model_{name}"] = tmp_path / f"model_{name}.txt"
         paths[f"model_{name}"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    paths["twice"] = tmp_path / "twice.cfg"
+    paths["twice"].write_text("n=10\nshape=circles\nn=20\n", encoding="utf-8")
     paths["binary"] = tmp_path / "binary.bin"
     paths["binary"].write_bytes(b"\xff\xfe\x00\x81" * 75)  # 0xff is never UTF-8
     return paths
@@ -279,11 +285,14 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
     (["generate", "--n", "10"], "--shape"),
     (["scenario", "--mc", "10"], "NAME"),
     (["augment", "--data", "{neglabel}", "--c", "0.5"], "{neglabel} row 2"),
+    (["augment", "--data", "{origin_text}", "--c", "0.5"], "{origin_text} row 2 'abc'"),
+    (TRAIN01[:4] + ["{origin_fraction}"], "{origin_fraction} row 2 '-7.5'"),
     (["render", "--model-file", "{model_noheader}", "--data", "{labels01}"], "{model_noheader}"),
     (["render", "--model-file", "{model_short}", "--data", "{labels01}"], "{model_short}"),
     (["render", "--model-file", "{model_sizes}", "--data", "{labels01}"], "{model_sizes}"),
     (["render", "--model-file", "{model_param}", "--data", "{labels01}"], "{model_param}"),
     (["generate", "--shape", "circles", "--config", "{binary}"], "{binary}"),
+    (["generate", "--config", "{twice}"], "{twice} 'n'"),
     (["augment", "--data", "{binary}", "--c", "0.5"], "{binary}"),
     (["render", "--model-file", "{binary}", "--data", "{labels01}"], "{binary}"),
     (["generate", "--shape", "circles", "--n", "10", "--seed", "-1"], "--seed"),
@@ -310,10 +319,11 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
         "scenario-r-negative", "scenario-rectangles-epsilon", "scenario-mc", "render-ambient",
         "render-data-3d", "render-nn1-data-dim", "render-model-file-dim", "train-mlp-dim",
         "train-nn1-dim", "generate-missing-shape", "scenario-missing-name", "negative-label",
+        "origin-not-integer", "origin-fraction",
         "model-file-no-header", "model-file-short", "model-file-sizes", "model-file-param",
-        "config-not-utf8", "data-not-utf8", "model-file-not-utf8", "generate-seed",
-        "augment-seed", "train-seed", "margin-seed", "scenario-seed", "render-seed",
-        "sweep-base-seed", "sweep-shapes-comma", "sweep-shapes-empty",
+        "config-not-utf8", "config-repeated-key", "data-not-utf8", "model-file-not-utf8",
+        "generate-seed", "augment-seed", "train-seed", "margin-seed", "scenario-seed",
+        "render-seed", "sweep-base-seed", "sweep-shapes-comma", "sweep-shapes-empty",
         "sweep-radii-repeated", "sweep-radii-same-name", "sweep-shapes-repeated"])
 def test_bad_input_stops_with_one_line_error(tmp_path, bad_csvs, args, names):
     args = [a.format(**bad_csvs) for a in args]

@@ -105,6 +105,13 @@ def test_dataset_default_diameter_covers_wide_data():
     assert ds.diameter_bound >= 10.0
 
 
+def test_dataset_diameter_is_derived_from_its_own_points():
+    ds = LabeledDataset(np.array([[-5.0, 0.0], [0.1, 0.2], [0.9, 0.8]]), np.array([0, 1, 0]))
+    assert ds.subset([1, 2]).diameter_bound == math.sqrt(2)  # the parent has about 5.95
+    with pytest.raises(TypeError):
+        LabeledDataset(ds.points, ds.labels, 10.0)
+
+
 def test_as_point_rejects_bad_input():
     with pytest.raises(ValueError):
         as_point([[1.0, 2.0]])

@@ -92,6 +92,13 @@ def test_split_small_rounding():
     assert (tr.n, te.n) == (4, 1)
 
 
+@pytest.mark.parametrize("fraction", [0.8, 0.2])
+def test_split_rejects_an_empty_side(fraction):
+    ds = generate(ShapeSpec("circles", 2, seed=0))  # round(fraction * 2) is 2 or 0
+    with pytest.raises(ValueError, match="leaves a side empty"):
+        split(ds, SplitSpec(fraction))
+
+
 def test_split_is_a_partition():
     ds = generate(ShapeSpec("boxes", 101, seed=3))
     tr, te = split(ds, SplitSpec(0.7, seed=4))

@@ -4,12 +4,13 @@ whose sha256 digests are committed in `golden_sha256.txt`.
 Inputs are made by the runs themselves and passed as relative paths from a
 fresh working directory, so `config.echo` does not depend on where the test
 runs. A change that alters output bytes on purpose regenerates the manifest
-with `PYTHONPATH=src python tests/test_golden_bytes.py` and names the changed
-files in CHANGES.md.
+with `PYTHONPATH=src python tests/test_golden_bytes.py`, updates
+FIXTURE_DIGESTS by hand and names the changed files in CHANGES.md.
 
 Network outputs (`train` of the mlp, `render --model-file` and `sweep`) depend
 on the numpy/BLAS build: the manifest header records it, and on another build
-those files are skipped while every other file is still compared.
+those files are skipped while every other file is still compared. The same
+gate applies to the digests of the acceptance sweep fixture's tables.
 """
 import hashlib
 import os
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from adaptrobust.cli import main
+from adaptrobust.cli import main, sweep_cells_csv, sweep_table_csv
 
 MANIFEST = Path(__file__).resolve().with_name("golden_sha256.txt")
 DATA, TEST = "out/data/data/dataset.csv", "out/test-data/data/dataset.csv"
@@ -49,6 +50,11 @@ RUNS = {  # run name -> arguments; later runs read earlier runs' files
               "--base-seed", "3"],
 }
 NETWORK_RUNS = {"train-mlp", "render-mlp", "sweep"}
+# sha256 of the acceptance sweep fixture's tables, made on the manifest's build
+FIXTURE_DIGESTS = {
+    "sweep_cells.csv": "badd3194b7566f29e9e80ee5d5367311476f1b998620f5c71adf5582c35b3dcc",
+    "sweep_table.csv": "177d949d277c3195e493195f2ed3989c6062df3ee67016b5783bf9c1aba6e01f",
+}
 
 
 def build() -> str:
@@ -94,6 +100,20 @@ def test_outputs_match_the_golden_manifest(tmp_path, monkeypatch):
         pytest.skip(f"network outputs not compared: the manifest was made on {recorded!r}, "
                     f"this is {build()!r}")
     assert changed == []
+
+
+@pytest.mark.slow
+def test_acceptance_sweep_matches_its_digests(sweep_result):
+    # the fixture trains networks, so it is compared on the manifest's build only
+    recorded, _ = read_manifest()
+    if recorded != build():
+        pytest.skip(f"sweep digests not compared: they were made on {recorded!r}, "
+                    f"this is {build()!r}")
+    shapes = tuple(dict.fromkeys(cell.shape for cell in sweep_result.cells))
+    tables = {"sweep_cells.csv": sweep_cells_csv(sweep_result),
+              "sweep_table.csv": sweep_table_csv(sweep_result, shapes)}
+    assert {name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for name, text in tables.items()} == FIXTURE_DIGESTS
 
 
 if __name__ == "__main__":

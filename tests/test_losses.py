@@ -226,6 +226,13 @@ def test_testtime_single_class_ref_errors():
         adaptive_robust_testtime(CONST0, test, ref, stream=RandomStream(0))
 
 
+def test_testtime_rejects_a_nonpositive_factor():
+    S = dataset([[0.0], [1.0]], [0, 1])
+    for factor in (0.0, -0.5):
+        with pytest.raises(ValueError, match="factor"):
+            adaptive_robust_testtime(CONST0, S, S, factor=factor, stream=RandomStream(0))
+
+
 def test_testtime_estimator_stability_across_probe_seeds():
     ds = generate(ShapeSpec("circles", 1250, seed=19))
     train, test = split(ds, SplitSpec(0.8, seed=20))

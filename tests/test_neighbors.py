@@ -59,9 +59,9 @@ def test_rho_matches_bruteforce_exactly():
 
 
 def test_rho_empty_dataset_errors():
-    S = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
-    with pytest.raises(ValueError):
-        rho(S, [0.0, 0.0], 0)
+    # rho is never asked about an empty dataset: the constructor rejects one
+    with pytest.raises(ValueError, match="at least one point"):
+        LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
 def test_rho_all_matches_pointwise_rho():
