@@ -14,20 +14,19 @@ from .neighbors import rho_all
 
 @dataclass(frozen=True)
 class ExpansionSpec:
-    """Parameters for sampled augmentation.
+    """Parameters for sampled augmentation: exactly one radius rule is given,
+    `c` (adaptive, radius = c * rho) or `fixed_radius` (a constant)."""
 
-    Exactly one of `c` (adaptive, radius = c * rho) and `fixed_radius` applies;
-    setting fixed_radius overrides the adaptive rule with a constant.
-    """
-
-    c: float = 0.5
+    c: float | None = None
     m: int = 1
     include_originals: bool = True
     seed: int = 0
     fixed_radius: float | None = None
 
     def __post_init__(self):
-        if self.fixed_radius is None and not self.c >= 0.0:
+        if (self.c is None) == (self.fixed_radius is None):
+            raise ValueError("give exactly one of c and fixed_radius")
+        if self.c is not None and not self.c >= 0.0:
             raise ValueError("expansion factor c must be >= 0")
         if self.fixed_radius is not None and not self.fixed_radius >= 0.0:
             raise ValueError("fixed_radius must be >= 0")

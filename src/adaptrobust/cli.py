@@ -27,7 +27,7 @@ from click.core import ParameterSource
 
 from . import datagen, losses, margin, mlp, scenarios
 from .augment import ExpansionSpec, augment as augment_data
-from .core import LabeledDataset, RandomStream, read_text_lines
+from .core import LabeledDataset, RandomStream, read_text_lines, write_text_lines
 from .neighbors import NnClassifier
 
 FULL_FIXED_RADII = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
@@ -138,13 +138,13 @@ def _run_dir(cfg: dict) -> Path:
             f"--out {root} --name {name}: cannot make the run directory ({exc})") from None
     lines = [f"{k}={v}" for k, v in sorted(cfg.items())
              if k not in ("out", "name") and v is not None]
-    (run / "config.echo").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_lines(run / "config.echo", lines)
     return run
 
 
 def _write_reports(path: Path, reports: list[losses.LossReport]) -> None:
     lines = [losses.REPORT_CSV_HEADER] + [r.csv_row() for r in reports]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +155,9 @@ POINT_COLORS = {0: "#1f77b4", 1: "#2ca02c"}   # blue / green
 
 
 def render_regions_svg(classifier, train: LabeledDataset, ambient_n: int,
-                       stream: RandomStream, config_note: str) -> str:
-    """Decision-region picture: ambient points colored by predicted label,
-    training points overlaid by class. 2-D data only."""
+                       stream: RandomStream, config_note: str) -> list[str]:
+    """The lines of a decision-region picture: ambient points colored by
+    predicted label, training points overlaid by class. 2-D data only."""
     size = 480  # pixels per side
     if train.dim != 2:
         raise ValueError("decision-region rendering requires 2-D data")
@@ -191,7 +191,7 @@ def render_regions_svg(classifier, train: LabeledDataset, ambient_n: int,
             f'stroke="#000000" stroke-width="0.5"/>'
         )
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def run_sweep(shapes, n: int, m: int, c: float, fixed_radii, n_seeds: int,
                         h, fitted, render_ambient, RandomStream(cell_stream.child(4).derive_seed()),
                         config_note=f"shape={shape} variant={vname} seed_index={k}",
                     )
-                    (render_dir / f"{shape}_{vname}_s{k}.svg").write_text(svg, encoding="utf-8")
+                    write_text_lines(render_dir / f"{shape}_{vname}_s{k}.svg", svg)
     table = {}
     for shape in shapes:
         for vname, _ in variants:
@@ -305,7 +305,7 @@ def run_sweep(shapes, n: int, m: int, c: float, fixed_radii, n_seeds: int,
                        variants=tuple(v for v, _ in variants))
 
 
-def sweep_table_csv(result: SweepResult, shapes) -> str:
+def sweep_table_csv(result: SweepResult, shapes) -> list[str]:
     cols = []
     for v in result.variants:
         cols += [f"{v}_binary", f"{v}_adaptive"]
@@ -316,15 +316,15 @@ def sweep_table_csv(result: SweepResult, shapes) -> str:
             cell = result.table[(shape, v)]
             row += [repr(cell["binary"]), repr(cell["adaptive"])]
         lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def sweep_cells_csv(result: SweepResult) -> str:
+def sweep_cells_csv(result: SweepResult) -> list[str]:
     lines = ["shape,variant,seed_index," + losses.REPORT_CSV_HEADER]
     for cell in result.cells:
         for rep in (cell.binary, *cell.fixed_grid, cell.adaptive):
             lines.append(f"{cell.shape},{cell.variant},{cell.seed_index},{rep.csv_row()}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +397,7 @@ def cmd_augment(cfg):
     ds = _load(cfg["data"])
     run = _run_dir(cfg)
     spec = ExpansionSpec(
-        c=cfg["c"] if cfg["c"] is not None else 0.5, m=cfg["m"],
+        c=cfg["c"], m=cfg["m"],
         include_originals=cfg["include_originals"], seed=cfg["seed"],
         fixed_radius=cfg["fixed_radius"])
     aug, origins = augment_data(ds, spec)
@@ -499,7 +499,7 @@ def cmd_margin(cfg):
         summary.append(f"nn_sample_bound={bound!r}")
     else:
         summary.append("nn_sample_bound=undefined (r_star = 0)")
-    (run / "reports" / "margin_summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    write_text_lines(run / "reports" / "margin_summary.txt", summary)
     for ln in summary:
         click.echo(ln)
 
@@ -526,9 +526,8 @@ def cmd_scenario(cfg):
     run = _run_dir(cfg)
     lines, reports = _scenario_report(cfg)
     _write_reports(run / "reports" / f"scenario_{name}.csv", reports)
-    text = "\n".join(lines) + "\n"
-    (run / "reports" / f"scenario_{name}.txt").write_text(text, encoding="utf-8")
-    click.echo(text, nl=False)
+    write_text_lines(run / "reports" / f"scenario_{name}.txt", lines)
+    click.echo("\n".join(lines))
 
 
 def _scenario_report(cfg: dict):
@@ -609,7 +608,7 @@ def cmd_render(cfg):
     svg = render_regions_svg(h, ds, cfg["ambient"], RandomStream(cfg["seed"]),
                              config_note=f"{note} ambient={cfg['ambient']} seed={cfg['seed']}")
     path = run / "figs" / "regions.svg"
-    path.write_text(svg, encoding="utf-8")
+    write_text_lines(path, svg)
     click.echo(f"wrote {path}")
 
 
@@ -653,9 +652,8 @@ def cmd_sweep(cfg):
         render_dir=(run / "figs") if cfg["render"] else None,
         render_ambient=cfg["ambient"],
     )
-    (run / "reports" / "sweep_table.csv").write_text(
-        sweep_table_csv(result, shape_list), encoding="utf-8")
-    (run / "reports" / "sweep_cells.csv").write_text(sweep_cells_csv(result), encoding="utf-8")
+    write_text_lines(run / "reports" / "sweep_table.csv", sweep_table_csv(result, shape_list))
+    write_text_lines(run / "reports" / "sweep_cells.csv", sweep_cells_csv(result))
     click.echo(f"wrote {run / 'reports' / 'sweep_table.csv'}")
 
 

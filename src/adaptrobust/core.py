@@ -34,6 +34,13 @@ def read_text_lines(path) -> list[str]:
         raise ValueError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
 
 
+def write_text_lines(path, lines) -> None:
+    """Write `lines` to `path` as UTF-8 text, each line ended by LF on every
+    platform: the one writer of the package's text files."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(f"{ln}\n" for ln in lines))
+
+
 def sq_dists_to(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Squared distances from every row of `points` to `q`.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledDataset, RandomStream, read_text_lines
+from .core import LabeledDataset, RandomStream, read_text_lines, write_text_lines
 
 SHAPE_NAMES = ("sines", "sfigure", "nnn", "circles", "boxes")
 
@@ -258,8 +258,7 @@ def save_csv(ds: LabeledDataset, path, origins: np.ndarray | None = None) -> Non
         if origins is not None:
             row += f",{int(origins[i])}"
         lines.append(row)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_lines(path, lines)
 
 
 def load_csv(path) -> LabeledDataset:

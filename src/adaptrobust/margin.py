@@ -5,8 +5,8 @@ The margin rate of a distribution is the mass of points whose distance to the
 canonical predictor's decision boundary is below r, as a function of r. It is
 estimated here by Monte-Carlo over domain samples, combining random ball
 probes with a directed bisection toward a witness point on the other side of
-the boundary; the witness direction is exact for nearest-set classifiers
-(which flip exactly once along the segment) and a heuristic for others.
+the boundary, for classifiers that supply one; it is exact for nearest-set
+classifiers (which flip exactly once along the segment), a heuristic for others.
 
 Only the test `flip distance < r` and the probe flags reach the profile, so
 work whose outcome is already decided is skipped: a row stops being probed
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import sample_ball_uniform
-from .core import BatchFirst, Classifier, RandomStream
+from .core import BatchFirst, Classifier, RandomStream, write_text_lines
 from .losses import probe_flags
 from .neighbors import GridIndex
 
@@ -116,8 +116,6 @@ def _flip_distances_batch(h: Classifier, X: np.ndarray, W: np.ndarray,
     valid = total > 0.0
     valid[valid] = h.predict_batch(W[valid]) != preds[valid]
     out = np.full(X.shape[0], math.inf)
-    if not np.any(valid):
-        return out
     idx = np.where(valid)[0]
     xs = X[idx]
     dirs = diff[idx] / total[idx, None]
@@ -150,8 +148,8 @@ class MarginProfile:
         v = np.asarray(self.values, dtype=np.float64)
         if r.ndim != 1 or r.shape != v.shape or r.shape[0] == 0:
             raise ValueError("radii and values must be matching nonempty 1-D arrays")
-        if np.any(np.diff(r) <= 0.0):
-            raise ValueError("radius grid must be strictly increasing")
+        if not (np.all(np.diff(r) > 0.0) and r[0] >= 0.0):
+            raise ValueError("radius grid must be strictly increasing and >= 0")
         if np.any(v < 0.0) or np.any(v > 1.0) or np.any(np.diff(v) < 0.0):
             raise ValueError("profile values must be nondecreasing in [0, 1]")
         object.__setattr__(self, "radii", r)
@@ -160,18 +158,18 @@ class MarginProfile:
     def save(self, path) -> None:
         lines = ["r,phi_hat"]
         lines += [f"{float(r)!r},{float(v)!r}" for r, v in zip(self.radii, self.values)]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text_lines(path, lines)
 
 
 def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100, *,
-                   stream: RandomStream, witness_fn=None) -> MarginProfile:
+                   stream: RandomStream) -> MarginProfile:
     """Monte-Carlo margin-rate profile of h over the sampler's distribution.
 
     For each of N sampled points, membership in the radius-r margin is tested
     with shared probe directions (scaled per radius, flags accumulated so the
-    raw curve is already monotone) plus a witness bisection. `witness_fn`
-    overrides the witness; nearest-set classifiers supply their own.
+    raw curve is already monotone), plus a bisection toward witness W_i when h
+    has `opposite_witness(X) -> (W, safe)`: h labels W_i unlike x_i, and no
+    probe of x_i flips its label at radii <= safe_i (-inf: none certified).
     """
     radii = np.asarray([float(r) for r in radii], dtype=np.float64)
     if radii.ndim != 1 or radii.shape[0] == 0 or not np.all(np.diff(radii) > 0.0):
@@ -185,24 +183,17 @@ def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100, *,
 
     flips = np.full(N, math.inf)
     safe = np.full(N, -math.inf)  # no probe flips a row at radii <= safe
-    if witness_fn is None and isinstance(h, NearestSetClassifier):
+    if hasattr(h, "opposite_witness"):
         W, safe = h.opposite_witness(X)
         flips = _flip_distances_batch(h, X, W, preds, radii)
-    elif witness_fn is not None:
-        found = [witness_fn(x) for x in X]
-        have = np.array([w is not None for w in found])
-        if np.any(have):
-            W = np.stack([np.asarray(w, dtype=np.float64) for w in found if w is not None])
-            flips[have] = _flip_distances_batch(h, X[have], W, preds[have], radii)
 
     member = np.zeros(N, dtype=bool)
     values = np.empty(radii.shape[0])
-    if probes > 0:
-        origin = np.broadcast_to(0.0, (N, probes, X.shape[1]))
-        offsets = sample_ball_uniform(origin, 1.0, stream.child(1))
+    origin = np.broadcast_to(0.0, (N, probes, X.shape[1]))
+    offsets = sample_ball_uniform(origin, 1.0, stream.child(1))
     for j, r in enumerate(radii):
         decided = flips < r
-        if r > 0.0 and probes > 0:
+        if r > 0.0:
             todo = ~(member | decided) & (safe < r)
             member |= probe_flags(h, X, offsets, np.full(N, r), preds, todo)
         # Nondecreasing: `member` and `flips < r` only grow along the grid.

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BatchFirst, LabeledDataset, RandomStream, read_text_lines
+from .core import BatchFirst, LabeledDataset, RandomStream, read_text_lines, write_text_lines
 
 # Per-layer views of one flat parameter or gradient vector; b3 has shape (1,).
 _Layers = namedtuple("_Layers", "w1 b1 w2 b2 w3 b3")
@@ -170,8 +170,7 @@ def save_model(model: MlpModel, path) -> None:
     h1, h2 = model.widths
     lines = ["d,h1,h2", f"{model.dim},{h1},{h2}"]
     lines += [f"{v:.17g}" for v in model.params]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_lines(path, lines)
 
 
 def load_model(path) -> MlpModel:

@@ -30,6 +30,8 @@ class FiniteDistribution:
         mass = np.asarray(self.mass, dtype=np.float64)
         if pts.shape[0] != mu.shape[0] or pts.shape[0] != mass.shape[0]:
             raise ValueError("points, mu, mass must have matching lengths")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("atom coordinates must be finite")
         if not (np.all(mass > 0.0) and abs(float(mass.sum()) - 1.0) <= 1e-12):
             raise ValueError("masses must be positive and sum to 1")
         if not np.all((mu >= 0.0) & (mu <= 1.0)):
@@ -119,8 +121,10 @@ def exact_robust_loss(h, D: FiniteDistribution, r: float) -> float:
 
 def exact_best(family: list, D: FiniteDistribution, loss: str, r: float | None = None):
     """Enumerate the family and return (argmin classifier, loss value); ties go
-    to the earliest family member. `loss` is "binary" or "robust" (with r)."""
+    to the earliest family member. `loss` is "binary" (no r) or "robust" (with r)."""
     if loss == "binary":
+        if r is not None:
+            raise ValueError("binary loss takes no radius")
         evaluate = lambda h: exact_binary_loss(h, D)
     elif loss == "robust":
         if r is None:

@@ -235,18 +235,32 @@ def test_criterion_11_margin_profiles():
         def predict_batch(self, X):
             return (np.asarray(X)[:, 0] >= self.t).astype(np.int64)
 
+        def opposite_witness(self, X):
+            return 2 * self.t - X, np.full(X.shape[0], -math.inf)
+
+    class SlabBayes:
+        """The two-rectangle bayes predictor, witnessed by the mirror image
+        across its boundary x2 = 0."""
+
+        def __init__(self, h):
+            self.h = h
+
+        def predict_batch(self, X):
+            return self.h.predict_batch(X)
+
+        def opposite_witness(self, X):
+            return X * [1.0, -1.0], np.full(X.shape[0], -math.inf)
+
     t = 0.5
     prof = margin_profile(lambda s, n: s.uniform((n, 1)), Threshold1D(t),
                           [0.05, 0.1, 0.2, 0.4], N=100_000, probes=20,
-                          stream=RandomStream(1111),
-                          witness_fn=lambda x: np.array([2 * t - x[0]]))
+                          stream=RandomStream(1111))
     thr_err = max(abs(v - (min(t + r, 1.0) - max(t - r, 0.0)))
                   for r, v in zip(prof.radii, prof.values))
 
     sc = scenario_two_rectangles(0.2)
-    prof2 = margin_profile(sc.sampler, sc.bayes, [0.1, 0.2], N=100_000, probes=0,
-                           stream=RandomStream(1112),
-                           witness_fn=lambda x: np.array([x[0], -x[1]]))
+    prof2 = margin_profile(sc.sampler, SlabBayes(sc.bayes), [0.1, 0.2], N=100_000, probes=0,
+                           stream=RandomStream(1112))
     slab_err = max(abs(v - sc.margin_slab_mass(r))
                    for r, v in zip(prof2.radii, prof2.values))
     ok = thr_err <= 0.02 and slab_err <= 0.01

@@ -244,6 +244,14 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ExpansionSpec(c=-0.1)
     with pytest.raises(ValueError):
-        ExpansionSpec(m=0)
+        ExpansionSpec(c=0.5, m=0)
     with pytest.raises(ValueError):
         ExpansionSpec(fixed_radius=-1.0)
+
+
+@pytest.mark.parametrize("rules", [{}, {"c": 0.3, "fixed_radius": 0.5},
+                                   {"c": -5.0, "fixed_radius": 0.5}],
+                         ids=["neither", "both", "both-bad-c"])
+def test_spec_takes_exactly_one_radius_rule(rules):
+    with pytest.raises(ValueError, match="exactly one"):
+        ExpansionSpec(**rules)

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,10 @@ from adaptrobust.core import (
     RandomStream,
     as_point,
     sq_dists_to,
+    write_text_lines,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def kernel_distance(p, q):
@@ -117,3 +122,37 @@ def test_as_point_rejects_bad_input():
         as_point([[1.0, 2.0]])
     with pytest.raises(ValueError):
         as_point([np.inf])
+
+
+# --- text output ------------------------------------------------------------------
+
+def test_write_text_lines_ends_every_line_in_lf(tmp_path):
+    path = tmp_path / "out.txt"
+    write_text_lines(path, ["a,b", "", "\u00e9"])
+    assert path.read_bytes() == "a,b\n\n\u00e9\n".encode("utf-8")
+
+
+def writes_a_file(call: ast.Call) -> bool:
+    """`x.write_text(...)`, or `open(...)` or `x.open(...)` with a mode that is
+    not a literal read-only one."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name == "write_text":
+        return True
+    if name != "open":
+        return False
+    modes = [k.value for k in call.keywords if k.arg == "mode"]
+    modes += call.args[1 if isinstance(func, ast.Name) else 0:][:1]
+    return any(not (isinstance(m, ast.Constant) and set(str(m.value)) <= set("rbt"))
+               for m in modes)
+
+
+def test_every_text_file_is_written_by_write_text_lines():
+    # one writer fixes the encoding and the LF line ends for every output file
+    hits = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tree.body = [n for n in tree.body if getattr(n, "name", None) != "write_text_lines"]
+        hits += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                 if isinstance(n, ast.Call) and writes_a_file(n)]
+    assert hits == []

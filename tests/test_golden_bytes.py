@@ -112,8 +112,8 @@ def test_acceptance_sweep_matches_its_digests(sweep_result):
     shapes = tuple(dict.fromkeys(cell.shape for cell in sweep_result.cells))
     tables = {"sweep_cells.csv": sweep_cells_csv(sweep_result),
               "sweep_table.csv": sweep_table_csv(sweep_result, shapes)}
-    assert {name: hashlib.sha256(text.encode("utf-8")).hexdigest()
-            for name, text in tables.items()} == FIXTURE_DIGESTS
+    assert {name: hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
+            for name, lines in tables.items()} == FIXTURE_DIGESTS
 
 
 if __name__ == "__main__":

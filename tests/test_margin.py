@@ -34,6 +34,19 @@ class Threshold1D:
         return (np.asarray(X)[:, 0] >= self.t).astype(np.int64)
 
 
+class Witnessed:
+    """h, supplying `witness(X)` as its witnesses with no certified radius."""
+
+    def __init__(self, h, witness):
+        self.h, self.witness = h, witness
+
+    def predict_batch(self, X):
+        return self.h.predict_batch(X)
+
+    def opposite_witness(self, X):
+        return self.witness(X), np.full(X.shape[0], -math.inf)
+
+
 # --- canonical bayes -------------------------------------------------------------
 
 def test_support_point_gets_its_own_label():
@@ -162,19 +175,16 @@ def fixed_points(*xs):
 
 def test_membership_r0_is_false():
     # a point on the boundary itself is not in the radius-0 margin
-    prof = margin_profile(fixed_points(0.0), Threshold1D(0.0), [0.0], N=1, probes=10,
-                          stream=RandomStream(3), witness_fn=lambda x: np.array([-1.0]))
+    h = Witnessed(Threshold1D(0.0), lambda X: np.full_like(X, -1.0))
+    prof = margin_profile(fixed_points(0.0), h, [0.0], N=1, probes=10, stream=RandomStream(3))
     assert prof.values[0] == 0.0
 
 
 def test_membership_threshold_with_witness():
-    h = Threshold1D(0.0)
-    witness = lambda x: np.array([-1.0])
-    prof = margin_profile(fixed_points(0.3), h, [0.5], N=1, probes=0,
-                          stream=RandomStream(4), witness_fn=witness)
+    h = Witnessed(Threshold1D(0.0), lambda X: np.full_like(X, -1.0))
+    prof = margin_profile(fixed_points(0.3), h, [0.5], N=1, probes=0, stream=RandomStream(4))
     assert prof.values[0] == 1.0
-    prof = margin_profile(fixed_points(0.7), h, [0.5], N=1, probes=50,
-                          stream=RandomStream(4), witness_fn=witness)
+    prof = margin_profile(fixed_points(0.7), h, [0.5], N=1, probes=50, stream=RandomStream(4))
     assert prof.values[0] == 0.0
 
 
@@ -182,9 +192,12 @@ def test_flip_distance_locates_the_boundary():
     h = Threshold1D(0.25)
     X = np.array([[0.9], [0.9], [0.9]])
     W = np.array([[-1.0], [0.5], [0.9]])  # flipped, same-label, coincident witness
-    d = _flip_distances_batch(h, X, W, h.predict_batch(X), np.linspace(0.0, 1.0, 100_001))
+    radii = np.linspace(0.0, 1.0, 100_001)
+    d = _flip_distances_batch(h, X, W, h.predict_batch(X), radii)
     assert d[0] == pytest.approx(0.65, abs=1e-5)
     assert d[1] == math.inf and d[2] == math.inf
+    none = _flip_distances_batch(h, X[1:], W[1:], h.predict_batch(X[1:]), radii)
+    assert none.tolist() == [math.inf, math.inf]  # no row to bisect
 
 
 # --- profile --------------------------------------------------------------------
@@ -195,11 +208,10 @@ def uniform_1d(stream, n):
 
 def test_threshold_profile_matches_closed_form():
     t = 0.5
-    h = Threshold1D(t)
+    h = Witnessed(Threshold1D(t), lambda X: 2 * t - X)
     radii = [0.05, 0.1, 0.2, 0.4]
     prof = margin_profile(uniform_1d, h, radii, N=100_000, probes=20,
-                          stream=RandomStream(5),
-                          witness_fn=lambda x: np.array([2 * t - x[0]]))
+                          stream=RandomStream(5))
     for r, v in zip(prof.radii, prof.values):
         closed = min(t + r, 1.0) - max(t - r, 0.0)
         assert abs(v - closed) < 0.02
@@ -207,10 +219,9 @@ def test_threshold_profile_matches_closed_form():
 
 def test_two_rectangle_slab_formula():
     sc = scenario_two_rectangles(0.2)
-    h = sc.bayes
+    h = Witnessed(sc.bayes, lambda X: X * [1.0, -1.0])
     prof = margin_profile(sc.sampler, h, [0.1, 0.2], N=100_000, probes=0,
-                          stream=RandomStream(6),
-                          witness_fn=lambda x: np.array([x[0], -x[1]]))
+                          stream=RandomStream(6))
     for r, v in zip(prof.radii, prof.values):
         assert abs(v - sc.margin_slab_mass(r)) < 0.01
 
@@ -233,10 +244,9 @@ def test_profile_is_one_beyond_the_diameter():
 
 
 def test_profile_monotone_and_zero_at_zero():
-    h = Threshold1D(0.5)
+    h = Witnessed(Threshold1D(0.5), lambda X: 1.0 - X)
     prof = margin_profile(uniform_1d, h, [0.0, 0.05, 0.1, 0.3], N=5000, probes=20,
-                          stream=RandomStream(9),
-                          witness_fn=lambda x: np.array([1.0 - x[0]]))
+                          stream=RandomStream(9))
     assert prof.values[0] == 0.0
     assert np.all(np.diff(prof.values) >= 0.0)
 
@@ -246,6 +256,8 @@ def test_profile_validation():
         MarginProfile(np.array([0.1, 0.1]), np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
         MarginProfile(np.array([0.1, 0.2]), np.array([0.5, 0.2]))
+    with pytest.raises(ValueError, match=">= 0"):
+        MarginProfile(np.array([-1.0, 0.1]), np.array([0.1, 0.5]))
 
 
 # --- inverse and the sample bound ---------------------------------------------------
@@ -268,10 +280,9 @@ def test_inverse_step_table():
 
 
 def test_inverse_profile_consistency():
-    h = Threshold1D(0.5)
+    h = Witnessed(Threshold1D(0.5), lambda X: 1.0 - X)
     prof = margin_profile(uniform_1d, h, [0.02, 0.05, 0.1, 0.2, 0.45], N=4000, probes=20,
-                          stream=RandomStream(10),
-                          witness_fn=lambda x: np.array([1.0 - x[0]]))
+                          stream=RandomStream(10))
     for eps in np.linspace(0.0, 1.0, 100):
         r_star = inverse_phi(prof, eps)
         if r_star > 0.0:
@@ -440,13 +451,12 @@ def test_pruned_generic_profiles_match_the_unpruned_loop():
     s0, s1 = rng.random((60, 2)), rng.random((60, 2)) + [0.3, 0.0]
     nn = NnClassifier(LabeledDataset(np.vstack([s0, s1]), np.repeat([0, 1], 60)))
     radii = [0.02, 0.05, 0.1, 0.3]
-    witness = lambda x: 1.0 - x
+    witness = lambda X: 1.0 - X
     for h in (nn, Threshold1D(0.6)):
-        for w in (None, witness):
-            got = margin_profile(uniform_2d, h, radii, N=150, probes=25,
-                                 stream=RandomStream(13), witness_fn=w)
-            want = reference_profile(uniform_2d, h, radii, 150, 25, RandomStream(13),
-                                     w and (lambda X: np.array([witness(x) for x in X])))
+        for g, w in ((h, None), (Witnessed(h, witness), witness)):
+            got = margin_profile(uniform_2d, g, radii, N=150, probes=25,
+                                 stream=RandomStream(13))
+            want = reference_profile(uniform_2d, h, radii, 150, 25, RandomStream(13), w)
             assert got.values.tobytes() == want.tobytes()
 
 

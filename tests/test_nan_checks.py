@@ -12,7 +12,7 @@ from adaptrobust.losses import (
     adaptive_robust_testtime,
     robust_loss_fixed_grid,
 )
-from adaptrobust.margin import margin_profile, nn_sample_bound
+from adaptrobust.margin import MarginProfile, margin_profile, nn_sample_bound
 from adaptrobust.mlp import TrainSpec
 from adaptrobust.scenarios import (
     FiniteDistribution,
@@ -55,6 +55,9 @@ CASES = {
     "two-point-gap": lambda: scenario_two_point(NAN),
     "atom-mass": lambda: FiniteDistribution([[0.0], [1.0]], [0.0, 1.0], [NAN, 0.5]),
     "atom-mu": lambda: FiniteDistribution([[0.0], [1.0]], [NAN, 1.0], [0.5, 0.5]),
+    "atom-point": lambda: FiniteDistribution([[NAN], [1.0]], [0.0, 1.0], [0.5, 0.5]),
+    "profile-radius": lambda: MarginProfile([NAN], [0.5]),
+    "profile-later-radius": lambda: MarginProfile([0.1, NAN], [0.1, 0.5]),
 }
 
 

@@ -48,6 +48,8 @@ def test_distribution_validation():
         FiniteDistribution(np.array([[0.0]]), np.array([0.0]), np.array([0.5]))
     with pytest.raises(ValueError):
         FiniteDistribution(np.array([[0.0]]), np.array([1.5]), np.array([1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        FiniteDistribution([[np.inf], [1.0]], [0.0, 1.0], [0.5, 0.5])
 
 
 # --- exact losses -----------------------------------------------------------------------
@@ -292,3 +294,5 @@ def test_exact_best_rejects_unknown_loss():
         exact_best(enumerate_family(D), D, "hinge")
     with pytest.raises(ValueError):
         exact_best(enumerate_family(D), D, "robust")
+    with pytest.raises(ValueError):
+        exact_best(enumerate_family(D), D, "binary", r=100.0)
