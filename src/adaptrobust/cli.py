@@ -543,8 +543,8 @@ def _scenario_report(cfg: dict):
     if name == "two_point":
         D = scenarios.scenario_two_point(cfg["gap"])
         fam = scenarios.enumerate_family(D)
-        h_bin, v_bin = scenarios.exact_best(fam, D, "binary")
-        h_rob, v_rob = scenarios.exact_best(fam, D, "robust", r=r)
+        h_bin, v_bin = scenarios.exact_best(fam, lambda g: scenarios.exact_binary_loss(g, D))
+        h_rob, v_rob = scenarios.exact_best(fam, lambda g: scenarios.exact_robust_loss(g, D, r))
         lines.append(f"binary-optimal: {h_bin.describe()}")
         lines.append(f"robust-optimal (r={r:g}): {h_rob.describe()}")
         add("best_binary_loss", v_bin, 2, claimed=0)
@@ -557,7 +557,7 @@ def _scenario_report(cfg: dict):
         D = scenarios.scenario_four_point()
         fam = scenarios.enumerate_family(D)
         h = scenarios.HalfspaceClassifier(axis=1, threshold=1.0, above_label=1)
-        _, v_rob = scenarios.exact_best(fam, D, "robust", r=0.1)
+        _, v_rob = scenarios.exact_best(fam, lambda g: scenarios.exact_robust_loss(g, D, 0.1))
         add("threshold_binary_loss", scenarios.exact_binary_loss(h, D), 4, claimed=0)
         add("threshold_robust_loss_r=0.1", scenarios.exact_robust_loss(h, D, 0.1), 4, claimed=0)
         add("best_robust_loss_r=0.1", v_rob, 4, claimed=0)

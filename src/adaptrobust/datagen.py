@@ -17,8 +17,6 @@ import numpy as np
 
 from .core import LabeledDataset, RandomStream, read_text_lines, write_text_lines
 
-SHAPE_NAMES = ("sines", "sfigure", "nnn", "circles", "boxes")
-
 
 @dataclass(frozen=True)
 class ShapeSpec:
@@ -202,6 +200,7 @@ _BUILDERS = {
     "circles": _build_circles,
     "boxes": _build_boxes,
 }
+SHAPE_NAMES = tuple(_BUILDERS)
 
 
 @functools.cache

@@ -50,9 +50,8 @@ class NearestSetClassifier(BatchFirst):
     def __post_init__(self):
         s0 = np.asarray(self.support0, dtype=np.float64)
         s1 = np.asarray(self.support1, dtype=np.float64)
-        if s0.ndim != 2 or s1.ndim != 2 or s0.shape[0] == 0 or s1.shape[0] == 0:
-            raise ValueError("both supports must be nonempty (m, d) arrays")
-        if s0.shape[1] != s1.shape[1]:
+        # the index builds below reject an empty, non-2-D or non-finite support
+        if s0.shape[1:] != s1.shape[1:]:
             raise ValueError("supports must share a dimension")
         object.__setattr__(self, "support0", s0)
         object.__setattr__(self, "support1", s1)
@@ -136,6 +135,14 @@ def _flip_distances_batch(h: Classifier, X: np.ndarray, W: np.ndarray,
     return out
 
 
+def _radius_grid(radii) -> np.ndarray:
+    """The radii as floats: a nonempty, strictly increasing 1-D grid from >= 0 (NaN fails)."""
+    r = np.asarray(radii, dtype=np.float64)
+    if not (r.ndim == 1 and r.shape[0] > 0 and np.all(np.diff(r) > 0.0) and r[0] >= 0.0):
+        raise ValueError("radius grid must be nonempty, 1-D, strictly increasing and >= 0")
+    return r
+
+
 @dataclass(frozen=True, eq=False)
 class MarginProfile:
     """Tabulated margin-rate estimate: nondecreasing values over a radius grid."""
@@ -144,12 +151,10 @@ class MarginProfile:
     values: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.radii, dtype=np.float64)
+        r = _radius_grid(self.radii)
         v = np.asarray(self.values, dtype=np.float64)
-        if r.ndim != 1 or r.shape != v.shape or r.shape[0] == 0:
-            raise ValueError("radii and values must be matching nonempty 1-D arrays")
-        if not (np.all(np.diff(r) > 0.0) and r[0] >= 0.0):
-            raise ValueError("radius grid must be strictly increasing and >= 0")
+        if r.shape != v.shape:
+            raise ValueError("radii and values must have matching shapes")
         if np.any(v < 0.0) or np.any(v > 1.0) or np.any(np.diff(v) < 0.0):
             raise ValueError("profile values must be nondecreasing in [0, 1]")
         object.__setattr__(self, "radii", r)
@@ -171,13 +176,11 @@ def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100, *,
     has `opposite_witness(X) -> (W, safe)`: h labels W_i unlike x_i, and no
     probe of x_i flips its label at radii <= safe_i (-inf: none certified).
     """
-    radii = np.asarray([float(r) for r in radii], dtype=np.float64)
-    if radii.ndim != 1 or radii.shape[0] == 0 or not np.all(np.diff(radii) > 0.0):
-        raise ValueError("need a strictly increasing radius grid")
-    if not radii[0] >= 0.0:
-        raise ValueError("radii must be >= 0")
+    radii = _radius_grid(radii)
     if N < 1:
         raise ValueError("need at least one sample point")
+    if probes < 0:
+        raise ValueError("probe count must be >= 0")
     X = np.asarray(sampler(stream.child(0), N), dtype=np.float64)
     preds = h.predict_batch(X)
 

@@ -67,6 +67,10 @@ class HalfspaceClassifier(BatchFirst):
     threshold: float
     above_label: int
 
+    def __post_init__(self):
+        if np.isnan(self.threshold):
+            raise ValueError("threshold must not be NaN")
+
     def predict_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         above = X[:, self.axis] >= self.threshold
@@ -119,21 +123,12 @@ def exact_robust_loss(h, D: FiniteDistribution, r: float) -> float:
     return float(np.sum(D.mass * np.where(h.in_margin(D.points, r), 1.0, _atom_errors(h, D))))
 
 
-def exact_best(family: list, D: FiniteDistribution, loss: str, r: float | None = None):
+def exact_best(family: list, loss):
     """Enumerate the family and return (argmin classifier, loss value); ties go
-    to the earliest family member. `loss` is "binary" (no r) or "robust" (with r)."""
-    if loss == "binary":
-        if r is not None:
-            raise ValueError("binary loss takes no radius")
-        evaluate = lambda h: exact_binary_loss(h, D)
-    elif loss == "robust":
-        if r is None:
-            raise ValueError("robust loss needs a radius")
-        evaluate = lambda h: exact_robust_loss(h, D, r)
-    else:
-        raise ValueError(f"unknown loss {loss!r}")
-    best = min(family, key=evaluate)
-    return best, evaluate(best)
+    to the earliest family member. `loss` maps a classifier to its loss, e.g.
+    `functools.partial(exact_robust_loss, D=D, r=r)`."""
+    best = min(family, key=loss)
+    return best, loss(best)
 
 
 def disagreement_exact(h1, h2, D: FiniteDistribution) -> float:

@@ -7,6 +7,7 @@ session fixture `sweep_result` of conftest.py (5 shapes x 6 augmentations x
 """
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -49,9 +50,9 @@ def test_criterion_01_two_point_exactness():
     t0 = time.perf_counter()
     D = scenario_two_point(0.5)
     fam = enumerate_family(D)
-    h_bin, v_bin = exact_best(fam, D, "binary")
+    h_bin, v_bin = exact_best(fam, partial(exact_binary_loss, D=D))
     rob_of_bin = exact_robust_loss(h_bin, D, 1.0)
-    h_rob, v_rob = exact_best(fam, D, "robust", r=1.0)
+    h_rob, v_rob = exact_best(fam, partial(exact_robust_loss, D=D, r=1.0))
     dis = disagreement_exact(h_bin, h_rob, D)
     ok = (v_bin == 0.0 and rob_of_bin == 1.0 and v_rob == 0.5
           and isinstance(h_rob, ConstantClassifier) and dis == 0.5)
@@ -74,7 +75,7 @@ def test_criterion_03_four_point_open_ball_exactness():
     h = HalfspaceClassifier(axis=1, threshold=1.0, above_label=1)
     b = exact_binary_loss(h, D)
     r = exact_robust_loss(h, D, 0.1)
-    _, best = exact_best(enumerate_family(D), D, "robust", r=0.1)
+    _, best = exact_best(enumerate_family(D), partial(exact_robust_loss, D=D, r=0.1))
     ok = b == 0.0 and r == 0.0 and best == 0.0
     verdict(3, ok, f"threshold binary {b}, robust(0.1) {r}, family best {best} "
                    f"({time.perf_counter() - t0:.2f}s)")

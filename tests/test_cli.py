@@ -1,3 +1,4 @@
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -414,6 +415,42 @@ def test_name_must_be_one_directory_name(tmp_path, dataset_csv, split_csvs, comm
         lines = res.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("Error: --name "), (name, lines)
         assert tree(tmp_path) == before, name
+
+
+def out_of_range_cases():
+    """(command, flag, value) for every numeric option: -1 for an integer, NaN
+    and -inf for a float. No option accepts any of them."""
+    for name, command in main.commands.items():
+        for opt in command.params:
+            if not isinstance(opt, click.Option):
+                continue
+            if isinstance(opt.type, click.types.IntParamType):
+                values = ["-1"]
+            elif isinstance(opt.type, click.types.FloatParamType):
+                values = ["nan", "-inf"]
+            else:
+                continue
+            for value in values:
+                yield pytest.param(name, opt.opts[0], value, id=f"{name} {opt.opts[0]} {value}")
+
+
+@pytest.mark.parametrize("command,flag,value", list(out_of_range_cases()))
+def test_every_numeric_option_rejects_an_out_of_range_value(tmp_path, dataset_csv, split_csvs,
+                                                            command, flag, value):
+    tr, te = split_csvs
+    base = RERUN[command]
+    if (command, flag) == ("augment", "--fixed-radius"):
+        # drop --c so the range check fires, not the one-radius-rule check
+        i = base.index("--c")
+        base = base[:i] + base[i + 2:]
+    args = [a.format(data=dataset_csv, train=tr, test=te) for a in base]
+    res = runner.invoke(main, args + [flag, value, "--out", str(tmp_path / "root"),
+                                      "--name", "run"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), lines
+    assert f"{flag} {value}" in lines[0] and "must lie in" in lines[0], lines
+    assert not (tmp_path / "root").exists()
 
 
 @pytest.mark.parametrize("out", ["lo", "lo/deeper/still", "keep/lo"])

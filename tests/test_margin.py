@@ -260,6 +260,14 @@ def test_profile_validation():
         MarginProfile(np.array([-1.0, 0.1]), np.array([0.1, 0.5]))
 
 
+def test_profile_rejects_a_negative_probe_count_before_sampling():
+    def sampler(stream, n):
+        raise AssertionError("sampled before the probe count was checked")
+
+    with pytest.raises(ValueError, match="probe"):
+        margin_profile(sampler, Threshold1D(0.0), [0.1], N=4, probes=-1, stream=RandomStream(0))
+
+
 # --- inverse and the sample bound ---------------------------------------------------
 
 def step_profile():

@@ -58,6 +58,7 @@ CASES = {
     "atom-point": lambda: FiniteDistribution([[NAN], [1.0]], [0.0, 1.0], [0.5, 0.5]),
     "profile-radius": lambda: MarginProfile([NAN], [0.5]),
     "profile-later-radius": lambda: MarginProfile([0.1, NAN], [0.1, 0.5]),
+    "halfspace-threshold": lambda: HalfspaceClassifier(axis=0, threshold=NAN, above_label=1),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -275,6 +276,33 @@ def test_grid_index_on_clustered_data_matches_scan(d):
     Q = np.vstack([rng.random((300, d)) * 1.4 - 0.2, P[:50]])
     want_d2, want_idx = scan_nearest(P, Q)
     d2, idx = GridIndex(P).nearest(Q)
+    assert idx.tolist() == want_idx and d2.tobytes() == want_d2.tobytes()
+
+
+def _hung(signum, frame):
+    raise TimeoutError("the index query did not stop")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("offset", [0.0, 1e11])
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e200, 1e300])
+def test_grid_index_at_extreme_scales_matches_scan(scale, offset, d):
+    # From 1e200 up, squared distances overflow to inf; a query whose
+    # distances are all inf stops only once its block covers the grid. The
+    # alarm turns a query that never stops into a failure.
+    rng = np.random.default_rng(d)
+    P = offset + scale * rng.random((200, d))
+    Q = offset + scale * (rng.random((40, d)) * 1.4 - 0.2)
+    Q = np.vstack([Q, P[rng.integers(0, 200, 10)]])  # with exact hits
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(20)
+    try:
+        with np.errstate(over="ignore", under="ignore"):
+            want_d2, want_idx = scan_nearest(P, Q)
+            d2, idx = GridIndex(P).nearest(Q)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert idx.tolist() == want_idx and d2.tobytes() == want_d2.tobytes()
 
 

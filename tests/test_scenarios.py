@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,10 +165,10 @@ def test_probe_estimator_agrees_with_exact_on_random_family_members():
 def test_two_point_separation_numbers():
     D = scenario_two_point(0.5)
     fam = enumerate_family(D)
-    h_bin, v_bin = exact_best(fam, D, "binary")
+    h_bin, v_bin = exact_best(fam, partial(exact_binary_loss, D=D))
     assert v_bin == 0.0 and isinstance(h_bin, HalfspaceClassifier)
     assert exact_robust_loss(h_bin, D, 1.0) == 1.0
-    h_rob, v_rob = exact_best(fam, D, "robust", r=1.0)
+    h_rob, v_rob = exact_best(fam, partial(exact_robust_loss, D=D, r=1.0))
     assert v_rob == 0.5 and isinstance(h_rob, ConstantClassifier)
     assert disagreement_exact(h_bin, h_rob, D) == 0.5
 
@@ -176,7 +178,7 @@ def test_four_point_threshold_is_robust_optimal_at_tenth():
     h = HalfspaceClassifier(1, 1.0, 1)
     assert exact_binary_loss(h, D) == 0.0
     assert exact_robust_loss(h, D, 0.1) == 0.0  # open balls: distance exactly 0.1
-    _, best = exact_best(enumerate_family(D), D, "robust", r=0.1)
+    _, best = exact_best(enumerate_family(D), partial(exact_robust_loss, D=D, r=0.1))
     assert best == 0.0
     assert exact_robust_loss(h, D, 0.10001) == 0.75  # strictly larger radius bites
 
@@ -184,7 +186,7 @@ def test_four_point_threshold_is_robust_optimal_at_tenth():
 def test_separable_line_small_radius_keeps_threshold():
     D = scenario_two_point(0.4)
     fam = enumerate_family(D)
-    h, v = exact_best(fam, D, "robust", r=0.4 / 4)
+    h, v = exact_best(fam, partial(exact_robust_loss, D=D, r=0.4 / 4))
     assert isinstance(h, HalfspaceClassifier) and v == 0.0
 
 
@@ -192,15 +194,15 @@ def test_separable_line_large_radius_forces_constant():
     gap = 0.4
     D = scenario_two_point(gap)
     fam = enumerate_family(D)
-    h_rob, v_rob = exact_best(fam, D, "robust", r=gap * 1.5)
+    h_rob, v_rob = exact_best(fam, partial(exact_robust_loss, D=D, r=gap * 1.5))
     assert isinstance(h_rob, ConstantClassifier) and v_rob == 0.5
-    h_bin, _ = exact_best(fam, D, "binary")
+    h_bin, _ = exact_best(fam, partial(exact_binary_loss, D=D))
     assert disagreement_exact(h_bin, h_rob, D) == 0.5
 
 
 def test_separable_line_margin_mass_vanishes_below_half_gap():
     D = scenario_two_point(0.4)
-    h_bin, _ = exact_best(enumerate_family(D), D, "binary")
+    h_bin, _ = exact_best(enumerate_family(D), partial(exact_binary_loss, D=D))
     assert margin_mass(h_bin, D, 0.1) == 0.0   # strongly separable
     assert margin_mass(h_bin, D, 0.3) == 1.0
 
@@ -251,7 +253,7 @@ def binary_optimal_set(fam, D):
 def test_identical_iff_margin_direction(D, r):
     fam = enumerate_family(D)
     optima, best_bin = binary_optimal_set(fam, D)
-    _, best_rob = exact_best(fam, D, "robust", r=r)
+    _, best_rob = exact_best(fam, partial(exact_robust_loss, D=D, r=r))
     if any(margin_mass(h, D, r) == 0.0 for h in optima):
         assert best_rob == best_bin
     else:
@@ -266,7 +268,7 @@ def test_choose_r_by_margin_rate_bounds_both_losses(D):
     h_bin = optima[0]
     for r in (0.05, 0.1, 0.25, 0.6, 1.2):
         eps = margin_mass(h_bin, D, r)
-        h_rob, best_rob = exact_best(fam, D, "robust", r=r)
+        h_rob, best_rob = exact_best(fam, partial(exact_robust_loss, D=D, r=r))
         assert exact_robust_loss(h_bin, D, r) <= best_rob + eps
         assert exact_binary_loss(h_rob, D) <= best_bin + eps
 
@@ -274,7 +276,7 @@ def test_choose_r_by_margin_rate_bounds_both_losses(D):
 def test_exact_best_tie_goes_to_first_member():
     D = scenario_two_point(0.5)
     fam = enumerate_family(D)
-    h, v = exact_best(fam, D, "robust", r=10.0)
+    h, v = exact_best(fam, partial(exact_robust_loss, D=D, r=10.0))
     assert v == 0.5 and h is fam[0]  # both constants tie at 1/2
 
 
@@ -282,17 +284,8 @@ def test_exact_best_tie_among_later_members_goes_to_the_earliest():
     D = scenario_two_point(0.5)
     fam = [ConstantClassifier(0), HalfspaceClassifier(0, 0.25, 1),
            HalfspaceClassifier(0, 0.2, 1), HalfspaceClassifier(0, 0.25, 0)]
-    h, v = exact_best(fam, D, "binary")
+    h, v = exact_best(fam, partial(exact_binary_loss, D=D))
     assert v == 0.0 and h is fam[1]  # fam[1] and fam[2] both classify exactly
-    h, v = exact_best(fam[::-1], D, "binary")
+    h, v = exact_best(fam[::-1], partial(exact_binary_loss, D=D))
     assert v == 0.0 and h is fam[2]
 
-
-def test_exact_best_rejects_unknown_loss():
-    D = scenario_two_point(0.5)
-    with pytest.raises(ValueError):
-        exact_best(enumerate_family(D), D, "hinge")
-    with pytest.raises(ValueError):
-        exact_best(enumerate_family(D), D, "robust")
-    with pytest.raises(ValueError):
-        exact_best(enumerate_family(D), D, "binary", r=100.0)
