@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledDataset, RandomStream
+from .core import LabeledDataset, RandomStream, check_range
 from .neighbors import rho_all
 
 
@@ -26,19 +26,17 @@ class ExpansionSpec:
     def __post_init__(self):
         if (self.c is None) == (self.fixed_radius is None):
             raise ValueError("give exactly one of c and fixed_radius")
-        if self.c is not None and not self.c >= 0.0:
-            raise ValueError("expansion factor c must be >= 0")
-        if self.fixed_radius is not None and not self.fixed_radius >= 0.0:
-            raise ValueError("fixed_radius must be >= 0")
-        if self.m < 1:
-            raise ValueError("need m >= 1 samples per ball")
+        if self.c is not None:
+            check_range("c", self.c, "[0, inf]")
+        if self.fixed_radius is not None:
+            check_range("fixed_radius", self.fixed_radius, "[0, inf]")
+        check_range("m", self.m, "[1, inf)")
 
 
 def expand(S: LabeledDataset, c: float) -> np.ndarray:
     """c-adaptive expansion radii: ball i is centred on x_i, keeps label y_i and
     has radius c * rho_S(x_i, y_i)."""
-    if not c >= 0.0:
-        raise ValueError("expansion factor must be >= 0")
+    check_range("c", c, "[0, inf]")
     return c * rho_all(S)
 
 
@@ -46,10 +44,9 @@ def sample_ball_uniform(centers, radii, stream: RandomStream) -> np.ndarray:
     """Uniform draws from the balls around `centers` (shape (..., d)), with
     `radii` broadcast over the leading axes. All Gaussians are drawn before all
     uniforms, so the draws depend only on the stream and the leading shape."""
+    check_range("radii", radii, "[0, inf]")
     centers = np.asarray(centers, dtype=np.float64)
     radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), centers.shape[:-1])
-    if not np.all(radii >= 0.0):
-        raise ValueError("radius must be >= 0")
     return centers + radii[..., None] * _unit_ball(stream.normal(centers.shape),
                                                    stream.uniform(radii.shape))
 

@@ -16,7 +16,6 @@ figs/*.svg}. The output root comes from --out, else $ADAPTROBUST_OUT, else ./out
 from __future__ import annotations
 
 import functools
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +26,7 @@ from click.core import ParameterSource
 
 from . import datagen, losses, margin, mlp, scenarios
 from .augment import ExpansionSpec, augment as augment_data
-from .core import LabeledDataset, RandomStream, read_text_lines, write_text_lines
+from .core import LabeledDataset, RandomStream, check_range, read_text_lines, write_text_lines
 from .neighbors import NnClassifier
 
 FULL_FIXED_RADII = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
@@ -92,25 +91,22 @@ def _parse_radii(text, option: str) -> list[float]:
     """Comma-separated nonnegative radii, or a one-line error naming the option."""
     try:
         radii = [float(v) for v in str(text).split(",")]
+        check_range(option, radii, "[0, inf)")
     except ValueError:
-        radii = []
-    if not radii or not all(math.isfinite(r) and r >= 0.0 for r in radii):
         raise click.ClickException(
-            f"{option} {text!r}: expected comma-separated nonnegative numbers")
+            f"{option} {text!r}: expected comma-separated nonnegative numbers") from None
     return radii
 
 
 def _check(cfg: dict, **intervals: str) -> None:
-    """One-line error naming the option unless cfg[key] lies in its interval,
-    written like "[0, 1)" or "(0, inf)". NaN lies in none; None (an unset
-    optional value) passes."""
+    """One-line error naming the option unless cfg[key] lies in its interval
+    (`check_range`); None (an unset optional value) passes."""
     for key, interval in intervals.items():
-        v = cfg[key]
-        lo, hi = (float(b) for b in interval[1:-1].split(","))
-        if v is not None and not ((lo < v if interval[0] == "(" else lo <= v)
-                                  and (v < hi if interval[-1] == ")" else v <= hi)):
-            raise click.ClickException(
-                f"--{key.replace('_', '-')} {v!r}: must lie in {interval}")
+        try:
+            if cfg[key] is not None:
+                check_range(f"--{key.replace('_', '-')}", cfg[key], interval)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from None
 
 
 # Options shared by `train` and `sweep`.

@@ -8,6 +8,7 @@ bit-for-bit from a seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -22,6 +23,19 @@ def as_point(values) -> np.ndarray:
     if not np.all(np.isfinite(p)):
         raise ValueError("point coordinates must be finite")
     return p
+
+
+def check_range(name: str, value, interval: str) -> None:
+    """The one interval rule: ValueError("<name> <value>: must lie in <interval>")
+    unless `value` (a number, or every element of an array) lies in `interval`,
+    written like "[0, 1)" or "(0, inf]"; NaN and None lie in none. The value
+    shown is a number's repr or an array's first failing element."""
+    lo, hi = (float(b) for b in interval[1:-1].split(","))
+    v = value if isinstance(value, numbers.Real) else np.asarray(value, dtype=np.float64)
+    ok = (lo < v if interval[0] == "(" else lo <= v) & (v < hi if interval[-1] == ")" else v <= hi)
+    if not np.all(ok):
+        shown = value if np.ndim(v) == 0 else v[~ok][0].item()
+        raise ValueError(f"{name} {shown!r}: must lie in {interval}")
 
 
 def read_text_lines(path) -> list[str]:
@@ -117,8 +131,7 @@ class LabeledDataset:
             raise ValueError("labels must be a 1-D array matching the number of points")
         if not np.all(np.isfinite(pts)):
             raise ValueError("all coordinates must be finite")
-        if labs.min() < 0:
-            raise ValueError("labels must be nonnegative integers")
+        check_range("labels", labs, "[0, inf)")
         span = pts.max(axis=0) - pts.min(axis=0)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "labels", labs)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledDataset, RandomStream, read_text_lines, write_text_lines
+from .core import LabeledDataset, RandomStream, check_range, read_text_lines, write_text_lines
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,8 @@ class ShapeSpec:
     def __post_init__(self):
         if self.shape not in SHAPE_NAMES:
             raise ValueError(f"unknown shape {self.shape!r}; expected one of {SHAPE_NAMES}")
-        if self.n < 2:
-            raise ValueError("need n >= 2 so both classes are represented")
-        if not 0.0 <= self.label_noise < 1.0:
-            raise ValueError("label_noise must lie in [0, 1)")
+        check_range("n", self.n, "[2, inf)")  # both classes are represented
+        check_range("label_noise", self.label_noise, "[0, 1)")
 
 
 @dataclass(frozen=True)
@@ -40,8 +38,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie strictly between 0 and 1")
+        check_range("train_fraction", self.train_fraction, "(0, 1)")
 
 
 # ---------------------------------------------------------------------------

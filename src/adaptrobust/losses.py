@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import point_offsets
-from .core import Classifier, LabeledDataset, RandomStream
+from .core import Classifier, LabeledDataset, RandomStream, check_range
 from .neighbors import rho, rho_all
 
 REPORT_CSV_HEADER = "loss_name,value,probes,seed,n"
@@ -31,8 +31,7 @@ class LossReport:
     n_evaluated: int
 
     def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError("loss values live in [0, 1]")
+        check_range("loss value", self.value, "[0, 1]")
 
     def csv_row(self) -> str:
         return f"{self.name},{self.value!r},{self.probes_per_point},{self.seed},{self.n_evaluated}"
@@ -91,12 +90,10 @@ def robust_loss_fixed_grid(h: Classifier, D: LabeledDataset, radii, probes: int 
     different from the true one. Flags accumulate over the grid, so the values
     are nondecreasing in r."""
     radii = [float(r) for r in radii]
-    if not all(r >= 0.0 for r in radii):
-        raise ValueError("radii must be >= 0")
+    check_range("radii", radii, "[0, inf]")
     if any(b < a for a, b in zip(radii, radii[1:])):
         raise ValueError("radius grid must be nondecreasing")
-    if probes < 0:
-        raise ValueError("probe count must be >= 0")
+    check_range("probes", probes, "[0, inf)")
     scales = [(f"robust_fixed_r={r:g}", np.full(D.n, r)) for r in radii]
     return _probe_losses(h, D, scales, probes, stream)
 
@@ -106,10 +103,8 @@ def adaptive_robust_empirical(h: Classifier, S: LabeledDataset, c: float = 0.5,
     """Probe estimate of the empirical adaptive robust loss on S: item i counts
     when h mislabels x_i or any probe from the ball of radius c * rho_S(x_i, y_i)
     gets a label other than y_i."""
-    if not c > 0.0:
-        raise ValueError("expansion factor must be positive")
-    if probes < 1:
-        raise ValueError("need at least one probe per ball")
+    check_range("c", c, "(0, inf]")
+    check_range("probes", probes, "[1, inf)")
     scales = [(f"adaptive_empirical_c={c:g}", c * rho_all(S))]
     return _probe_losses(h, S, scales, probes, stream)[0]
 
@@ -123,10 +118,8 @@ def adaptive_robust_testtime(h: Classifier, test: LabeledDataset, ref: LabeledDa
     flips."""
     if len(ref.classes()) < 2:
         raise ValueError("reference set must contain at least two classes")
-    if not factor > 0.0:
-        raise ValueError("ball factor must be positive")
-    if probes < 1:
-        raise ValueError("need at least one probe per ball")
+    check_range("factor", factor, "(0, inf]")
+    check_range("probes", probes, "[1, inf)")
     scales = [(f"adaptive_testtime_f={factor:g}", factor * rho(ref, test.points, test.labels))]
     return _probe_losses(h, test, scales, probes, stream)[0]
 
@@ -134,7 +127,6 @@ def adaptive_robust_testtime(h: Classifier, test: LabeledDataset, ref: LabeledDa
 def disagreement_mass(h1: Classifier, h2: Classifier, sampler, N: int,
                       stream: RandomStream) -> float:
     """Monte-Carlo estimate of the sampler mass where h1 and h2 disagree."""
-    if N < 1:
-        raise ValueError("need at least one sample")
+    check_range("N", N, "[1, inf)")
     X = np.asarray(sampler(stream, N), dtype=np.float64)
     return float(np.mean(h1.predict_batch(X) != h2.predict_batch(X)))

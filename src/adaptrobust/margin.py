@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import sample_ball_uniform
-from .core import BatchFirst, Classifier, RandomStream, write_text_lines
+from .core import BatchFirst, Classifier, RandomStream, check_range, write_text_lines
 from .losses import probe_flags
 from .neighbors import GridIndex
 
@@ -114,25 +114,19 @@ def _flip_distances_batch(h: Classifier, X: np.ndarray, W: np.ndarray,
     total = np.sqrt(np.sum(diff**2, axis=1))
     valid = total > 0.0
     valid[valid] = h.predict_batch(W[valid]) != preds[valid]
-    out = np.full(X.shape[0], math.inf)
-    idx = np.where(valid)[0]
-    xs = X[idx]
-    dirs = diff[idx] / total[idx, None]
-    lo = np.zeros(idx.shape[0])
-    hi = total[idx].copy()
-    base = preds[idx]
-    live = np.arange(idx.shape[0])
+    dirs = diff / np.where(valid, total, 1.0)[:, None]
+    lo, hi = np.zeros(X.shape[0]), np.where(valid, total, math.inf)
+    live = np.flatnonzero(valid)
     for _ in range(_BISECTION_STEPS):
         live = live[np.searchsorted(radii, hi[live], side="right")
                     > np.searchsorted(radii, lo[live], side="right")]
         if live.size == 0:
             break
         mid = 0.5 * (lo[live] + hi[live])
-        same = h.predict_batch(xs[live] + mid[:, None] * dirs[live]) == base[live]
+        same = h.predict_batch(X[live] + mid[:, None] * dirs[live]) == preds[live]
         lo[live] = np.where(same, mid, lo[live])
         hi[live] = np.where(same, hi[live], mid)
-    out[idx] = hi
-    return out
+    return hi
 
 
 def _radius_grid(radii) -> np.ndarray:
@@ -155,8 +149,9 @@ class MarginProfile:
         v = np.asarray(self.values, dtype=np.float64)
         if r.shape != v.shape:
             raise ValueError("radii and values must have matching shapes")
-        if np.any(v < 0.0) or np.any(v > 1.0) or np.any(np.diff(v) < 0.0):
-            raise ValueError("profile values must be nondecreasing in [0, 1]")
+        check_range("values", v, "[0, 1]")
+        if np.any(np.diff(v) < 0.0):
+            raise ValueError("profile values must be nondecreasing")
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "values", v)
 
@@ -177,10 +172,8 @@ def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100, *,
     probe of x_i flips its label at radii <= safe_i (-inf: none certified).
     """
     radii = _radius_grid(radii)
-    if N < 1:
-        raise ValueError("need at least one sample point")
-    if probes < 0:
-        raise ValueError("probe count must be >= 0")
+    check_range("N", N, "[1, inf)")
+    check_range("probes", probes, "[0, inf)")
     X = np.asarray(sampler(stream.child(0), N), dtype=np.float64)
     preds = h.predict_batch(X)
 
@@ -206,8 +199,7 @@ def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100, *,
 
 def inverse_phi(profile: MarginProfile, epsilon: float) -> float:
     """Largest grid radius with profile value <= epsilon; 0 when there is none."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must lie in [0, 1]")
+    check_range("epsilon", epsilon, "[0, 1]")
     ok = profile.values <= epsilon
     if not np.any(ok):
         return 0.0
@@ -218,10 +210,8 @@ def nn_sample_bound(d: int, epsilon: float, delta: float, r_eps: float) -> float
     """Sample size ensuring 1-NN on the 0.5-adaptive augmentation has binary
     loss at most epsilon with probability 1 - delta:
     3^d d^(d/2) / (e * r_eps^d * epsilon * delta)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if not (0.0 < epsilon <= 1.0 and 0.0 < delta <= 1.0):
-        raise ValueError("epsilon and delta must lie in (0, 1]")
-    if not r_eps > 0.0:
-        raise ValueError("the bound is undefined for r_eps = 0")
+    check_range("d", d, "[1, inf)")
+    check_range("epsilon", epsilon, "(0, 1]")
+    check_range("delta", delta, "(0, 1]")
+    check_range("r_eps", r_eps, "(0, inf]")
     return (3.0**d * d ** (0.5 * d)) / (math.e * r_eps**d * epsilon * delta)

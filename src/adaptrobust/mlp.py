@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BatchFirst, LabeledDataset, RandomStream, read_text_lines, write_text_lines
+from .core import BatchFirst, LabeledDataset, RandomStream, check_range, read_text_lines, write_text_lines
 
 # Per-layer views of one flat parameter or gradient vector; b3 has shape (1,).
 _Layers = namedtuple("_Layers", "w1 b1 w2 b2 w3 b3")
@@ -59,17 +59,15 @@ class TrainSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1 or not self.learning_rate > 0.0:
-            raise ValueError("batch size and learning rate must be positive")
+        check_range("epochs", self.epochs, "[0, inf)")
+        check_range("batch_size", self.batch_size, "[1, inf)")
+        check_range("learning_rate", self.learning_rate, "(0, inf]")
 
 
 def init(d: int, seed: int) -> MlpModel:
     """A d -> 10 -> 10 -> 1 network: Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in))
     weights, zero biases."""
-    if d < 1:
-        raise ValueError("input dimension must be >= 1")
+    check_range("d", d, "[1, inf)")
     stream = RandomStream(seed)
 
     def layer(fan_in, fan_out):
@@ -182,8 +180,7 @@ def load_model(path) -> MlpModel:
     try:
         d, h1, h2 = (int(v) for v in lines[1].split(","))
         vec = np.array([float(v) for v in lines[2:]], dtype=np.float64)
-        if min(d, h1, h2) < 1:
-            raise ValueError("layer sizes must be positive")
+        check_range("layer size", [d, h1, h2], "[1, inf)")
         return MlpModel(vec, d, (h1, h2))
     except ValueError as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from None

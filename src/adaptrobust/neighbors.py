@@ -135,12 +135,9 @@ class GridIndex:
             if owner.size == 0:
                 continue
             cid, cnt = cid[owner - lo, k], cnt[owner - lo, k]
-            # pairs come ordered by query: split them at query boundaries
-            qstart = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
-            bounds = np.r_[qstart, owner.size]
-            for a, b in _pieces(np.add.reduceat(cnt, qstart) * (self.dim + 4), _PIECE):
-                s, e = bounds[a], bounds[b]
-                self._scan_cells(Q, active, owner[s:e], cid[s:e], cnt[s:e], best, arg)
+            # a query's cells may fall into two pieces: the merge keeps ties exact
+            for a, b in _pieces(cnt * (self.dim + 4), _PIECE):
+                self._scan_cells(Q, active, owner[a:b], cid[a:b], cnt[a:b], best, arg)
 
     def _scan_cells(self, Q, active, owner, cid, cnt, best, arg) -> None:
         """Merge the points of cells `cid` into the best answers of queries
@@ -149,11 +146,11 @@ class GridIndex:
         pos = np.arange(ends[-1]) + np.repeat(self._starts[cid] - (ends - cnt), cnt)
         q = active[owner]
         d2 = sq_dists_to(self._pts[pos], np.repeat(Q[q], cnt, axis=0))
-        pair0 = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+        pair0 = np.flatnonzero(np.diff(owner, prepend=-1))
         first = (ends - cnt)[pair0]
         gmin = np.minimum.reduceat(d2, first)
         # the smallest index among each query's candidates at its minimum
-        hit = np.flatnonzero(d2 == np.repeat(gmin, np.diff(np.r_[first, d2.size])))
+        hit = np.flatnonzero(d2 == np.repeat(gmin, np.diff(first, append=d2.size)))
         gidx = np.minimum.reduceat(self._order[pos[hit]],
                                    np.searchsorted(hit, first))
         q = q[pair0]

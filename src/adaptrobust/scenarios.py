@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BatchFirst, RandomStream
+from .core import BatchFirst, RandomStream, check_range
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,10 +32,10 @@ class FiniteDistribution:
             raise ValueError("points, mu, mass must have matching lengths")
         if not np.all(np.isfinite(pts)):
             raise ValueError("atom coordinates must be finite")
-        if not (np.all(mass > 0.0) and abs(float(mass.sum()) - 1.0) <= 1e-12):
-            raise ValueError("masses must be positive and sum to 1")
-        if not np.all((mu >= 0.0) & (mu <= 1.0)):
-            raise ValueError("regression values must lie in [0, 1]")
+        check_range("mass", mass, "(0, inf]")
+        if not abs(float(mass.sum()) - 1.0) <= 1e-12:
+            raise ValueError("masses must sum to 1")
+        check_range("mu", mu, "[0, 1]")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "mass", mass)
@@ -48,6 +48,10 @@ class FiniteDistribution:
 @dataclass(frozen=True)
 class ConstantClassifier(BatchFirst):
     label: int
+
+    def __post_init__(self):
+        if self.label not in (0, 1):
+            raise ValueError(f"label {self.label!r}: must be 0 or 1")
 
     def predict_batch(self, X) -> np.ndarray:
         return np.full(np.asarray(X).shape[0], self.label, dtype=np.int64)
@@ -68,8 +72,9 @@ class HalfspaceClassifier(BatchFirst):
     above_label: int
 
     def __post_init__(self):
-        if np.isnan(self.threshold):
-            raise ValueError("threshold must not be NaN")
+        check_range("threshold", self.threshold, "[-inf, inf]")
+        if self.above_label not in (0, 1):
+            raise ValueError(f"above_label {self.above_label!r}: must be 0 or 1")
 
     def predict_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -118,8 +123,7 @@ def exact_robust_loss(h, D: FiniteDistribution, r: float) -> float:
     analytically (only defined for classifiers exposing in_margin)."""
     if not hasattr(h, "in_margin"):
         raise ValueError("exact robust loss needs an analytic-margin classifier")
-    if not r >= 0.0:
-        raise ValueError("radius must be >= 0")
+    check_range("r", r, "[0, inf]")
     return float(np.sum(D.mass * np.where(h.in_margin(D.points, r), 1.0, _atom_errors(h, D))))
 
 
@@ -150,8 +154,7 @@ def scenario_two_point(gap: float) -> FiniteDistribution:
     robust-optimal predictors disagree on half the mass. The distribution is
     strongly separable (margin rate 0 below gap/2).
     """
-    if not gap > 0.0:
-        raise ValueError("gap must be positive")
+    check_range("gap", gap, "(0, inf]")
     return FiniteDistribution(
         points=np.array([[0.0], [gap]]), mu=np.array([0.0, 1.0]), mass=np.array([0.5, 0.5])
     )
@@ -181,8 +184,7 @@ class TwoRectangles:
     epsilon: float
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie strictly between 0 and 1")
+        check_range("epsilon", self.epsilon, "(0, 1)")
 
     def sampler(self, stream: RandomStream, n: int) -> np.ndarray:
         side = stream.integers(0, 2, n)
@@ -210,8 +212,7 @@ class TwoRectangles:
     def margin_slab_mass(self, r: float) -> float:
         """Mass of the bayes predictor's radius-r margin: the |x2| < r slab
         covers fraction r of each unit-width, height-2 rectangle."""
-        if not r >= 0.0:
-            raise ValueError("radius must be >= 0")
+        check_range("r", r, "[0, inf]")
         return min(1.0, r)
 
 

@@ -91,3 +91,41 @@ def test_every_public_dataclass_field_is_read():
     unread = sorted(f for tree in src for f in dataclass_fields(tree)
                     if f.split(".")[1] not in read)
     assert unread == []
+
+
+def literal_intervals(tree):
+    """(line, text) of every literal interval passed to `check_range` (its
+    third argument) or to the CLI's `_check` (a keyword value, or a keyword
+    of the module-level `dict(...)` a `**name` argument unpacks)."""
+    dicts = {t.id: n.value for n in tree.body if isinstance(n, ast.Assign)
+             for t in n.targets if isinstance(t, ast.Name) and isinstance(n.value, ast.Call)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name == "check_range":
+            values = node.args[2:3] + [k.value for k in node.keywords if k.arg == "interval"]
+        elif name == "_check":
+            values = [k.value for k in node.keywords if k.arg is not None]
+            values += [v.value for k in node.keywords if k.arg is None
+                       for v in dicts[k.value.id].keywords]
+        else:
+            continue
+        yield from ((v.lineno, v.value) for v in values
+                    if isinstance(v, ast.Constant) and isinstance(v.value, str))
+
+
+def test_every_literal_interval_parses():
+    # a typo in a rarely reached check would otherwise show only when it fires
+    found, bad = 0, []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for line, text in literal_intervals(ast.parse(path.read_text(encoding="utf-8"))):
+            found += 1
+            m = re.fullmatch(r"[\[(](\S+), (\S+)[\])]", text)
+            try:
+                ok = m is not None and float(m[1]) <= float(m[2])
+            except ValueError:
+                ok = False
+            if not ok:
+                bad.append(f"{path.name}:{line}: {text!r}")
+    assert bad == [] and found >= 50

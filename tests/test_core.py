@@ -11,6 +11,7 @@ from adaptrobust.core import (
     LabeledDataset,
     RandomStream,
     as_point,
+    check_range,
     sq_dists_to,
     write_text_lines,
 )
@@ -122,6 +123,68 @@ def test_as_point_rejects_bad_input():
         as_point([[1.0, 2.0]])
     with pytest.raises(ValueError):
         as_point([np.inf])
+
+
+# --- the one interval rule --------------------------------------------------------
+
+ENDS = st.floats(allow_nan=False) | st.sampled_from([-math.inf, math.inf, -1.0, 0.0, 1.0])
+
+
+@st.composite
+def intervals(draw):
+    """(text, lo, hi, left, right) of an interval with lo <= hi, ends possibly infinite."""
+    lo, hi = sorted([draw(ENDS), draw(ENDS)])
+    left, right = draw(st.sampled_from("[(")), draw(st.sampled_from("])"))
+    return f"{left}{lo!r}, {hi!r}{right}", lo, hi, left, right
+
+
+def lies_in(x, lo, hi, left, right) -> bool:
+    """Between the ends, and not on an open one."""
+    return lo <= x <= hi and not (x == lo and left == "(") and not (x == hi and right == ")")
+
+
+@settings(max_examples=300, deadline=None)
+@given(intervals(), st.data())
+def test_check_range_accepts_exactly_the_interval(iv, data):
+    text, lo, hi, left, right = iv
+    x = data.draw(st.sampled_from([lo, hi]) | st.floats(allow_nan=False))
+    if lies_in(x, lo, hi, left, right):
+        check_range("v", x, text)
+    else:
+        with pytest.raises(ValueError) as err:
+            check_range("v", x, text)
+        assert str(err.value) == f"v {x!r}: must lie in {text}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(intervals())
+def test_nan_and_none_lie_in_no_interval(iv):
+    text = iv[0]
+    for bad in (math.nan, None, [math.nan]):
+        with pytest.raises(ValueError, match=r"^v (nan|None): must lie in "):
+            check_range("v", bad, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(intervals(), st.lists(st.floats(allow_nan=True), min_size=1, max_size=6), st.booleans())
+def test_an_array_passes_only_when_every_element_passes(iv, xs, column):
+    text, lo, hi, left, right = iv
+    values = np.array(xs).reshape(-1, 1) if column else xs
+    failing = [x for x in xs if not lies_in(x, lo, hi, left, right)]
+    if not failing:
+        check_range("v", values, text)
+    else:
+        with pytest.raises(ValueError) as err:
+            check_range("v", values, text)
+        assert str(err.value) == f"v {failing[0]!r}: must lie in {text}"
+
+
+def test_check_range_message_shows_the_value_as_given():
+    with pytest.raises(ValueError) as err:
+        check_range("--n", 1, "[2, inf)")
+    assert str(err.value) == "--n 1: must lie in [2, inf)"
+    check_range("n", 10**400, "[2, inf)")  # an int too large for a float still compares
+    check_range("threshold", -math.inf, "[-inf, inf]")
 
 
 # --- text output ------------------------------------------------------------------

@@ -1,15 +1,19 @@
-"""Library range checks reject NaN: each is written so that NaN fails it
-(`not r >= 0.0`), not so that only a value on the wrong side does."""
+"""Library range checks reject NaN with an error that names the parameter:
+every interval check is one `core.check_range` call, and NaN lies in no
+interval."""
 import math
+import re
 
 import numpy as np
 import pytest
 
 from adaptrobust.augment import ExpansionSpec, expand, sample_ball_uniform
 from adaptrobust.core import LabeledDataset, RandomStream
+from adaptrobust.datagen import ShapeSpec
 from adaptrobust.losses import (
     adaptive_robust_empirical,
     adaptive_robust_testtime,
+    disagreement_mass,
     robust_loss_fixed_grid,
 )
 from adaptrobust.margin import MarginProfile, margin_profile, nn_sample_bound
@@ -32,38 +36,50 @@ def uniform_square(stream, n):
     return stream.uniform((n, 2))
 
 
+# id: (the name the error message starts with, the call)
 CASES = {
-    "train-learning-rate": lambda: TrainSpec(learning_rate=NAN),
-    "expansion-c": lambda: ExpansionSpec(c=NAN),
-    "expansion-fixed-radius": lambda: ExpansionSpec(fixed_radius=NAN),
-    "expand-c": lambda: expand(S, NAN),
-    "ball-radius": lambda: sample_ball_uniform(np.zeros((3, 2)), NAN, RandomStream(0)),
-    "fixed-grid-radius": lambda: robust_loss_fixed_grid(H, S, [NAN], stream=RandomStream(0)),
-    "fixed-grid-later-radius": lambda: robust_loss_fixed_grid(H, S, [0.1, NAN],
-                                                              stream=RandomStream(0)),
-    "adaptive-empirical-c": lambda: adaptive_robust_empirical(H, S, c=NAN,
-                                                              stream=RandomStream(0)),
-    "adaptive-testtime-factor": lambda: adaptive_robust_testtime(H, S, S, factor=NAN,
-                                                                 stream=RandomStream(0)),
-    "margin-radius": lambda: margin_profile(uniform_square, H, [NAN], N=4,
-                                            stream=RandomStream(0)),
-    "margin-later-radius": lambda: margin_profile(uniform_square, H, [0.1, NAN], N=4,
-                                                  stream=RandomStream(0)),
-    "exact-robust-radius": lambda: exact_robust_loss(H, scenario_two_point(1.0), NAN),
-    "slab-radius": lambda: scenario_two_rectangles(0.2).margin_slab_mass(NAN),
-    "sample-bound-radius": lambda: nn_sample_bound(2, 0.1, 0.1, NAN),
-    "two-point-gap": lambda: scenario_two_point(NAN),
-    "atom-mass": lambda: FiniteDistribution([[0.0], [1.0]], [0.0, 1.0], [NAN, 0.5]),
-    "atom-mu": lambda: FiniteDistribution([[0.0], [1.0]], [NAN, 1.0], [0.5, 0.5]),
-    "atom-point": lambda: FiniteDistribution([[NAN], [1.0]], [0.0, 1.0], [0.5, 0.5]),
-    "profile-radius": lambda: MarginProfile([NAN], [0.5]),
-    "profile-later-radius": lambda: MarginProfile([0.1, NAN], [0.1, 0.5]),
-    "halfspace-threshold": lambda: HalfspaceClassifier(axis=0, threshold=NAN, above_label=1),
+    "train-learning-rate": ("learning_rate", lambda: TrainSpec(learning_rate=NAN)),
+    "train-epochs": ("epochs", lambda: TrainSpec(epochs=NAN)),
+    "train-batch-size": ("batch_size", lambda: TrainSpec(batch_size=NAN)),
+    "expansion-c": ("c", lambda: ExpansionSpec(c=NAN)),
+    "expansion-fixed-radius": ("fixed_radius", lambda: ExpansionSpec(fixed_radius=NAN)),
+    "expansion-m": ("m", lambda: ExpansionSpec(c=0.5, m=NAN)),
+    "expand-c": ("c", lambda: expand(S, NAN)),
+    "ball-radius": ("radii", lambda: sample_ball_uniform(np.zeros((3, 2)), NAN, RandomStream(0))),
+    "fixed-grid-radius": ("radii", lambda: robust_loss_fixed_grid(H, S, [NAN],
+                                                                  stream=RandomStream(0))),
+    "fixed-grid-later-radius": ("radii", lambda: robust_loss_fixed_grid(
+        H, S, [0.1, NAN], stream=RandomStream(0))),
+    "adaptive-empirical-c": ("c", lambda: adaptive_robust_empirical(H, S, c=NAN,
+                                                                    stream=RandomStream(0))),
+    "adaptive-testtime-factor": ("factor", lambda: adaptive_robust_testtime(
+        H, S, S, factor=NAN, stream=RandomStream(0))),
+    "disagreement-n": ("N", lambda: disagreement_mass(H, H, uniform_square, NAN,
+                                                      RandomStream(0))),
+    "margin-radius": ("radius grid", lambda: margin_profile(uniform_square, H, [NAN], N=4,
+                                                            stream=RandomStream(0))),
+    "margin-later-radius": ("radius grid", lambda: margin_profile(
+        uniform_square, H, [0.1, NAN], N=4, stream=RandomStream(0))),
+    "margin-n": ("N", lambda: margin_profile(uniform_square, H, [0.1], N=NAN,
+                                             stream=RandomStream(0))),
+    "exact-robust-radius": ("r", lambda: exact_robust_loss(H, scenario_two_point(1.0), NAN)),
+    "slab-radius": ("r", lambda: scenario_two_rectangles(0.2).margin_slab_mass(NAN)),
+    "sample-bound-radius": ("r_eps", lambda: nn_sample_bound(2, 0.1, 0.1, NAN)),
+    "two-point-gap": ("gap", lambda: scenario_two_point(NAN)),
+    "atom-mass": ("mass", lambda: FiniteDistribution([[0.0], [1.0]], [0.0, 1.0], [NAN, 0.5])),
+    "atom-mu": ("mu", lambda: FiniteDistribution([[0.0], [1.0]], [NAN, 1.0], [0.5, 0.5])),
+    "atom-point": ("atom coordinates", lambda: FiniteDistribution([[NAN], [1.0]], [0.0, 1.0],
+                                                                  [0.5, 0.5])),
+    "profile-radius": ("radius grid", lambda: MarginProfile([NAN], [0.5])),
+    "profile-later-radius": ("radius grid", lambda: MarginProfile([0.1, NAN], [0.1, 0.5])),
+    "profile-value": ("values", lambda: MarginProfile([0.1, 0.2], [NAN, 0.5])),
+    "halfspace-threshold": ("threshold", lambda: HalfspaceClassifier(axis=0, threshold=NAN,
+                                                                     above_label=1)),
+    "shape-n": ("n", lambda: ShapeSpec("circles", NAN, 0)),
 }
 
 
-@pytest.mark.parametrize("call", CASES.values(), ids=CASES.keys())
-def test_range_checks_reject_nan(call):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("name, call", CASES.values(), ids=CASES.keys())
+def test_range_checks_reject_nan(name, call):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
         call()
-

@@ -54,6 +54,15 @@ def test_distribution_validation():
         FiniteDistribution([[np.inf], [1.0]], [0.0, 1.0], [0.5, 0.5])
 
 
+@pytest.mark.parametrize("label", [2, -1, 0.5, np.nan])
+def test_scenario_classifiers_take_only_labels_0_and_1(label):
+    # a label outside {0, 1} would be counted as 1 by the exact losses
+    with pytest.raises(ValueError, match="^above_label "):
+        HalfspaceClassifier(0, 0.5, label)
+    with pytest.raises(ValueError, match="^label "):
+        ConstantClassifier(label)
+
+
 # --- exact losses -----------------------------------------------------------------------
 
 def test_exact_binary_trivials():
