@@ -27,16 +27,16 @@ class ExpansionSpec:
         if (self.c is None) == (self.fixed_radius is None):
             raise ValueError("give exactly one of c and fixed_radius")
         if self.c is not None:
-            check_range("c", self.c, "[0, inf]")
+            check_range("c", self.c, "[0, inf)")
         if self.fixed_radius is not None:
-            check_range("fixed_radius", self.fixed_radius, "[0, inf]")
-        check_range("m", self.m, "[1, inf)")
+            check_range("fixed_radius", self.fixed_radius, "[0, inf)")
+        check_range("m", self.m, "[1, inf) int")
 
 
 def expand(S: LabeledDataset, c: float) -> np.ndarray:
     """c-adaptive expansion radii: ball i is centred on x_i, keeps label y_i and
     has radius c * rho_S(x_i, y_i)."""
-    check_range("c", c, "[0, inf]")
+    check_range("c", c, "[0, inf)")
     return c * rho_all(S)
 
 
@@ -44,7 +44,7 @@ def sample_ball_uniform(centers, radii, stream: RandomStream) -> np.ndarray:
     """Uniform draws from the balls around `centers` (shape (..., d)), with
     `radii` broadcast over the leading axes. All Gaussians are drawn before all
     uniforms, so the draws depend only on the stream and the leading shape."""
-    check_range("radii", radii, "[0, inf]")
+    check_range("radii", radii, "[0, inf)")
     centers = np.asarray(centers, dtype=np.float64)
     radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), centers.shape[:-1])
     return centers + radii[..., None] * _unit_ball(stream.normal(centers.shape),

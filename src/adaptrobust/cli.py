@@ -26,7 +26,7 @@ from click.core import ParameterSource
 
 from . import datagen, losses, margin, mlp, scenarios
 from .augment import ExpansionSpec, augment as augment_data
-from .core import LabeledDataset, RandomStream, check_range, read_text_lines, write_text_lines
+from .core import LabeledDataset, RandomStream, check_range, radius_grid, read_text_lines, write_text_lines
 from .neighbors import NnClassifier
 
 FULL_FIXED_RADII = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
@@ -462,9 +462,10 @@ def cmd_margin(cfg):
     if (cfg["shape"] is None) == (cfg["data"] is None):
         raise click.ClickException("give exactly one of --shape and --data")
     _check(cfg, n="[1, inf)", probes="[0, inf)", epsilon="(0, 1]", seed="[0, inf)")
-    radii = _parse_radii(cfg["grid"], "--grid")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise click.ClickException(f"--grid {cfg['grid']!r}: radii must be strictly increasing")
+    try:
+        radii = radius_grid(_parse_radii(cfg["grid"], "--grid"))
+    except ValueError as exc:
+        raise click.ClickException(f"--grid {cfg['grid']!r}: {exc}") from None
     if cfg["shape"] is not None:
         geom = datagen.shape_geometry(cfg["shape"])
         support0 = geom.class_support(0, 10000)
@@ -558,7 +559,7 @@ def _scenario_report(cfg: dict):
         add("threshold_robust_loss_r=0.1", scenarios.exact_robust_loss(h, D, 0.1), 4, claimed=0)
         add("best_robust_loss_r=0.1", v_rob, 4, claimed=0)
     else:  # two_rectangles
-        sc = scenarios.scenario_two_rectangles(cfg["epsilon"])
+        sc = scenarios.TwoRectangles(cfg["epsilon"])
         stream = RandomStream(seed)
         dis = losses.disagreement_mass(sc.bayes, sc.robust_bayes, sc.sampler, mc, stream)
         add("disagreement_mass", dis, mc, claimed="1/2")

@@ -28,14 +28,30 @@ def as_point(values) -> np.ndarray:
 def check_range(name: str, value, interval: str) -> None:
     """The one interval rule: ValueError("<name> <value>: must lie in <interval>")
     unless `value` (a number, or every element of an array) lies in `interval`,
-    written like "[0, 1)" or "(0, inf]"; NaN and None lie in none. The value
-    shown is a number's repr or an array's first failing element."""
-    lo, hi = (float(b) for b in interval[1:-1].split(","))
+    written like "[0, 1)" or "(0, inf]"; NaN and None lie in none. The integer
+    form, like "[1, inf) int", also asks for a Python or numpy integer or an
+    integer array, not a bool. The value shown is a number's repr or an array's
+    first failing element."""
+    bounds = interval.removesuffix(" int")
+    lo, hi = (float(b) for b in bounds[1:-1].split(","))
     v = value if isinstance(value, numbers.Real) else np.asarray(value, dtype=np.float64)
-    ok = (lo < v if interval[0] == "(" else lo <= v) & (v < hi if interval[-1] == ")" else v <= hi)
+    ok = (lo < v if bounds[0] == "(" else lo <= v) & (v < hi if bounds[-1] == ")" else v <= hi)
+    if bounds != interval:
+        ok &= (not isinstance(value, bool) if isinstance(value, numbers.Integral)
+               else np.asarray(value).dtype.kind in "iu")
     if not np.all(ok):
         shown = value if np.ndim(v) == 0 else v[~ok][0].item()
         raise ValueError(f"{name} {shown!r}: must lie in {interval}")
+
+
+def radius_grid(radii) -> np.ndarray:
+    """The one radius-grid rule: the radii as floats, a nonempty, strictly
+    increasing 1-D grid of finite radii >= 0 (NaN fails)."""
+    r = np.asarray(radii, dtype=np.float64)
+    if not (r.ndim == 1 and r.shape[0] > 0 and np.all(np.diff(r) > 0.0) and r[0] >= 0.0
+            and np.isfinite(r[-1])):
+        raise ValueError("radius grid must be nonempty, 1-D, strictly increasing, finite and >= 0")
+    return r
 
 
 def read_text_lines(path) -> list[str]:

@@ -28,7 +28,7 @@ class ShapeSpec:
     def __post_init__(self):
         if self.shape not in SHAPE_NAMES:
             raise ValueError(f"unknown shape {self.shape!r}; expected one of {SHAPE_NAMES}")
-        check_range("n", self.n, "[2, inf)")  # both classes are represented
+        check_range("n", self.n, "[2, inf) int")  # both classes are represented
         check_range("label_noise", self.label_noise, "[0, 1)")
 
 

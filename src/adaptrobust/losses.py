@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import point_offsets
-from .core import Classifier, LabeledDataset, RandomStream, check_range
+from .core import Classifier, LabeledDataset, RandomStream, check_range, radius_grid
 from .neighbors import rho, rho_all
 
 REPORT_CSV_HEADER = "loss_name,value,probes,seed,n"
@@ -84,16 +84,13 @@ def _probe_losses(h: Classifier, D: LabeledDataset, scales, probes: int,
 
 def robust_loss_fixed_grid(h: Classifier, D: LabeledDataset, radii, probes: int = 100, *,
                            stream: RandomStream) -> list[LossReport]:
-    """Probe estimate of the fixed-radius robust loss on a nondecreasing
-    radius grid: an item counts at r when it is misclassified or any of
-    `probes` uniform draws from the radius-r ball around it receives a label
-    different from the true one. Flags accumulate over the grid, so the values
-    are nondecreasing in r."""
-    radii = [float(r) for r in radii]
-    check_range("radii", radii, "[0, inf]")
-    if any(b < a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radius grid must be nondecreasing")
-    check_range("probes", probes, "[0, inf)")
+    """Probe estimate of the fixed-radius robust loss on a radius grid (the
+    `core.radius_grid` rule): an item counts at r when it is misclassified or
+    any of `probes` uniform draws from the radius-r ball around it receives a
+    label different from the true one. Flags accumulate over the grid, so the
+    values are nondecreasing in r."""
+    radii = radius_grid(radii)
+    check_range("probes", probes, "[0, inf) int")
     scales = [(f"robust_fixed_r={r:g}", np.full(D.n, r)) for r in radii]
     return _probe_losses(h, D, scales, probes, stream)
 
@@ -103,8 +100,8 @@ def adaptive_robust_empirical(h: Classifier, S: LabeledDataset, c: float = 0.5,
     """Probe estimate of the empirical adaptive robust loss on S: item i counts
     when h mislabels x_i or any probe from the ball of radius c * rho_S(x_i, y_i)
     gets a label other than y_i."""
-    check_range("c", c, "(0, inf]")
-    check_range("probes", probes, "[1, inf)")
+    check_range("c", c, "(0, inf)")
+    check_range("probes", probes, "[1, inf) int")
     scales = [(f"adaptive_empirical_c={c:g}", c * rho_all(S))]
     return _probe_losses(h, S, scales, probes, stream)[0]
 
@@ -118,8 +115,8 @@ def adaptive_robust_testtime(h: Classifier, test: LabeledDataset, ref: LabeledDa
     flips."""
     if len(ref.classes()) < 2:
         raise ValueError("reference set must contain at least two classes")
-    check_range("factor", factor, "(0, inf]")
-    check_range("probes", probes, "[1, inf)")
+    check_range("factor", factor, "(0, inf)")
+    check_range("probes", probes, "[1, inf) int")
     scales = [(f"adaptive_testtime_f={factor:g}", factor * rho(ref, test.points, test.labels))]
     return _probe_losses(h, test, scales, probes, stream)[0]
 
@@ -127,6 +124,6 @@ def adaptive_robust_testtime(h: Classifier, test: LabeledDataset, ref: LabeledDa
 def disagreement_mass(h1: Classifier, h2: Classifier, sampler, N: int,
                       stream: RandomStream) -> float:
     """Monte-Carlo estimate of the sampler mass where h1 and h2 disagree."""
-    check_range("N", N, "[1, inf)")
+    check_range("N", N, "[1, inf) int")
     X = np.asarray(sampler(stream, N), dtype=np.float64)
     return float(np.mean(h1.predict_batch(X) != h2.predict_batch(X)))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import sample_ball_uniform
-from .core import BatchFirst, Classifier, RandomStream, check_range, write_text_lines
+from .core import BatchFirst, Classifier, RandomStream, check_range, radius_grid, write_text_lines
 from .losses import probe_flags
 from .neighbors import GridIndex
 
@@ -129,14 +129,6 @@ def _flip_distances_batch(h: Classifier, X: np.ndarray, W: np.ndarray,
     return hi
 
 
-def _radius_grid(radii) -> np.ndarray:
-    """The radii as floats: a nonempty, strictly increasing 1-D grid from >= 0 (NaN fails)."""
-    r = np.asarray(radii, dtype=np.float64)
-    if not (r.ndim == 1 and r.shape[0] > 0 and np.all(np.diff(r) > 0.0) and r[0] >= 0.0):
-        raise ValueError("radius grid must be nonempty, 1-D, strictly increasing and >= 0")
-    return r
-
-
 @dataclass(frozen=True, eq=False)
 class MarginProfile:
     """Tabulated margin-rate estimate: nondecreasing values over a radius grid."""
@@ -145,7 +137,7 @@ class MarginProfile:
     values: np.ndarray
 
     def __post_init__(self):
-        r = _radius_grid(self.radii)
+        r = radius_grid(self.radii)
         v = np.asarray(self.values, dtype=np.float64)
         if r.shape != v.shape:
             raise ValueError("radii and values must have matching shapes")
@@ -171,9 +163,9 @@ def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100, *,
     has `opposite_witness(X) -> (W, safe)`: h labels W_i unlike x_i, and no
     probe of x_i flips its label at radii <= safe_i (-inf: none certified).
     """
-    radii = _radius_grid(radii)
-    check_range("N", N, "[1, inf)")
-    check_range("probes", probes, "[0, inf)")
+    radii = radius_grid(radii)
+    check_range("N", N, "[1, inf) int")
+    check_range("probes", probes, "[0, inf) int")
     X = np.asarray(sampler(stream.child(0), N), dtype=np.float64)
     preds = h.predict_batch(X)
 
@@ -210,7 +202,7 @@ def nn_sample_bound(d: int, epsilon: float, delta: float, r_eps: float) -> float
     """Sample size ensuring 1-NN on the 0.5-adaptive augmentation has binary
     loss at most epsilon with probability 1 - delta:
     3^d d^(d/2) / (e * r_eps^d * epsilon * delta)."""
-    check_range("d", d, "[1, inf)")
+    check_range("d", d, "[1, inf) int")
     check_range("epsilon", epsilon, "(0, 1]")
     check_range("delta", delta, "(0, 1]")
     check_range("r_eps", r_eps, "(0, inf]")

@@ -44,12 +44,6 @@ class MlpModel:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "layers", _layers(params, self.dim, *self.widths))
 
-    def flatten(self) -> np.ndarray:
-        return self.params.copy()
-
-    def from_flat(self, vec: np.ndarray) -> "MlpModel":
-        return MlpModel(vec, self.dim, self.widths)
-
 
 @dataclass(frozen=True)
 class TrainSpec:
@@ -59,15 +53,15 @@ class TrainSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_range("epochs", self.epochs, "[0, inf)")
-        check_range("batch_size", self.batch_size, "[1, inf)")
-        check_range("learning_rate", self.learning_rate, "(0, inf]")
+        check_range("epochs", self.epochs, "[0, inf) int")
+        check_range("batch_size", self.batch_size, "[1, inf) int")
+        check_range("learning_rate", self.learning_rate, "(0, inf)")
 
 
 def init(d: int, seed: int) -> MlpModel:
     """A d -> 10 -> 10 -> 1 network: Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in))
     weights, zero biases."""
-    check_range("d", d, "[1, inf)")
+    check_range("d", d, "[1, inf) int")
     stream = RandomStream(seed)
 
     def layer(fan_in, fan_out):
@@ -136,7 +130,7 @@ def train(model: MlpModel, data: LabeledDataset, spec: TrainSpec) -> MlpModel:
     place."""
     if not set(np.unique(data.labels)) <= {0, 1}:
         raise ValueError("the network is binary; labels must be 0/1")
-    params = model.flatten()
+    params = model.params.copy()
     grads = np.empty_like(params)
     P, G = (_layers(v, model.dim, *model.widths) for v in (params, grads))
     X, y = data.points, data.labels.astype(np.float64)
@@ -147,7 +141,7 @@ def train(model: MlpModel, data: LabeledDataset, spec: TrainSpec) -> MlpModel:
             idx = perm[start:start + spec.batch_size]
             _backprop(G, P, X[idx], y[idx])
             params -= spec.learning_rate * grads
-    return model.from_flat(params)
+    return MlpModel(params, model.dim, model.widths)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +174,7 @@ def load_model(path) -> MlpModel:
     try:
         d, h1, h2 = (int(v) for v in lines[1].split(","))
         vec = np.array([float(v) for v in lines[2:]], dtype=np.float64)
-        check_range("layer size", [d, h1, h2], "[1, inf)")
+        check_range("layer size", [d, h1, h2], "[1, inf) int")
         return MlpModel(vec, d, (h1, h2))
     except ValueError as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from None

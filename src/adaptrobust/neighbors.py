@@ -1,11 +1,10 @@
 """Exact nearest-neighbour queries: the grid index, nearest-opposite-label
 radii and 1-NN classification.
 
-Every nearest-neighbour query in the package goes through `GridIndex`, except
-the scalar `rho(S, x, y)`: that is the defining scan, the reference the batched
-forms are tested against. The index computes each candidate distance with
-`core.sq_dists_to`, so its answers are bit-identical to a brute-force linear
-scan, and ties go to the smallest index.
+Every nearest-neighbour query in the package goes through `GridIndex`. The
+index computes each candidate distance with `core.sq_dists_to`, so its answers
+are bit-identical to a brute-force linear scan, and ties go to the smallest
+index.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import BatchFirst, LabeledDataset, as_point, sq_dists_to
+from .core import BatchFirst, LabeledDataset, sq_dists_to
 
 _PER_CELL = 4           # target mean number of points per grid cell
 _MAX_AXES = 3           # gridded coordinates; the others only add to distances
@@ -212,24 +211,12 @@ def _nearest_opposite(S: LabeledDataset, X: np.ndarray, Y: np.ndarray) -> np.nda
     return out
 
 
-def rho(S: LabeledDataset, x, y):
-    """Distance from x to the nearest point of S carrying a label != y.
-
-    `x` is one point with an integer label (returns a float, by a scan) or an
-    (m, d) batch with m labels (returns an array, through `GridIndex`; equal
-    bit for bit). Gives S.diameter_bound when no such point exists
-    (single-class data).
-    """
-    X = np.asarray(x, dtype=np.float64)
-    if X.ndim == 1:  # one point: the defining scan, the reference for batches
-        x = as_point(X)
-        if x.shape[0] != S.dim:
-            raise ValueError("query dimension mismatch")
-        mask = S.labels != y
-        if not np.any(mask):
-            return S.diameter_bound
-        return float(np.sqrt(sq_dists_to(S.points[mask], x).min()))
-    Y = np.asarray(y, dtype=np.int64)
+def rho(S: LabeledDataset, X, Y) -> np.ndarray:
+    """Distance from each row of the (m, d) batch X to the nearest point of S
+    carrying a label other than its label in Y; S.diameter_bound when there
+    is none (single-class data)."""
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.int64)
     if X.ndim != 2 or X.shape[1] != S.dim:
         raise ValueError("query dimension mismatch")
     if Y.shape != (X.shape[0],):
@@ -238,7 +225,7 @@ def rho(S: LabeledDataset, x, y):
 
 
 def rho_all(S: LabeledDataset) -> np.ndarray:
-    """rho(S, x_i, y_i) for every item of S."""
+    """rho(S, S.points, S.labels): the radius of every item of S."""
     return _nearest_opposite(S, S.points, S.labels)
 
 

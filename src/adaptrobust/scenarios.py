@@ -154,7 +154,7 @@ def scenario_two_point(gap: float) -> FiniteDistribution:
     robust-optimal predictors disagree on half the mass. The distribution is
     strongly separable (margin rate 0 below gap/2).
     """
-    check_range("gap", gap, "(0, inf]")
+    check_range("gap", gap, "(0, inf)")
     return FiniteDistribution(
         points=np.array([[0.0], [gap]]), mu=np.array([0.0, 1.0]), mass=np.array([0.5, 0.5])
     )
@@ -214,7 +214,3 @@ class TwoRectangles:
         covers fraction r of each unit-width, height-2 rectangle."""
         check_range("r", r, "[0, inf]")
         return min(1.0, r)
-
-
-def scenario_two_rectangles(epsilon: float) -> TwoRectangles:
-    return TwoRectangles(epsilon)

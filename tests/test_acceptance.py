@@ -23,11 +23,12 @@ from adaptrobust.losses import (
     disagreement_mass,
 )
 from adaptrobust.margin import margin_profile, nn_sample_bound
-from adaptrobust.mlp import bce_loss, grad, init
+from adaptrobust.mlp import MlpModel, bce_loss, grad, init
 from adaptrobust.neighbors import NnClassifier
 from adaptrobust.scenarios import (
     ConstantClassifier,
     HalfspaceClassifier,
+    TwoRectangles,
     disagreement_exact,
     enumerate_family,
     exact_best,
@@ -35,7 +36,6 @@ from adaptrobust.scenarios import (
     exact_robust_loss,
     scenario_four_point,
     scenario_two_point,
-    scenario_two_rectangles,
 )
 
 SWEEP_SHAPES = ("sines", "sfigure", "nnn", "circles", "boxes")  # the sweep fixture's shapes
@@ -63,7 +63,7 @@ def test_criterion_01_two_point_exactness():
 
 def test_criterion_02_two_rectangles_disagreement():
     t0 = time.perf_counter()
-    sc = scenario_two_rectangles(0.2)
+    sc = TwoRectangles(0.2)
     est = disagreement_mass(sc.bayes, sc.robust_bayes, sc.sampler, 100_000, RandomStream(202))
     ok = abs(est - 0.5) <= 0.01
     verdict(2, ok, f"disagreement {est:.4f} vs 0.5 +- 0.01 ({time.perf_counter() - t0:.2f}s)")
@@ -174,14 +174,14 @@ def test_criterion_08_gradient_check():
         n = int(rng.integers(4, 12))
         batch = LabeledDataset(rng.random((n, model.dim)), rng.integers(0, 2, n))
         g = grad(model, batch)
-        vec = model.flatten()
+        vec = model.params
         fd = np.empty_like(vec)
         for i in range(vec.size):
             up, down = vec.copy(), vec.copy()
             up[i] += 1e-5
             down[i] -= 1e-5
-            fd[i] = (bce_loss(model.from_flat(up), batch)
-                     - bce_loss(model.from_flat(down), batch)) / 2e-5
+            fd[i] = (bce_loss(MlpModel(up, model.dim, model.widths), batch)
+                     - bce_loss(MlpModel(down, model.dim, model.widths), batch)) / 2e-5
         rel = np.abs(g - fd) / np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-8)
         worst = max(worst, float(rel.max()))
     ok = worst < 1e-4
@@ -259,7 +259,7 @@ def test_criterion_11_margin_profiles():
     thr_err = max(abs(v - (min(t + r, 1.0) - max(t - r, 0.0)))
                   for r, v in zip(prof.radii, prof.values))
 
-    sc = scenario_two_rectangles(0.2)
+    sc = TwoRectangles(0.2)
     prof2 = margin_profile(sc.sampler, SlabBayes(sc.bayes), [0.1, 0.2], N=100_000, probes=0,
                            stream=RandomStream(1112))
     slab_err = max(abs(v - sc.margin_slab_mass(r))

@@ -94,9 +94,10 @@ def test_every_public_dataclass_field_is_read():
 
 
 def literal_intervals(tree):
-    """(line, text) of every literal interval passed to `check_range` (its
-    third argument) or to the CLI's `_check` (a keyword value, or a keyword
-    of the module-level `dict(...)` a `**name` argument unpacks)."""
+    """(line, name, text, by check_range) of every literal interval passed to
+    `check_range` (its third argument, named by its first when that is a
+    literal) or to the CLI's `_check` (a keyword value, or a keyword of the
+    module-level `dict(...)` a `**name` argument unpacks, named by its key)."""
     dicts = {t.id: n.value for n in tree.body if isinstance(n, ast.Assign)
              for t in n.targets if isinstance(t, ast.Name) and isinstance(n.value, ast.Call)}
     for node in ast.walk(tree):
@@ -104,28 +105,52 @@ def literal_intervals(tree):
             continue
         name = getattr(node.func, "id", getattr(node.func, "attr", None))
         if name == "check_range":
-            values = node.args[2:3] + [k.value for k in node.keywords if k.arg == "interval"]
+            label = getattr(node.args[0], "value", None)
+            values = [(label, v) for v in node.args[2:3]]
+            values += [(label, k.value) for k in node.keywords if k.arg == "interval"]
         elif name == "_check":
-            values = [k.value for k in node.keywords if k.arg is not None]
-            values += [v.value for k in node.keywords if k.arg is None
+            values = [(k.arg, k.value) for k in node.keywords if k.arg is not None]
+            values += [(v.arg, v.value) for k in node.keywords if k.arg is None
                        for v in dicts[k.value.id].keywords]
         else:
             continue
-        yield from ((v.lineno, v.value) for v in values
+        yield from ((v.lineno, label, v.value, name == "check_range") for label, v in values
                     if isinstance(v, ast.Constant) and isinstance(v.value, str))
+
+
+def all_literal_intervals():
+    return [(f"{path.name}:{line}", *rest) for path in sorted((ROOT / "src").rglob("*.py"))
+            for line, *rest in literal_intervals(ast.parse(path.read_text(encoding="utf-8")))]
 
 
 def test_every_literal_interval_parses():
     # a typo in a rarely reached check would otherwise show only when it fires
-    found, bad = 0, []
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        for line, text in literal_intervals(ast.parse(path.read_text(encoding="utf-8"))):
-            found += 1
-            m = re.fullmatch(r"[\[(](\S+), (\S+)[\])]", text)
-            try:
-                ok = m is not None and float(m[1]) <= float(m[2])
-            except ValueError:
-                ok = False
-            if not ok:
-                bad.append(f"{path.name}:{line}: {text!r}")
-    assert bad == [] and found >= 50
+    found = all_literal_intervals()
+    bad = []
+    for where, _, text, _ in found:
+        m = re.fullmatch(r"[\[(](\S+), (\S+)[\])]( int)?", text)
+        try:
+            ok = m is not None and float(m[1]) <= float(m[2])
+        except ValueError:
+            ok = False
+        if not ok:
+            bad.append(f"{where}: {text!r}")
+    assert bad == [] and len(found) >= 50
+
+
+# A count is an integer: a float or a bool would fail later without naming it.
+COUNTS = {"n", "m", "N", "d", "probes", "epochs", "batch_size", "layer size"}
+# An `inf]` end only where the math is defined at inf; elsewhere inf fails late.
+CLOSED_AT_INF = {"r", "r_eps", "mass", "threshold"}
+
+
+def test_every_library_count_takes_the_integer_form():
+    counts = [(where, text) for where, name, text, library in all_literal_intervals()
+              if library and name in COUNTS]
+    assert [c for c in counts if not c[1].endswith(" int")] == [] and len(counts) >= 13
+
+
+def test_an_interval_is_closed_at_inf_only_where_inf_is_defined():
+    bad = [f"{where}: {name} {text!r}" for where, name, text, _ in all_literal_intervals()
+           if text.removesuffix(" int").endswith("inf]") and name not in CLOSED_AT_INF]
+    assert bad == []

@@ -234,6 +234,7 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
     (["train", "--data", "{labels02}", "--test", "{labels02}", "--model", "mlp"], "{labels02}"),
     (["margin", "--shape", "circles", "--grid", "0.1,abc"], "--grid"),
     (["margin", "--shape", "circles", "--grid", "0.2,0.1"], "--grid"),
+    (["margin", "--shape", "circles", "--grid", "0.1,0.1"], "--grid '0.1,0.1': radius grid"),
     (["sweep", "--shapes", "circles,foo"], "'foo'"),
     (["sweep", "--fixed-radii", "0.1,-1"], "--fixed-radii"),
     (["augment", "--data", "{malformed}", "--c", "0.5"], "{malformed}"),
@@ -309,6 +310,7 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
     (SWEEP_SMALL[:-1] + ["0.1000001,0.1"], "--fixed-radii fixed0.1"),
     (["sweep", "--shapes", "circles,boxes,circles"] + SWEEP_SMALL[3:], "--shapes 'circles'"),
 ], ids=["margin-labels", "train-mlp-labels", "margin-grid", "margin-grid-order",
+        "margin-grid-repeated",
         "sweep-shapes", "sweep-radii", "malformed-csv", "train-nn1-one-class",
         "train-mlp-one-class", "train-epochs", "train-batch", "train-lr", "sweep-epochs",
         "sweep-batch", "sweep-lr", "sweep-n", "sweep-n-2", "sweep-n-3", "generate-n", "margin-n",

@@ -187,6 +187,14 @@ def test_check_range_message_shows_the_value_as_given():
     check_range("threshold", -math.inf, "[-inf, inf]")
 
 
+def test_the_integer_form_takes_integers_only():
+    for good in (3, np.int64(3), np.uint8(3), 10**400, [1, 2], np.array([1, 2], dtype=np.int32)):
+        check_range("n", good, "[1, inf) int")
+    for bad in (0, True, np.True_, 3.0, np.float64(3.0), math.nan, None, [1.0, 2.0], [True], "3"):
+        with pytest.raises(ValueError, match=r"^n .+: must lie in \[1, inf\) int$"):
+            check_range("n", bad, "[1, inf) int")
+
+
 # --- text output ------------------------------------------------------------------
 
 def test_write_text_lines_ends_every_line_in_lf(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from adaptrobust.losses import (
 )
 from adaptrobust.margin import NearestSetClassifier
 from adaptrobust.neighbors import NnClassifier, rho, rho_all
-from adaptrobust.scenarios import scenario_two_rectangles
+from adaptrobust.scenarios import TwoRectangles
 
 
 class Pointwise(BatchFirst):
@@ -129,6 +131,15 @@ def test_fixed_deterministic_given_seed():
     assert r1 == r2
 
 
+@pytest.mark.parametrize("radii", [[0.1, 0.1], [], [0.1, math.inf]],
+                         ids=["repeated", "empty", "infinite"])
+def test_fixed_grid_takes_the_one_radius_grid_rule(radii):
+    # the margin profile's rule: a repeated radius would give a duplicate report
+    D = dataset([[0.0], [1.0]], [0, 1])
+    with pytest.raises(ValueError, match="^radius grid must be"):
+        robust_loss_fixed_grid(CONST0, D, radii, stream=RandomStream(0))
+
+
 # --- adaptive empirical ---------------------------------------------------------------
 
 def test_nn_on_own_sample_has_zero_adaptive_loss_at_half():
@@ -185,7 +196,7 @@ def test_fixed_grid_is_monotone_and_losses_dominate_binary(seed, d, radii, c):
     S = random_dataset(rng, 30, d)
     h = NnClassifier(random_dataset(rng, 12, d))
     b = binary_loss(h, S).value
-    reports = robust_loss_fixed_grid(h, S, sorted(radii), probes=8, stream=RandomStream(seed))
+    reports = robust_loss_fixed_grid(h, S, sorted(set(radii)), probes=8, stream=RandomStream(seed))
     values = [rep.value for rep in reports]
     assert values[0] >= b and values == sorted(values)
     assert adaptive_robust_empirical(h, S, c=c, probes=8, stream=RandomStream(seed)).value >= b
@@ -257,7 +268,7 @@ def test_disagreement_complementary_constants():
 
 
 def test_disagreement_two_rectangles_half():
-    sc = scenario_two_rectangles(0.2)
+    sc = TwoRectangles(0.2)
     est = disagreement_mass(sc.bayes, sc.robust_bayes, sc.sampler, 100_000, RandomStream(25))
     assert abs(est - 0.5) < 0.01
 

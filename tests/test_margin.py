@@ -18,7 +18,7 @@ from adaptrobust.margin import (
     nn_sample_bound,
 )
 from adaptrobust.neighbors import NnClassifier
-from adaptrobust.scenarios import HalfspaceClassifier, scenario_two_rectangles
+from adaptrobust.scenarios import HalfspaceClassifier, TwoRectangles
 
 
 class Threshold1D:
@@ -218,7 +218,7 @@ def test_threshold_profile_matches_closed_form():
 
 
 def test_two_rectangle_slab_formula():
-    sc = scenario_two_rectangles(0.2)
+    sc = TwoRectangles(0.2)
     h = Witnessed(sc.bayes, lambda X: X * [1.0, -1.0])
     prof = margin_profile(sc.sampler, h, [0.1, 0.2], N=100_000, probes=0,
                           stream=RandomStream(6))
@@ -258,6 +258,8 @@ def test_profile_validation():
         MarginProfile(np.array([0.1, 0.2]), np.array([0.5, 0.2]))
     with pytest.raises(ValueError, match=">= 0"):
         MarginProfile(np.array([-1.0, 0.1]), np.array([0.1, 0.5]))
+    with pytest.raises(ValueError, match="finite"):
+        MarginProfile([0.1, math.inf], [0.1, 0.5])
 
 
 def test_profile_rejects_a_negative_probe_count_before_sampling():

@@ -22,13 +22,14 @@ from adaptrobust.mlp import (
 
 def fd_gradient(model, batch, step=1e-5):
     """Central finite differences of the batch loss, coordinate by coordinate."""
-    vec = model.flatten()
+    vec = model.params
     out = np.empty_like(vec)
     for i in range(vec.size):
         up, down = vec.copy(), vec.copy()
         up[i] += step
         down[i] -= step
-        out[i] = (bce_loss(model.from_flat(up), batch) - bce_loss(model.from_flat(down), batch)) / (2 * step)
+        out[i] = (bce_loss(MlpModel(up, model.dim, model.widths), batch)
+                  - bce_loss(MlpModel(down, model.dim, model.widths), batch)) / (2 * step)
     return out
 
 
@@ -44,13 +45,13 @@ def two_blobs(rng, n=200):
 
 def test_init_deterministic():
     a, b = init(2, seed=4), init(2, seed=4)
-    assert np.array_equal(a.flatten(), b.flatten())
-    assert not np.array_equal(a.flatten(), init(2, seed=5).flatten())
+    assert np.array_equal(a.params, b.params)
+    assert not np.array_equal(a.params, init(2, seed=5).params)
 
 
 def test_init_parameter_count_d2():
     # 2*10+10 + 10*10+10 + 10*1+1 = 151
-    assert init(2, seed=0).flatten().size == 151
+    assert init(2, seed=0).params.size == 151
 
 
 def test_init_biases_zero_weights_bounded():
@@ -141,7 +142,7 @@ def test_zero_epochs_is_a_noop():
     model = init(2, seed=12)
     data = two_blobs(np.random.default_rng(13))
     out = train(model, data, TrainSpec(epochs=0, seed=14))
-    assert np.array_equal(out.flatten(), model.flatten())
+    assert np.array_equal(out.params, model.params)
 
 
 def test_training_bitwise_deterministic():
@@ -149,20 +150,21 @@ def test_training_bitwise_deterministic():
     spec = TrainSpec(epochs=30, batch_size=16, learning_rate=0.1, seed=16)
     m1 = train(init(2, seed=17), data, spec)
     m2 = train(init(2, seed=17), data, spec)
-    assert np.array_equal(m1.flatten(), m2.flatten())
+    assert np.array_equal(m1.params, m2.params)
 
 
 def reference_training_curve(model, data, spec):
     """The plain loop the in-place training path must reproduce: rebuild the
     model and the batch at every step, allocate a new parameter vector."""
     stream = RandomStream(spec.seed)
-    params, history = model.flatten(), []
+    params, history = model.params, []
     for _ in range(spec.epochs):
         perm = stream.permutation(data.n)
         for start in range(0, data.n, spec.batch_size):
             batch = data.subset(perm[start:start + spec.batch_size])
-            params = params - spec.learning_rate * grad(model.from_flat(params), batch)
-        history.append(bce_loss(model.from_flat(params), data))
+            step = grad(MlpModel(params, model.dim, model.widths), batch)
+            params = params - spec.learning_rate * step
+        history.append(bce_loss(MlpModel(params, model.dim, model.widths), data))
     return params, history
 
 
@@ -175,11 +177,11 @@ def test_training_matches_reference_loop_bit_for_bit(d, epochs, batch_size):
     model = init(d, seed=30 + d)
     spec = TrainSpec(epochs=epochs, batch_size=batch_size, learning_rate=0.5, seed=40 + d)
     want_params, want_history = reference_training_curve(model, data, spec)
-    assert np.array_equal(train(model, data, spec).flatten(), want_params)
+    assert np.array_equal(train(model, data, spec).params, want_params)
     history = [bce_loss(train(model, data, replace(spec, epochs=k)), data)
                for k in range(1, epochs + 1)]
     assert history == want_history
-    assert np.array_equal(model.flatten(), init(d, seed=30 + d).flatten())  # input untouched
+    assert np.array_equal(model.params, init(d, seed=30 + d).params)  # input untouched
 
 
 @pytest.mark.parametrize("shape", SHAPE_NAMES)
@@ -220,7 +222,7 @@ def test_save_load_roundtrip(tmp_path):
     path = tmp_path / "model.txt"
     save_model(model, path)
     loaded = load_model(path)
-    assert np.array_equal(loaded.flatten(), model.flatten())
+    assert np.array_equal(loaded.params, model.params)
     assert (loaded.dim, loaded.widths) == (model.dim, model.widths)
 
 

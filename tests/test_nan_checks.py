@@ -1,6 +1,6 @@
-"""Library range checks reject NaN with an error that names the parameter:
-every interval check is one `core.check_range` call, and NaN lies in no
-interval."""
+"""Library range checks reject NaN, non-integer counts and infinite values no
+computation can use, with an error that names the parameter: every interval
+check is one `core.check_range` call, and NaN lies in no interval."""
 import math
 import re
 
@@ -17,13 +17,13 @@ from adaptrobust.losses import (
     robust_loss_fixed_grid,
 )
 from adaptrobust.margin import MarginProfile, margin_profile, nn_sample_bound
-from adaptrobust.mlp import TrainSpec
+from adaptrobust.mlp import TrainSpec, init
 from adaptrobust.scenarios import (
     FiniteDistribution,
     HalfspaceClassifier,
+    TwoRectangles,
     exact_robust_loss,
     scenario_two_point,
-    scenario_two_rectangles,
 )
 
 NAN = math.nan
@@ -46,9 +46,9 @@ CASES = {
     "expansion-m": ("m", lambda: ExpansionSpec(c=0.5, m=NAN)),
     "expand-c": ("c", lambda: expand(S, NAN)),
     "ball-radius": ("radii", lambda: sample_ball_uniform(np.zeros((3, 2)), NAN, RandomStream(0))),
-    "fixed-grid-radius": ("radii", lambda: robust_loss_fixed_grid(H, S, [NAN],
+    "fixed-grid-radius": ("radius grid", lambda: robust_loss_fixed_grid(H, S, [NAN],
                                                                   stream=RandomStream(0))),
-    "fixed-grid-later-radius": ("radii", lambda: robust_loss_fixed_grid(
+    "fixed-grid-later-radius": ("radius grid", lambda: robust_loss_fixed_grid(
         H, S, [0.1, NAN], stream=RandomStream(0))),
     "adaptive-empirical-c": ("c", lambda: adaptive_robust_empirical(H, S, c=NAN,
                                                                     stream=RandomStream(0))),
@@ -63,7 +63,7 @@ CASES = {
     "margin-n": ("N", lambda: margin_profile(uniform_square, H, [0.1], N=NAN,
                                              stream=RandomStream(0))),
     "exact-robust-radius": ("r", lambda: exact_robust_loss(H, scenario_two_point(1.0), NAN)),
-    "slab-radius": ("r", lambda: scenario_two_rectangles(0.2).margin_slab_mass(NAN)),
+    "slab-radius": ("r", lambda: TwoRectangles(0.2).margin_slab_mass(NAN)),
     "sample-bound-radius": ("r_eps", lambda: nn_sample_bound(2, 0.1, 0.1, NAN)),
     "two-point-gap": ("gap", lambda: scenario_two_point(NAN)),
     "atom-mass": ("mass", lambda: FiniteDistribution([[0.0], [1.0]], [0.0, 1.0], [NAN, 0.5])),
@@ -81,5 +81,50 @@ CASES = {
 
 @pytest.mark.parametrize("name, call", CASES.values(), ids=CASES.keys())
 def test_range_checks_reject_nan(name, call):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
+        call()
+
+
+INF = math.inf
+# Counts take the integer form of the rule: no float, bool or NaN. An `inf]`
+# end stays only where the math is defined at inf (radii of exact losses,
+# masses, thresholds); everywhere else inf is rejected up front.
+BAD_VALUE_CASES = {
+    "shape-n": ("n", lambda: ShapeSpec("circles", 10.5, 0)),
+    "expansion-m": ("m", lambda: ExpansionSpec(c=0.5, m=2.5)),
+    "train-epochs": ("epochs", lambda: TrainSpec(epochs=1.5)),
+    "train-epochs-bool": ("epochs", lambda: TrainSpec(epochs=True)),
+    "train-batch-size": ("batch_size", lambda: TrainSpec(batch_size=1.5)),
+    "train-batch-size-bool": ("batch_size", lambda: TrainSpec(batch_size=True)),
+    "init-d": ("d", lambda: init(2.5, seed=0)),
+    "fixed-grid-probes": ("probes", lambda: robust_loss_fixed_grid(
+        H, S, [0.1], probes=2.5, stream=RandomStream(0))),
+    "adaptive-empirical-probes": ("probes", lambda: adaptive_robust_empirical(
+        H, S, probes=2.5, stream=RandomStream(0))),
+    "adaptive-testtime-probes": ("probes", lambda: adaptive_robust_testtime(
+        H, S, S, probes=2.5, stream=RandomStream(0))),
+    "margin-probes": ("probes", lambda: margin_profile(uniform_square, H, [0.1], N=4, probes=2.5,
+                                                       stream=RandomStream(0))),
+    "disagreement-n": ("N", lambda: disagreement_mass(H, H, uniform_square, 3.5,
+                                                      RandomStream(0))),
+    "margin-n": ("N", lambda: margin_profile(uniform_square, H, [0.1], N=3.5,
+                                             stream=RandomStream(0))),
+    "sample-bound-d": ("d", lambda: nn_sample_bound(2.5, 0.1, 0.1, 0.1)),
+    "train-learning-rate-inf": ("learning_rate", lambda: TrainSpec(learning_rate=INF)),
+    "expansion-c-inf": ("c", lambda: ExpansionSpec(c=INF)),
+    "expansion-fixed-radius-inf": ("fixed_radius", lambda: ExpansionSpec(fixed_radius=INF)),
+    "expand-c-inf": ("c", lambda: expand(S, INF)),
+    "ball-radius-inf": ("radii", lambda: sample_ball_uniform(np.zeros((3, 2)), INF,
+                                                             RandomStream(0))),
+    "adaptive-empirical-c-inf": ("c", lambda: adaptive_robust_empirical(
+        H, S, c=INF, stream=RandomStream(0))),
+    "adaptive-testtime-factor-inf": ("factor", lambda: adaptive_robust_testtime(
+        H, S, S, factor=INF, stream=RandomStream(0))),
+    "two-point-gap-inf": ("gap", lambda: scenario_two_point(INF)),
+}
+
+
+@pytest.mark.parametrize("name, call", BAD_VALUE_CASES.values(), ids=BAD_VALUE_CASES.keys())
+def test_range_checks_reject_non_integer_counts_and_unusable_inf(name, call):
     with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
         call()

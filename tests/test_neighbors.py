@@ -22,6 +22,15 @@ def oracle_rho(S, x, y):
     return S.diameter_bound if best is None else best
 
 
+def scan_rho(S, x, y):
+    """The defining scan for one point: the reference the batched radii are
+    compared with bit for bit (same `sq_dists_to` arithmetic)."""
+    mask = S.labels != y
+    if not np.any(mask):
+        return S.diameter_bound
+    return float(np.sqrt(sq_dists_to(S.points[mask], np.asarray(x, dtype=np.float64)).min()))
+
+
 def oracle_nn(S, x):
     best_i, best_d2 = 0, math.inf
     for i in range(S.n):
@@ -42,12 +51,12 @@ def random_dataset(rng, n, d, classes=2):
 
 def test_rho_nearest_opposite():
     S = LabeledDataset(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]), np.array([0, 1, 1]))
-    assert rho(S, [0.0, 0.0], 0) == 1.0
+    assert rho(S, [[0.0, 0.0], [3.0, 0.0]], [0, 1]).tolist() == [1.0, 3.0]
 
 
 def test_rho_single_class_sentinel():
     S = LabeledDataset(np.array([[0.2, 0.2], [0.8, 0.8]]), np.array([0, 0]))
-    assert rho(S, [0.5, 0.5], 0) == pytest.approx(math.sqrt(2))
+    assert rho(S, [[0.5, 0.5]], [0])[0] == pytest.approx(math.sqrt(2))
 
 
 def test_rho_matches_bruteforce_exactly():
@@ -56,7 +65,7 @@ def test_rho_matches_bruteforce_exactly():
     for _ in range(50):
         x = rng.random(3)
         y = int(rng.integers(0, 2))
-        assert rho(S, x, y) == oracle_rho(S, x, y)
+        assert rho(S, x[None, :], [y])[0] == scan_rho(S, x, y) == oracle_rho(S, x, y)
 
 
 def test_rho_empty_dataset_errors():
@@ -71,7 +80,7 @@ def test_rho_all_matches_pointwise_rho():
         S = random_dataset(rng, 120, d)
         rhos = rho_all(S)
         for i in range(S.n):
-            assert rhos[i] == rho(S, S.points[i], int(S.labels[i]))
+            assert rhos[i] == scan_rho(S, S.points[i], int(S.labels[i]))
 
 
 @st.composite
@@ -92,7 +101,7 @@ def test_rho_all_is_pointwise_rho_bit_for_bit(S):
     subsets = [S] + [S.subset(S.labels == y) for y in (0, 1) if np.any(S.labels == y)]
     for T in subsets:  # the per-class subsets are single-class data
         rhos = rho_all(T)
-        assert [rho(T, T.points[i], int(T.labels[i])) for i in range(T.n)] == rhos.tolist()
+        assert [scan_rho(T, T.points[i], int(T.labels[i])) for i in range(T.n)] == rhos.tolist()
 
 
 @st.composite
@@ -116,11 +125,13 @@ def test_batched_rho_is_per_item_scan(case):
     S, X, Y = case
     got = rho(S, X, Y)
     assert isinstance(got, np.ndarray) and got.shape == (X.shape[0],)
-    assert got.tolist() == [rho(S, x, int(y)) for x, y in zip(X, Y)]
+    assert got.tolist() == [scan_rho(S, x, int(y)) for x, y in zip(X, Y)]
 
 
 def test_batched_rho_rejects_mismatched_labels():
     S = LabeledDataset(np.array([[0.0], [1.0]]), np.array([0, 1]))
+    with pytest.raises(ValueError, match="mismatch"):
+        rho(S, [0.0], 0)  # one point is a one-row batch
     with pytest.raises(ValueError, match="one label per query"):
         rho(S, np.zeros((3, 1)), np.array([0, 1]))
     with pytest.raises(ValueError, match="mismatch"):
@@ -133,16 +144,15 @@ def test_rho_is_one_lipschitz():
         S = random_dataset(rng, 60, d)
         xs = rng.random((2500, d))
         xs2 = xs + rng.normal(size=xs.shape) * 0.1
-        for x, x2 in zip(xs, xs2):
-            gap = abs(rho(S, x, 0) - rho(S, x2, 0))
-            assert gap <= math.sqrt(np.sum((x - x2) ** 2)) + 1e-12
+        zeros = np.zeros(len(xs), dtype=np.int64)
+        gap = np.abs(rho(S, xs, zeros) - rho(S, xs2, zeros))
+        assert np.all(gap <= np.sqrt(np.sum((xs - xs2) ** 2, axis=1)) + 1e-12)
 
 
 def test_rho_positive_at_own_points_without_conflicting_duplicates():
     rng = np.random.default_rng(3)
     S = random_dataset(rng, 100, 2)
-    for i in range(S.n):
-        assert rho(S, S.points[i], int(S.labels[i])) > 0.0
+    assert np.all(rho(S, S.points, S.labels) > 0.0)
 
 
 # --- 1-NN ----------------------------------------------------------------------

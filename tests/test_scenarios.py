@@ -12,6 +12,7 @@ from adaptrobust.scenarios import (
     ConstantClassifier,
     FiniteDistribution,
     HalfspaceClassifier,
+    TwoRectangles,
     disagreement_exact,
     enumerate_family,
     exact_best,
@@ -19,7 +20,6 @@ from adaptrobust.scenarios import (
     exact_robust_loss,
     scenario_four_point,
     scenario_two_point,
-    scenario_two_rectangles,
 )
 
 
@@ -217,7 +217,7 @@ def test_separable_line_margin_mass_vanishes_below_half_gap():
 
 
 def test_two_rectangles_support_and_losses():
-    sc = scenario_two_rectangles(0.2)
+    sc = TwoRectangles(0.2)
     stream = RandomStream(1)
     X = sc.sampler(stream, 50_000)
     inside_r1 = (X[:, 0] >= -2) & (X[:, 0] <= -1)
@@ -236,7 +236,7 @@ def test_two_rectangles_support_and_losses():
 
 
 def test_two_rectangles_mu_is_batched():
-    sc = scenario_two_rectangles(0.2)
+    sc = TwoRectangles(0.2)
     up, down = 0.5 + 0.2 / 2.0, 0.5 - 0.2 / 2.0
     # x2 == 0 (either sign of zero) belongs to the upper half
     X = np.array([[-1.5, 0.5], [1.5, -0.5], [1.2, 0.0], [-1.1, -0.0], [2.0, -1e-300]])
