@@ -1,4 +1,4 @@
-"""Adaptive robust expansion, the uniform-ball sampler and sampled augmentation.
+"""Adaptive robust expansion, the unit-ball primitive and sampled augmentation.
 Expansion makes each sample a constant-label open ball whose radius is c times
 its distance to the nearest differently-labeled sample (or a constant, for
 parameter sweeps); augmentation draws points uniformly from those balls."""
@@ -31,6 +31,7 @@ class ExpansionSpec:
         if self.fixed_radius is not None:
             check_range("fixed_radius", self.fixed_radius, "[0, inf)")
         check_range("m", self.m, "[1, inf) int")
+        check_range("seed", self.seed, "[0, inf) int")
 
 
 def expand(S: LabeledDataset, c: float) -> np.ndarray:
@@ -40,20 +41,9 @@ def expand(S: LabeledDataset, c: float) -> np.ndarray:
     return c * rho_all(S)
 
 
-def sample_ball_uniform(centers, radii, stream: RandomStream) -> np.ndarray:
-    """Uniform draws from the balls around `centers` (shape (..., d)), with
-    `radii` broadcast over the leading axes. All Gaussians are drawn before all
-    uniforms, so the draws depend only on the stream and the leading shape."""
-    check_range("radii", radii, "[0, inf)")
-    centers = np.asarray(centers, dtype=np.float64)
-    radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), centers.shape[:-1])
-    return centers + radii[..., None] * _unit_ball(stream.normal(centers.shape),
-                                                   stream.uniform(radii.shape))
-
-
-def _unit_ball(gauss, u) -> np.ndarray:
-    """The one unit-ball transform, in place on `gauss` (..., d), elementwise
-    per draw: the normalized Gaussian direction times u^(1/d)."""
+def unit_ball(gauss, u) -> np.ndarray:
+    """The one ball primitive, in place on `gauss` (..., d): per draw, the unit
+    direction times u^(1/d), uniform in the unit ball for normal `gauss`, uniform `u`."""
     norms = np.sqrt(np.sum(gauss**2, axis=-1, keepdims=True))
     norms[norms == 0.0] = 1.0
     gauss /= norms
@@ -64,13 +54,13 @@ def _unit_ball(gauss, u) -> np.ndarray:
 def point_offsets(stream: RandomStream, n: int, k: int, d: int) -> np.ndarray:
     """(n, k, d) uniform draws from the unit ball around the origin. Item i's
     child stream, keyed by i, makes only its draws (k Gaussian directions, then
-    k uniforms) and one unit-ball transform makes every offset, so item i's
+    k uniforms) and one `unit_ball` call makes every offset, so item i's
     offsets do not depend on the other items."""
     gauss, u = np.empty((n, k, d)), np.empty((n, k))
     for i in range(n):
         item = stream.child(i)
         gauss[i], u[i] = item.normal((k, d)), item.uniform(k)
-    return _unit_ball(gauss, u)
+    return unit_ball(gauss, u)
 
 
 def augment(S: LabeledDataset, spec: ExpansionSpec) -> tuple[LabeledDataset, np.ndarray]:

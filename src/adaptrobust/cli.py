@@ -4,11 +4,11 @@ Every subcommand is a pure function of its resolved configuration and input
 files. All seven share one skeleton, `command`: it adds --out, --name and
 --config, merges defaults < config file < explicit flags into one dict keyed
 by parameter name (the long flag without dashes), and hands that dict to the
-command body. A body checks its input first, so bad input stops with a
-one-line error naming the option before anything is written; `_run_dir` then
-makes the run directory and echoes the resolved config into it. Seeds are
-explicit and no output file embeds timestamps, so reruns with equal configs
-reproduce equal bytes.
+command body. A body checks its input first, and `command` turns a ValueError
+(the library's bad-input signal) into a one-line error, so bad input stops
+before anything is written; `_run_dir` then makes the run directory and echoes
+the resolved config into it. Seeds are explicit and no output file embeds
+timestamps, so reruns with equal configs reproduce equal bytes.
 
 Run layout: <out>/<run-name>/{config.echo, data/*.csv, models/*, reports/*.csv,
 figs/*.svg}. The output root comes from --out, else $ADAPTROBUST_OUT, else ./out.
@@ -40,7 +40,7 @@ _FILE = click.Path(exists=True, dir_okay=False)  # input files: a directory is r
 
 def _parse_config_file(path: str) -> dict[str, str]:
     vals: dict[str, str] = {}
-    for ln in _load(path, read_text_lines):
+    for ln in read_text_lines(path):
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
@@ -78,15 +78,6 @@ def resolve_config(ctx: click.Context) -> dict:
     return cfg
 
 
-def _load(path: str, read=datagen.load_csv):
-    """Read an input file (a dataset CSV by default), turning a malformed file
-    into a one-line error."""
-    try:
-        return read(path)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
-
-
 def _parse_radii(text, option: str) -> list[float]:
     """Comma-separated nonnegative radii, or a one-line error naming the option."""
     try:
@@ -99,14 +90,10 @@ def _parse_radii(text, option: str) -> list[float]:
 
 
 def _check(cfg: dict, **intervals: str) -> None:
-    """One-line error naming the option unless cfg[key] lies in its interval
-    (`check_range`); None (an unset optional value) passes."""
+    """`check_range` on each cfg[key] under its flag name; None (unset) passes."""
     for key, interval in intervals.items():
-        try:
-            if cfg[key] is not None:
-                check_range(f"--{key.replace('_', '-')}", cfg[key], interval)
-        except ValueError as exc:
-            raise click.ClickException(str(exc)) from None
+        if cfg[key] is not None:
+            check_range(f"--{key.replace('_', '-')}", cfg[key], interval)
 
 
 # Options shared by `train` and `sweep`.
@@ -337,17 +324,21 @@ def command(name: str):
     """Register the decorated `body(cfg)` as subcommand `name` of `main`, with
     --out, --name (default `name`) and --config after the body's own options;
     `cfg` is the `resolve_config` result. Required parameters are checked in
-    `cfg`, so a --config file can supply them too."""
+    `cfg`, so a --config file can supply them too. A ValueError, the library's
+    bad-input signal, becomes a one-line error; other exceptions keep theirs."""
     def register(body):
         def callback(**_):
-            cfg = resolve_config(click.get_current_context())
-            for p in required:
-                if cfg[p.name] is None:
-                    flag = p.opts[0] if isinstance(p, click.Option) else p.human_readable_name
-                    raise click.ClickException(
-                        f"missing {flag}: give it on the command line or as "
-                        f"{p.name}=... in --config")
-            return body(cfg)
+            try:
+                cfg = resolve_config(click.get_current_context())
+                for p in required:
+                    if cfg[p.name] is None:
+                        flag = p.opts[0] if isinstance(p, click.Option) else p.human_readable_name
+                        raise click.ClickException(
+                            f"missing {flag}: give it on the command line or as "
+                            f"{p.name}=... in --config")
+                return body(cfg)
+            except ValueError as exc:
+                raise click.ClickException(str(exc)) from None
 
         cmd = main.command(name)(functools.update_wrapper(callback, body))
         required = [p for p in cmd.params if p.required]
@@ -390,7 +381,7 @@ def cmd_augment(cfg):
     if (cfg["c"] is None) == (cfg["fixed_radius"] is None):
         raise click.ClickException("give exactly one of --c and --fixed-radius")
     _check(cfg, c="[0, inf)", fixed_radius="[0, inf)", m="[1, inf)", seed="[0, inf)")
-    ds = _load(cfg["data"])
+    ds = datagen.load_csv(cfg["data"])
     run = _run_dir(cfg)
     spec = ExpansionSpec(
         c=cfg["c"], m=cfg["m"],
@@ -416,8 +407,8 @@ def cmd_train(cfg):
     """Fit a model and report binary, fixed-radius robust, and adaptive robust
     losses on held-out data."""
     _check(cfg, **_TRAINING, r="[0, inf)", seed="[0, inf)")
-    train_ds = _load(cfg["data"])
-    test_ds = _load(cfg["test"])
+    train_ds = datagen.load_csv(cfg["data"])
+    test_ds = datagen.load_csv(cfg["test"])
     if test_ds.dim != train_ds.dim:
         raise click.ClickException(
             f"--test {cfg['test']} has {test_ds.dim}-D points, "
@@ -472,7 +463,7 @@ def cmd_margin(cfg):
         support1 = geom.class_support(1, 10000)
         sampler = datagen.manifold_sampler(cfg["shape"])
     else:
-        ds = _load(cfg["data"])
+        ds = datagen.load_csv(cfg["data"])
         labels = ds.classes().tolist()
         if labels != [0, 1]:
             raise click.ClickException(
@@ -585,17 +576,17 @@ def cmd_render(cfg):
     if (cfg["model_file"] is None) == (cfg["nn1_data"] is None):
         raise click.ClickException("give exactly one of --model-file and --nn1-data")
     _check(cfg, ambient="[0, inf)", seed="[0, inf)")
-    ds = _load(cfg["data"])
+    ds = datagen.load_csv(cfg["data"])
     if ds.dim != 2:
         raise click.ClickException(f"--data {cfg['data']}: rendering needs 2-D points, "
                                    f"got {ds.dim}-D")
     if cfg["model_file"] is not None:
-        model = _load(cfg["model_file"], mlp.load_model)
+        model = mlp.load_model(cfg["model_file"])
         source, dim = f"--model-file {cfg['model_file']}", model.dim
         h = mlp.MlpClassifier(model)
         note = "model=mlp"
     else:
-        nn_ds = _load(cfg["nn1_data"])
+        nn_ds = datagen.load_csv(cfg["nn1_data"])
         source, dim = f"--nn1-data {cfg['nn1_data']}", nn_ds.dim
         h = NnClassifier(nn_ds)
         note = "model=nn1"

@@ -91,14 +91,19 @@ class RandomStream:
     """
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
-        self.seed = int(seed)
-        self.spawn_key = tuple(int(k) for k in spawn_key)
+        check_range("seed", seed, "[0, inf) int")
+        self._start(int(seed), tuple(int(k) for k in spawn_key))
+
+    def _start(self, seed: int, spawn_key: tuple[int, ...]) -> "RandomStream":
+        self.seed, self.spawn_key = seed, spawn_key
         self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=self.spawn_key))
-        )
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key)))
+        return self
 
     def child(self, *key: int) -> "RandomStream":
-        return RandomStream(self.seed, self.spawn_key + key)
+        # not through __init__: the seed was checked when the root stream was made
+        return RandomStream.__new__(RandomStream)._start(
+            self.seed, self.spawn_key + tuple(int(k) for k in key))
 
     def derive_seed(self) -> int:
         """A 64-bit integer seed determined by this stream's key alone."""
@@ -129,7 +134,7 @@ class LabeledDataset:
     `diameter_bound` is an upper bound on pairwise distances and doubles as
     the sentinel value for nearest-opposite-label distances on single-class
     data: max(sqrt(d), bounding-box diagonal), which is sqrt(d) for data in
-    [0, 1]^d.
+    [0, 1]^d. Points whose squared distances can overflow are rejected.
     """
 
     points: np.ndarray
@@ -147,12 +152,14 @@ class LabeledDataset:
             raise ValueError("labels must be a 1-D array matching the number of points")
         if not np.all(np.isfinite(pts)):
             raise ValueError("all coordinates must be finite")
+        with np.errstate(over="ignore"):
+            diagonal = float(np.sqrt(np.sum((pts.max(axis=0) - pts.min(axis=0)) ** 2)))
+        if not math.isfinite(diagonal):
+            raise ValueError("the points are too far apart: squared distances overflow")
         check_range("labels", labs, "[0, inf)")
-        span = pts.max(axis=0) - pts.min(axis=0)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "labels", labs)
-        object.__setattr__(self, "diameter_bound",
-                           max(math.sqrt(pts.shape[1]), float(np.sqrt(np.sum(span**2)))))
+        object.__setattr__(self, "diameter_bound", max(math.sqrt(pts.shape[1]), diagonal))
 
     @property
     def n(self) -> int:

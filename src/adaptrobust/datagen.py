@@ -29,6 +29,7 @@ class ShapeSpec:
         if self.shape not in SHAPE_NAMES:
             raise ValueError(f"unknown shape {self.shape!r}; expected one of {SHAPE_NAMES}")
         check_range("n", self.n, "[2, inf) int")  # both classes are represented
+        check_range("seed", self.seed, "[0, inf) int")
         check_range("label_noise", self.label_noise, "[0, 1)")
 
 
@@ -39,6 +40,7 @@ class SplitSpec:
 
     def __post_init__(self):
         check_range("train_fraction", self.train_fraction, "(0, 1)")
+        check_range("seed", self.seed, "[0, inf) int")
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +138,7 @@ class ShapeGeometry:
 
     def class_support(self, label: int, m: int) -> np.ndarray:
         """m points evenly spaced in arc length along the class's curves (unit coords)."""
+        check_range("m", m, "[1, inf) int")
         return self.sample_class(label, (np.arange(m) + 0.5) / m)
 
 
@@ -224,6 +227,7 @@ def manifold_sampler(name: str):
     geom = shape_geometry(name)
 
     def sampler(stream: RandomStream, count: int) -> np.ndarray:
+        check_range("count", count, "[0, inf) int")
         return geom.sample_alternating(stream.uniform(count))
 
     return sampler
@@ -293,4 +297,7 @@ def load_csv(path) -> LabeledDataset:
         labels.append(label)
     if not points:
         raise ValueError(f"{path}: no data rows")
-    return LabeledDataset(np.asarray(points, dtype=np.float64), np.asarray(labels, dtype=np.int64))
+    try:
+        return LabeledDataset(points, labels)
+    except ValueError as exc:  # a rule on the whole set, such as the overflow rule
+        raise ValueError(f"{path}: {exc}") from None

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import sample_ball_uniform
+from .augment import unit_ball
 from .core import BatchFirst, Classifier, RandomStream, check_range, radius_grid, write_text_lines
 from .losses import probe_flags
 from .neighbors import GridIndex
@@ -177,8 +177,8 @@ def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100, *,
 
     member = np.zeros(N, dtype=bool)
     values = np.empty(radii.shape[0])
-    origin = np.broadcast_to(0.0, (N, probes, X.shape[1]))
-    offsets = sample_ball_uniform(origin, 1.0, stream.child(1))
+    s = stream.child(1)
+    offsets = unit_ball(s.normal((N, probes, X.shape[1])), s.uniform((N, probes)))
     for j, r in enumerate(radii):
         decided = flips < r
         if r > 0.0:

@@ -56,6 +56,7 @@ class TrainSpec:
         check_range("epochs", self.epochs, "[0, inf) int")
         check_range("batch_size", self.batch_size, "[1, inf) int")
         check_range("learning_rate", self.learning_rate, "(0, inf)")
+        check_range("seed", self.seed, "[0, inf) int")
 
 
 def init(d: int, seed: int) -> MlpModel:

@@ -187,6 +187,7 @@ class TwoRectangles:
         check_range("epsilon", self.epsilon, "(0, 1)")
 
     def sampler(self, stream: RandomStream, n: int) -> np.ndarray:
+        check_range("n", n, "[0, inf) int")
         side = stream.integers(0, 2, n)
         u = stream.uniform((n, 2))
         x1 = np.where(side == 0, -2.0 + u[:, 0], 1.0 + u[:, 0])

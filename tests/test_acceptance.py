@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from adaptrobust.augment import ExpansionSpec, augment, expand, sample_ball_uniform
+from adaptrobust.augment import ExpansionSpec, augment, expand, point_offsets
 from adaptrobust.cli import main as cli_main
 from adaptrobust.core import LabeledDataset, RandomStream
 from adaptrobust.datagen import ShapeSpec, SplitSpec, generate, split
@@ -143,8 +143,8 @@ def test_criterion_06_consistency_trend_on_circles():
 
 def test_criterion_07_uniform_ball_sampler():
     t0 = time.perf_counter()
-    stream = RandomStream(707)
-    draws = np.array([sample_ball_uniform(np.zeros(2), 1.0, stream) for _ in range(100_000)])
+    # the sampler augmentation draws through, one draw per item
+    draws = point_offsets(RandomStream(707), 100_000, 1, 2)[:, 0, :]
     norms = np.sqrt(np.sum(draws**2, axis=1))
     mean_r = float(np.mean(norms))
     frac_half = float(np.mean(norms < 0.5))

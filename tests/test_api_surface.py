@@ -139,7 +139,7 @@ def test_every_literal_interval_parses():
 
 
 # A count is an integer: a float or a bool would fail later without naming it.
-COUNTS = {"n", "m", "N", "d", "probes", "epochs", "batch_size", "layer size"}
+COUNTS = {"n", "m", "N", "d", "count", "probes", "epochs", "batch_size", "layer size"}
 # An `inf]` end only where the math is defined at inf; elsewhere inf fails late.
 CLOSED_AT_INF = {"r", "r_eps", "mass", "threshold"}
 
@@ -147,7 +147,15 @@ CLOSED_AT_INF = {"r", "r_eps", "mass", "threshold"}
 def test_every_library_count_takes_the_integer_form():
     counts = [(where, text) for where, name, text, library in all_literal_intervals()
               if library and name in COUNTS]
-    assert [c for c in counts if not c[1].endswith(" int")] == [] and len(counts) >= 13
+    assert [c for c in counts if not c[1].endswith(" int")] == [] and len(counts) >= 16
+
+
+def test_every_library_seed_takes_the_integer_form():
+    # a float, bool or negative seed would otherwise run as another seed or
+    # fail late inside numpy without naming it
+    seeds = [(where, text) for where, name, text, library in all_literal_intervals()
+             if library and name == "seed"]
+    assert [s for s in seeds if s[1] != "[0, inf) int"] == [] and len(seeds) >= 5
 
 
 def test_an_interval_is_closed_at_inf_only_where_inf_is_defined():

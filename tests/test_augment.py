@@ -5,10 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptrobust.augment import ExpansionSpec, augment, expand, point_offsets, sample_ball_uniform
+from adaptrobust.augment import ExpansionSpec, augment, expand, point_offsets, unit_ball
 from adaptrobust.core import LabeledDataset, RandomStream
 from adaptrobust.datagen import ShapeSpec, generate
 from adaptrobust.neighbors import rho_all
+
+
+def sample_ball_uniform(centers, radii, stream):
+    """The reference ball sampler: uniform draws from the balls around
+    `centers` (..., d), `radii` broadcast over the leading axes, all Gaussians
+    drawn before all uniforms."""
+    centers = np.asarray(centers, dtype=np.float64)
+    radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), centers.shape[:-1])
+    return centers + radii[..., None] * unit_ball(stream.normal(centers.shape),
+                                                  stream.uniform(radii.shape))
 
 
 def random_dataset(rng, n, d):
@@ -50,9 +60,9 @@ def test_expand_half_gives_disjoint_opposite_balls():
 # --- uniform ball sampling -----------------------------------------------------
 
 def test_zero_radius_returns_center():
-    c = np.array([0.3, 0.7])
-    out = sample_ball_uniform(c, 0.0, RandomStream(0))
-    assert np.array_equal(out, c)
+    S = LabeledDataset(np.array([[0.3, 0.7], [0.1, 0.2]]), np.array([0, 1]))
+    aug, _ = augment(S, ExpansionSpec(fixed_radius=0.0, m=3, include_originals=False))
+    assert np.array_equal(aug.points, np.repeat(S.points, 3, axis=0))
 
 
 def test_mean_radius_d2():
@@ -108,15 +118,14 @@ def test_samples_stay_inside_the_ball():
 
 def test_broadcast_draws_consume_the_stream_like_one_call():
     # the per-item probe offsets of the losses and the margin profile's
-    # offsets are both this one sampler on a zero centre and unit radius
-    a = sample_ball_uniform(np.zeros((7, 4, 3)), 1.0, RandomStream(9))
+    # offsets both come from this one primitive
+    s = RandomStream(9)
+    a = unit_ball(s.normal((7, 4, 3)), s.uniform((7, 4)))
     s = RandomStream(9)
     dirs = s.normal((7, 4, 3))
     norms = np.sqrt(np.sum(dirs**2, axis=2, keepdims=True))
     want = dirs / norms * s.uniform((7, 4))[..., None] ** (1.0 / 3)
     assert np.array_equal(a, want)
-    with pytest.raises(ValueError):
-        sample_ball_uniform(np.zeros((2, 2)), [0.1, -0.1], RandomStream(0))
 
 
 @settings(max_examples=150, deadline=None)

@@ -218,6 +218,9 @@ def bad_csvs(tmp_path):
     paths["twice"].write_text("n=10\nshape=circles\nn=20\n", encoding="utf-8")
     paths["binary"] = tmp_path / "binary.bin"
     paths["binary"].write_bytes(b"\xff\xfe\x00\x81" * 75)  # 0xff is never UTF-8
+    paths["overflow"] = tmp_path / "overflow.csv"  # finite, but squared distances overflow
+    paths["overflow"].write_text("x1,x2,label\n1e200,0,0\n-1e200,0,1\n0,1e200,0\n",
+                                 encoding="utf-8")
     return paths
 
 
@@ -309,6 +312,10 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
     (SWEEP_SMALL[:-1] + ["0.1,0.1"], "--fixed-radii fixed0.1"),
     (SWEEP_SMALL[:-1] + ["0.1000001,0.1"], "--fixed-radii fixed0.1"),
     (["sweep", "--shapes", "circles,boxes,circles"] + SWEEP_SMALL[3:], "--shapes 'circles'"),
+    (["margin", "--data", "{overflow}"], "{overflow} overflow"),
+    (["augment", "--data", "{overflow}", "--c", "0.5"], "{overflow} overflow"),
+    (["train", "--data", "{overflow}", "--test", "{labels01}", "--model", "nn1"],
+     "{overflow} overflow"),
 ], ids=["margin-labels", "train-mlp-labels", "margin-grid", "margin-grid-order",
         "margin-grid-repeated",
         "sweep-shapes", "sweep-radii", "malformed-csv", "train-nn1-one-class",
@@ -327,7 +334,8 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
         "config-not-utf8", "config-repeated-key", "data-not-utf8", "model-file-not-utf8",
         "generate-seed", "augment-seed", "train-seed", "margin-seed", "scenario-seed",
         "render-seed", "sweep-base-seed", "sweep-shapes-comma", "sweep-shapes-empty",
-        "sweep-radii-repeated", "sweep-radii-same-name", "sweep-shapes-repeated"])
+        "sweep-radii-repeated", "sweep-radii-same-name", "sweep-shapes-repeated",
+        "margin-overflow", "augment-overflow", "train-nn1-overflow"])
 def test_bad_input_stops_with_one_line_error(tmp_path, bad_csvs, args, names):
     args = [a.format(**bad_csvs) for a in args]
     res = runner.invoke(main, args + ["--out", str(tmp_path / "out"), "--name", "bad"])
@@ -337,6 +345,22 @@ def test_bad_input_stops_with_one_line_error(tmp_path, bad_csvs, args, names):
     # every space-separated fragment of `names` appears in the error
     assert all(n in lines[0] for n in names.format(**bad_csvs).split())
     assert not (tmp_path / "out").exists()
+
+
+def test_a_library_value_error_is_one_line_and_any_other_error_a_traceback(tmp_path,
+                                                                          monkeypatch):
+    # `command` is the one place a library ValueError becomes a CLI error
+    def fail(spec, error=ValueError):
+        raise error("n 7: no good")
+
+    args = ["generate", "--shape", "circles", "--out", str(tmp_path / "out")]
+    monkeypatch.setattr(datagen, "generate", fail)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+    assert res.output == "Error: n 7: no good\n"
+    monkeypatch.setattr(datagen, "generate", lambda spec: fail(spec, RuntimeError))
+    res = runner.invoke(main, args)
+    assert isinstance(res.exception, RuntimeError) and res.output == ""
 
 
 @pytest.mark.parametrize("args, flag", [

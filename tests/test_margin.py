@@ -359,8 +359,8 @@ def reference_profile(sampler, h, radii, N, probes, stream, witness=None):
     member = np.zeros(N, dtype=bool)
     values = []
     if probes > 0:
-        origin = np.broadcast_to(0.0, (N, probes, X.shape[1]))
-        offsets = margin.sample_ball_uniform(origin, 1.0, stream.child(1))
+        s = stream.child(1)
+        offsets = margin.unit_ball(s.normal((N, probes, X.shape[1])), s.uniform((N, probes)))
     for r in radii:
         if r > 0.0 and probes > 0:
             Z = X[:, None, :] + r * offsets
@@ -371,10 +371,10 @@ def reference_profile(sampler, h, radii, N, probes, stream, witness=None):
 
 
 def with_axis_probes(draw):
-    """A ball sampler whose first 2 d probes per row are the unit vectors +-e_k:
+    """A ball primitive whose first 2 d probes per row are the unit vectors +-e_k:
     exactly on the sphere, where the certificate's slack matters."""
-    def sample(centers, radii, stream):
-        out = draw(centers, radii, stream)
+    def sample(gauss, u):
+        out = draw(gauss, u)
         d = out.shape[-1]
         m = min(out.shape[-2], 2 * d)
         out[..., :m, :] = np.vstack([np.eye(d), -np.eye(d)])[:m]
@@ -386,7 +386,7 @@ def pruned_and_reference(s0, s1, X, radii, probes, seed):
     h = NearestSetClassifier(s0, s1)
     points = lambda stream, n: X
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(margin, "sample_ball_uniform", with_axis_probes(margin.sample_ball_uniform))
+        mp.setattr(margin, "unit_ball", with_axis_probes(margin.unit_ball))
         got = margin_profile(points, h, radii, len(X), probes, stream=RandomStream(seed))
         want = reference_profile(
             points, h, radii, len(X), probes, RandomStream(seed),

@@ -1,15 +1,16 @@
-"""Library range checks reject NaN, non-integer counts and infinite values no
-computation can use, with an error that names the parameter: every interval
-check is one `core.check_range` call, and NaN lies in no interval."""
+"""Library range checks reject NaN, non-integer counts and seeds, negative
+seeds and infinite values no computation can use, with an error that names the
+parameter: every interval check is one `core.check_range` call, and NaN lies in
+no interval."""
 import math
 import re
 
 import numpy as np
 import pytest
 
-from adaptrobust.augment import ExpansionSpec, expand, sample_ball_uniform
+from adaptrobust.augment import ExpansionSpec, expand
 from adaptrobust.core import LabeledDataset, RandomStream
-from adaptrobust.datagen import ShapeSpec
+from adaptrobust.datagen import ShapeSpec, SplitSpec, manifold_sampler, shape_geometry
 from adaptrobust.losses import (
     adaptive_robust_empirical,
     adaptive_robust_testtime,
@@ -45,7 +46,6 @@ CASES = {
     "expansion-fixed-radius": ("fixed_radius", lambda: ExpansionSpec(fixed_radius=NAN)),
     "expansion-m": ("m", lambda: ExpansionSpec(c=0.5, m=NAN)),
     "expand-c": ("c", lambda: expand(S, NAN)),
-    "ball-radius": ("radii", lambda: sample_ball_uniform(np.zeros((3, 2)), NAN, RandomStream(0))),
     "fixed-grid-radius": ("radius grid", lambda: robust_loss_fixed_grid(H, S, [NAN],
                                                                   stream=RandomStream(0))),
     "fixed-grid-later-radius": ("radius grid", lambda: robust_loss_fixed_grid(
@@ -76,6 +76,8 @@ CASES = {
     "halfspace-threshold": ("threshold", lambda: HalfspaceClassifier(axis=0, threshold=NAN,
                                                                      above_label=1)),
     "shape-n": ("n", lambda: ShapeSpec("circles", NAN, 0)),
+    "shape-seed": ("seed", lambda: ShapeSpec("circles", 10, NAN)),
+    "stream-seed": ("seed", lambda: RandomStream(NAN)),
 }
 
 
@@ -114,13 +116,30 @@ BAD_VALUE_CASES = {
     "expansion-c-inf": ("c", lambda: ExpansionSpec(c=INF)),
     "expansion-fixed-radius-inf": ("fixed_radius", lambda: ExpansionSpec(fixed_radius=INF)),
     "expand-c-inf": ("c", lambda: expand(S, INF)),
-    "ball-radius-inf": ("radii", lambda: sample_ball_uniform(np.zeros((3, 2)), INF,
-                                                             RandomStream(0))),
     "adaptive-empirical-c-inf": ("c", lambda: adaptive_robust_empirical(
         H, S, c=INF, stream=RandomStream(0))),
     "adaptive-testtime-factor-inf": ("factor", lambda: adaptive_robust_testtime(
         H, S, S, factor=INF, stream=RandomStream(0))),
     "two-point-gap-inf": ("gap", lambda: scenario_two_point(INF)),
+    "class-support-m": ("m", lambda: shape_geometry("circles").class_support(0, 2.5)),
+    "class-support-m-zero": ("m", lambda: shape_geometry("circles").class_support(0, 0)),
+    "manifold-sampler-count": ("count", lambda: manifold_sampler("circles")(RandomStream(0),
+                                                                            2.5)),
+    "rectangles-sampler-n": ("n", lambda: TwoRectangles(0.2).sampler(RandomStream(0), 2.5)),
+    # a seed is an integer >= 0: no float, bool or negative value, checked
+    # where it is given, not late inside numpy
+    "shape-seed": ("seed", lambda: ShapeSpec("circles", 10, seed=1.5)),
+    "shape-seed-bool": ("seed", lambda: ShapeSpec("circles", 10, seed=True)),
+    "shape-seed-numpy-float": ("seed", lambda: ShapeSpec("circles", 10, seed=np.float64(2.7))),
+    "shape-seed-negative": ("seed", lambda: ShapeSpec("circles", 10, seed=-1)),
+    "split-seed-negative": ("seed", lambda: SplitSpec(seed=-1)),
+    "expansion-seed-negative": ("seed", lambda: ExpansionSpec(c=0.5, seed=-1)),
+    "train-seed-negative": ("seed", lambda: TrainSpec(seed=-1)),
+    "train-seed": ("seed", lambda: TrainSpec(seed=1.5)),
+    "init-seed": ("seed", lambda: init(2, seed=1.5)),
+    "init-seed-negative": ("seed", lambda: init(2, seed=-1)),
+    "stream-seed": ("seed", lambda: RandomStream(1.5)),
+    "stream-seed-negative": ("seed", lambda: RandomStream(-1)),
 }
 
 
