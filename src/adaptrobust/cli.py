@@ -4,10 +4,10 @@ Every subcommand is a pure function of its resolved configuration and input
 files. All seven share one skeleton, `command`: it adds --out, --name and
 --config, merges defaults < config file < explicit flags into one dict keyed
 by parameter name (the long flag without dashes), and hands that dict to the
-command body. A body checks its input first, and `command` turns a ValueError
-(the library's bad-input signal) into a one-line error, so bad input stops
-before anything is written; `_run_dir` then makes the run directory and echoes
-the resolved config into it. Seeds are explicit and no output file embeds
+command body. A body checks its input and computes all it writes before
+`_run_dir` makes the run directory and echoes the config into it, and `command`
+turns a ValueError (the library's bad-input signal) into a one-line error, so a
+failed run leaves nothing behind. Seeds are explicit and no output file embeds
 timestamps, so reruns with equal configs reproduce equal bytes.
 
 Run layout: <out>/<run-name>/{config.echo, data/*.csv, models/*, reports/*.csv,
@@ -189,6 +189,9 @@ class SweepCell:
     binary: losses.LossReport
     fixed_grid: tuple
     adaptive: losses.LossReport
+    model: mlp.MlpModel
+    fitted: LabeledDataset  # the set the model was trained on
+    figure_seed: int  # seeds the ambient points of the cell's figure
 
 
 @dataclass(frozen=True)
@@ -237,11 +240,10 @@ def _check_shapes(shapes) -> None:
 
 def run_sweep(shapes, n: int, m: int, c: float, fixed_radii, n_seeds: int,
               base_seed: int, epochs: int, lr: float, batch: int,
-              probes: int, render_dir: Path | None = None,
-              render_ambient: int = 2000) -> SweepResult:
+              probes: int) -> SweepResult:
     """Train one network per (shape, augmentation, seed) cell on the augmented
     training split and evaluate binary, fixed-radius robust (shared-probe grid)
-    and test-time adaptive robust losses on the held-out split."""
+    and test-time adaptive robust losses on the held-out split; writes nothing."""
     _check_shapes(shapes)
     variants = _augmentation_variants(c, fixed_radii)
     root = RandomStream(base_seed)
@@ -265,17 +267,11 @@ def run_sweep(shapes, n: int, m: int, c: float, fixed_radii, n_seeds: int,
                     epochs=epochs, batch_size=batch, learning_rate=lr,
                     seed=cell_stream.child(2).derive_seed(),
                 ))
-                h = mlp.MlpClassifier(model)
                 rep_bin, *rep_grid, rep_adp = _evaluate(
-                    h, test_ds, train_ds, EVAL_RADII, probes,
+                    mlp.MlpClassifier(model), test_ds, train_ds, EVAL_RADII, probes,
                     RandomStream(cell_stream.child(3).derive_seed()))
-                cells.append(SweepCell(shape, vname, k, rep_bin, tuple(rep_grid), rep_adp))
-                if render_dir is not None:
-                    svg = render_regions_svg(
-                        h, fitted, render_ambient, RandomStream(cell_stream.child(4).derive_seed()),
-                        config_note=f"shape={shape} variant={vname} seed_index={k}",
-                    )
-                    write_text_lines(render_dir / f"{shape}_{vname}_s{k}.svg", svg)
+                cells.append(SweepCell(shape, vname, k, rep_bin, tuple(rep_grid), rep_adp,
+                                       model, fitted, cell_stream.child(4).derive_seed()))
     table = {}
     for shape in shapes:
         for vname, _ in variants:
@@ -362,9 +358,9 @@ def command(name: str):
 def cmd_generate(cfg):
     """Sample a synthetic shape dataset to CSV."""
     _check(cfg, n="[2, inf)", label_noise="[0, 1)", seed="[0, inf)")
-    run = _run_dir(cfg)
     ds = datagen.generate(datagen.ShapeSpec(
         shape=cfg["shape"], n=cfg["n"], seed=cfg["seed"], label_noise=cfg["label_noise"]))
+    run = _run_dir(cfg)
     datagen.save_csv(ds, run / "data" / "dataset.csv")
     click.echo(f"wrote {run / 'data' / 'dataset.csv'} ({ds.n} rows)")
 
@@ -382,12 +378,12 @@ def cmd_augment(cfg):
         raise click.ClickException("give exactly one of --c and --fixed-radius")
     _check(cfg, c="[0, inf)", fixed_radius="[0, inf)", m="[1, inf)", seed="[0, inf)")
     ds = datagen.load_csv(cfg["data"])
-    run = _run_dir(cfg)
     spec = ExpansionSpec(
         c=cfg["c"], m=cfg["m"],
         include_originals=cfg["include_originals"], seed=cfg["seed"],
         fixed_radius=cfg["fixed_radius"])
     aug, origins = augment_data(ds, spec)
+    run = _run_dir(cfg)
     datagen.save_csv(aug, run / "data" / "augmented.csv", origins=origins)
     click.echo(f"wrote {run / 'data' / 'augmented.csv'} ({aug.n} rows)")
 
@@ -420,19 +416,21 @@ def cmd_train(cfg):
     if len(labels) < 2:
         raise click.ClickException(
             f"--data {cfg['data']}: the adaptive loss needs two classes, got {labels}")
-    run = _run_dir(cfg)
     if cfg["model"] == "mlp":
         model = mlp.init(train_ds.dim, seed=cfg["seed"])
         model = mlp.train(model, train_ds, mlp.TrainSpec(
             epochs=cfg["epochs"], batch_size=cfg["batch"],
             learning_rate=cfg["lr"], seed=cfg["seed"]))
-        mlp.save_model(model, run / "models" / "model.txt")
         h = mlp.MlpClassifier(model)
     else:
-        datagen.save_csv(train_ds, run / "models" / "nn1_train.csv")
         h = NnClassifier(train_ds)
     reports = _evaluate(h, test_ds, train_ds, [cfg["r"]], cfg["probes"],
                         RandomStream(cfg["seed"]))
+    run = _run_dir(cfg)
+    if cfg["model"] == "mlp":
+        mlp.save_model(model, run / "models" / "model.txt")
+    else:
+        datagen.save_csv(train_ds, run / "models" / "nn1_train.csv")
     _write_reports(run / "reports" / "losses.csv", reports)
     for rep in reports:
         click.echo(f"{rep.name} = {rep.value:.4f}")
@@ -475,11 +473,9 @@ def cmd_margin(cfg):
             idx = stream.integers(0, _pts.shape[0], count)
             return _pts[idx]
 
-    run = _run_dir(cfg)
     h = margin.NearestSetClassifier(support0, support1)
     profile = margin.margin_profile(sampler, h, radii, N=cfg["n"], probes=cfg["probes"],
                                     stream=RandomStream(cfg["seed"]))
-    profile.save(run / "reports" / "margin.csv")
     r_star = margin.inverse_phi(profile, cfg["epsilon"])
     summary = [f"epsilon={cfg['epsilon']}", f"r_star={r_star!r}"]
     if r_star > 0.0:
@@ -487,6 +483,8 @@ def cmd_margin(cfg):
         summary.append(f"nn_sample_bound={bound!r}")
     else:
         summary.append("nn_sample_bound=undefined (r_star = 0)")
+    run = _run_dir(cfg)
+    profile.save(run / "reports" / "margin.csv")
     write_text_lines(run / "reports" / "margin_summary.txt", summary)
     for ln in summary:
         click.echo(ln)
@@ -511,8 +509,8 @@ def cmd_scenario(cfg):
     if name not in SCENARIOS:
         raise click.ClickException(f"unknown scenario {name!r}; options: {', '.join(SCENARIOS)}")
     _check(cfg, epsilon="(0, 1)", gap="(0, inf)", r="[0, inf]", mc="[1, inf)", seed="[0, inf)")
-    run = _run_dir(cfg)
     lines, reports = _scenario_report(cfg)
+    run = _run_dir(cfg)
     _write_reports(run / "reports" / f"scenario_{name}.csv", reports)
     write_text_lines(run / "reports" / f"scenario_{name}.txt", lines)
     click.echo("\n".join(lines))
@@ -592,9 +590,9 @@ def cmd_render(cfg):
         note = "model=nn1"
     if dim != 2:
         raise click.ClickException(f"{source} has {dim}-D inputs, but --data has 2-D points")
-    run = _run_dir(cfg)
     svg = render_regions_svg(h, ds, cfg["ambient"], RandomStream(cfg["seed"]),
                              config_note=f"{note} ambient={cfg['ambient']} seed={cfg['seed']}")
+    run = _run_dir(cfg)
     path = run / "figs" / "regions.svg"
     write_text_lines(path, svg)
     click.echo(f"wrote {path}")
@@ -632,16 +630,18 @@ def cmd_sweep(cfg):
         _augmentation_variants(cfg["c"], radii)
     except ValueError as exc:
         raise click.ClickException(f"--fixed-radii {cfg['fixed_radii']!r}: {exc}") from None
-    run = _run_dir(cfg)
     result = run_sweep(
         shape_list, n=cfg["n"], m=cfg["m"], c=cfg["c"], fixed_radii=radii,
         n_seeds=cfg["seeds"], base_seed=cfg["base_seed"], epochs=cfg["epochs"],
-        lr=cfg["lr"], batch=cfg["batch"], probes=cfg["probes"],
-        render_dir=(run / "figs") if cfg["render"] else None,
-        render_ambient=cfg["ambient"],
-    )
+        lr=cfg["lr"], batch=cfg["batch"], probes=cfg["probes"])
+    run = _run_dir(cfg)
     write_text_lines(run / "reports" / "sweep_table.csv", sweep_table_csv(result, shape_list))
     write_text_lines(run / "reports" / "sweep_cells.csv", sweep_cells_csv(result))
+    for cell in result.cells if cfg["render"] else ():  # every sweep shape is 2-D: cannot fail
+        note = f"shape={cell.shape} variant={cell.variant} seed_index={cell.seed_index}"
+        svg = render_regions_svg(mlp.MlpClassifier(cell.model), cell.fitted, cfg["ambient"],
+                                 RandomStream(cell.figure_seed), config_note=note)
+        write_text_lines(run / "figs" / f"{cell.shape}_{cell.variant}_s{cell.seed_index}.svg", svg)
     click.echo(f"wrote {run / 'reports' / 'sweep_table.csv'}")
 
 

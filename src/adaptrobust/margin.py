@@ -206,4 +206,10 @@ def nn_sample_bound(d: int, epsilon: float, delta: float, r_eps: float) -> float
     check_range("epsilon", epsilon, "(0, 1]")
     check_range("delta", delta, "(0, 1]")
     check_range("r_eps", r_eps, "(0, inf]")
-    return (3.0**d * d ** (0.5 * d)) / (math.e * r_eps**d * epsilon * delta)
+    try:  # a power can leave the float range, and a product can overflow or underflow
+        bound = (3.0**d * d ** (0.5 * d)) / (math.e * r_eps**d * epsilon * delta)
+    except (OverflowError, ZeroDivisionError):
+        bound = math.nan
+    with np.errstate(over="ignore", divide="ignore"):  # log form: inf above the range, 0.0 below
+        log_bound = d * np.log(3.0 * np.sqrt(d) / r_eps) - 1.0 - np.log(epsilon) - np.log(delta)
+        return bound if 0.0 < bound < math.inf else float(np.exp(log_bound))

@@ -316,6 +316,10 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
     (["augment", "--data", "{overflow}", "--c", "0.5"], "{overflow} overflow"),
     (["train", "--data", "{overflow}", "--test", "{labels01}", "--model", "nn1"],
      "{overflow} overflow"),
+    # the checks pass; the work itself overflows, before the run directory is made
+    (AUGMENT01 + ["--c", "1e308"], "overflow"),
+    (SWEEP_SMALL + ["--c", "1e308"], "overflow"),
+    (SWEEP_SMALL[:-1] + ["1e308"], "overflow"),
 ], ids=["margin-labels", "train-mlp-labels", "margin-grid", "margin-grid-order",
         "margin-grid-repeated",
         "sweep-shapes", "sweep-radii", "malformed-csv", "train-nn1-one-class",
@@ -335,7 +339,8 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
         "generate-seed", "augment-seed", "train-seed", "margin-seed", "scenario-seed",
         "render-seed", "sweep-base-seed", "sweep-shapes-comma", "sweep-shapes-empty",
         "sweep-radii-repeated", "sweep-radii-same-name", "sweep-shapes-repeated",
-        "margin-overflow", "augment-overflow", "train-nn1-overflow"])
+        "margin-overflow", "augment-overflow", "train-nn1-overflow", "augment-c-overflow",
+        "sweep-c-overflow", "sweep-fixed-radii-overflow"])
 def test_bad_input_stops_with_one_line_error(tmp_path, bad_csvs, args, names):
     args = [a.format(**bad_csvs) for a in args]
     res = runner.invoke(main, args + ["--out", str(tmp_path / "out"), "--name", "bad"])
@@ -543,6 +548,15 @@ def test_margin_command_on_shape(tmp_path):
     assert "nn_sample_bound=" in summary and "undefined" not in summary
 
 
+def test_margin_sample_bound_in_high_dimension_is_inf(tmp_path):
+    data = tmp_path / "d400.csv"
+    pts = np.random.default_rng(0).random((40, 400))
+    datagen.save_csv(LabeledDataset(pts, np.array([0, 1] * 20)), data)
+    res = run_ok(["margin", "--data", str(data), "--n", "5", "--probes", "2",
+                  "--out", str(tmp_path), "--name", "m400"])
+    assert "nn_sample_bound=inf" in res.output.splitlines()
+
+
 def test_margin_single_radius_grid(tmp_path):
     run_ok(["margin", "--shape", "boxes", "--n", "100", "--probes", "10",
             "--grid", "0.05", "--out", str(tmp_path), "--name", "m1"])
@@ -657,10 +671,8 @@ def test_sweep_table_structure(tmp_path):
                     "circles_fixed0.5_s0.svg", "circles_none_s0.svg"]
 
 
-def test_run_sweep_rejects_a_repeated_shape(tmp_path):
+def test_run_sweep_rejects_a_repeated_shape():
     # cells, table rows and figure names are keyed by shape
     with pytest.raises(ValueError, match="shape 'circles' is repeated"):
         run_sweep(["circles", "boxes", "circles"], n=40, m=1, c=0.5, fixed_radii=[0.1],
-                  n_seeds=1, base_seed=0, epochs=1, lr=0.3, batch=8, probes=2,
-                  render_dir=tmp_path)
-    assert list(tmp_path.iterdir()) == []
+                  n_seeds=1, base_seed=0, epochs=1, lr=0.3, batch=8, probes=2)

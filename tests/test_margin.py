@@ -313,6 +313,21 @@ def test_sample_bound_linear_in_inverse_delta():
     )
 
 
+@pytest.mark.parametrize("args, want", [
+    ((400, 0.05, 0.05, 0.5), math.inf),   # d ** (d / 2) overflows
+    ((200, 0.05, 0.05, 0.01), math.inf),  # r_eps ** d underflows to 0
+    ((40, 0.05, 0.05, 1e10), 0.0),        # r_eps ** d overflows
+])
+def test_sample_bound_is_inf_above_the_float_range_and_zero_below(args, want):
+    assert nn_sample_bound(*args) == want
+
+
+def test_sample_bound_is_finite_when_only_a_part_overflows():
+    # 3^200 * 200^100 overflows to inf, but the bound itself is about 5e127
+    want = math.exp(200 * math.log(3.0 * math.sqrt(200) / 10.0) - 1.0 - 2 * math.log(0.05))
+    assert nn_sample_bound(200, 0.05, 0.05, 10.0) == pytest.approx(want, rel=1e-12)
+
+
 def test_sample_bound_rejects_zero_radius():
     with pytest.raises(ValueError):
         nn_sample_bound(2, 0.1, 0.1, 0.0)

@@ -1,0 +1,37 @@
+"""The benchmark's traced run, reduced: every span a workload expects must fire.
+
+`perfbench/spans.py` wraps library functions by name and computes work counts
+from their arguments, so renaming a traced function or changing its signature
+breaks the benchmark's traced run. This runs each workload's reduced op under
+the same tracer and checks the same spans and output contract.
+"""
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+spans, workloads = _load("spans"), _load("workloads")
+
+
+@pytest.mark.parametrize("name", ["sweep", "nn1", "margin"])
+def test_reduced_op_fires_every_expected_span(tmp_path, name):
+    wl = workloads.make(name, tmp_path)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        out = wl.op(0, 0, small=True)
+    finally:
+        tracer.uninstall()
+    tracer.require(wl.expected_spans)
+    wl.check(out)
