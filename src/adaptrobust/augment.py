@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledDataset, RandomStream, check_range
+from .core import LabeledDataset, RandomStream, check_range, row_reduce
 from .neighbors import rho_all
 
 
@@ -44,7 +44,7 @@ def expand(S: LabeledDataset, c: float) -> np.ndarray:
 def unit_ball(gauss, u) -> np.ndarray:
     """The one ball primitive, in place on `gauss` (..., d): per draw, the unit
     direction times u^(1/d), uniform in the unit ball for normal `gauss`, uniform `u`."""
-    norms = np.sqrt(np.sum(gauss**2, axis=-1, keepdims=True))
+    norms = np.sqrt(row_reduce(np.add, gauss**2))[..., None]
     norms[norms == 0.0] = 1.0
     gauss /= norms
     gauss *= u[..., None] ** (1.0 / gauss.shape[-1])
@@ -78,5 +78,9 @@ def augment(S: LabeledDataset, spec: ExpansionSpec) -> tuple[LabeledDataset, np.
         rows.insert(0, S.points)
         labels.insert(0, S.labels)
         origins.insert(0, np.full(S.n, -1))
-    out = LabeledDataset(np.concatenate(rows), np.concatenate(labels))
+    try:
+        out = LabeledDataset(np.concatenate(rows), np.concatenate(labels))
+    except ValueError as exc:  # the radius rule made them, so name it
+        rule = f"c {spec.c!r}" if spec.fixed_radius is None else f"fixed_radius {spec.fixed_radius!r}"
+        raise ValueError(f"{rule}: {exc}") from None
     return out, np.concatenate(origins).astype(np.int64)

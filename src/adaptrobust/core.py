@@ -71,6 +71,26 @@ def write_text_lines(path, lines) -> None:
         fh.write("".join(f"{ln}\n" for ln in lines))
 
 
+def row_reduce(op, A: np.ndarray) -> np.ndarray:
+    """`op.reduce(A, axis=-1)`, the same bytes, for np.add or np.maximum of |A|.
+    numpy reduces a narrow axis row by row, so below 8 columns A is folded by
+    columns, left to right from zero like numpy; from 8 numpy sums pairwise."""
+    if A.shape[-1] >= 8:
+        return op.reduce(A, axis=-1)
+    out = np.zeros(A.shape[:-1])
+    for j in range(A.shape[-1]):
+        op(out, A[..., j], out=out)
+    return out
+
+
+def column_span(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max - min) of each column of the (n, d) array P; by columns below 8."""
+    if P.shape[1] >= 8:
+        return P.min(axis=0), np.ptp(P, axis=0)
+    lo = np.array([c.min() for c in P.T])
+    return lo, np.array([c.max() for c in P.T]) - lo
+
+
 def sq_dists_to(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Squared distances from every row of `points` to `q`.
 
@@ -78,7 +98,7 @@ def sq_dists_to(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     nearest-neighbor machinery; batch paths use the same per-pair arithmetic,
     so their answers are bit-identical to a linear scan.
     """
-    return np.sum((points - q) ** 2, axis=1)
+    return row_reduce(np.add, (points - q) ** 2)
 
 
 class RandomStream:
@@ -153,7 +173,7 @@ class LabeledDataset:
         if not np.all(np.isfinite(pts)):
             raise ValueError("all coordinates must be finite")
         with np.errstate(over="ignore"):
-            diagonal = float(np.sqrt(np.sum((pts.max(axis=0) - pts.min(axis=0)) ** 2)))
+            diagonal = float(np.sqrt(np.sum(column_span(pts)[1] ** 2)))
         if not math.isfinite(diagonal):
             raise ValueError("the points are too far apart: squared distances overflow")
         check_range("labels", labs, "[0, inf)")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import unit_ball
-from .core import BatchFirst, Classifier, RandomStream, check_range, radius_grid, write_text_lines
+from .core import BatchFirst, Classifier, RandomStream, check_range, radius_grid, row_reduce, write_text_lines
 from .losses import probe_flags
 from .neighbors import GridIndex
 
@@ -91,7 +91,7 @@ class NearestSetClassifier(BatchFirst):
         error of (d + 3) eps plus a few subnormals. The margin taken here is
         about four times the sum of these bounds."""
         kappa = 4.0 * (X.shape[1] + 8) * _EPS
-        scale = np.abs(X).max(axis=1, initial=0.0) + self._scale
+        scale = row_reduce(np.maximum, np.abs(X)) + self._scale
         tiny = 4.0 * math.sqrt((X.shape[1] + 8) * _TINY)
         return (d_opp - d_own - kappa * (d_opp + scale) - tiny) / (2.0 + kappa)
 
@@ -111,7 +111,7 @@ def _flip_distances_batch(h: Classifier, X: np.ndarray, W: np.ndarray,
     sorted grid `radii`: later steps keep hi in that bracket, so
     `distance < r` is already decided for every grid r."""
     diff = W - X
-    total = np.sqrt(np.sum(diff**2, axis=1))
+    total = np.sqrt(row_reduce(np.add, diff**2))
     valid = total > 0.0
     valid[valid] = h.predict_batch(W[valid]) != preds[valid]
     dirs = diff / np.where(valid, total, 1.0)[:, None]

@@ -14,13 +14,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import BatchFirst, LabeledDataset, sq_dists_to
+from .core import BatchFirst, LabeledDataset, column_span, row_reduce, sq_dists_to
 
 _PER_CELL = 4           # target mean number of points per grid cell
 _MAX_AXES = 3           # gridded coordinates; the others only add to distances
 # Elements per candidate array: a piece of candidate pairs holds a few
 # (pairs, d) float arrays at once, about 4e6 elements in all.
 _PIECE = 1_000_000
+_SHELL_BUDGET = 1024    # cells per pass after ring 0, shared by the active queries
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
 
@@ -35,16 +36,18 @@ class GridIndex:
     distance, so the index is exact in any dimension; with no gridded axis it
     is one cell, a scan.
 
-    A query visits rings of cells at growing Chebyshev distance from its cell
-    (clamped into the grid), skipping cells that cannot hold a point as near
-    as its best so far, and stops once its best squared distance is strictly
-    below a lower bound on the squared distance to every unvisited cell. The
-    bounds are shrunk by a rounding slack (4 ulps of the coordinate scale per
-    axis gap, then a relative 2 (d + 8) eps and a few subnormals), so rounding
-    in cell assignment or in the summed squares can only cost extra work,
-    never a wrong answer. Strictness keeps exact ties in unvisited cells in
-    play, so ties go to the smallest index as in a scan. A query stops at the
-    latest once its block covers the grid.
+    A query visits shells of rings of cells at growing Chebyshev distance
+    from its cell (clamped into the grid): ring 0, then the widest shell whose
+    cells fit `_SHELL_BUDGET` shared by the active queries (many go ring by
+    ring, a few far ones cross empty rings at once). It skips cells that
+    cannot hold a point as near as its best so far, and stops once its best
+    squared distance is strictly below a lower bound on the squared distance
+    to every unvisited cell. The bounds are shrunk by a rounding slack (4
+    ulps of the coordinate scale per axis gap, then a relative 2 (d + 8) eps
+    and a few subnormals), so rounding in cell assignment or in the summed
+    squares can only cost extra work, never a wrong answer. Strictness keeps
+    exact ties in unvisited cells in play, so ties go to the smallest index
+    as in a scan. A query stops at the latest once its block covers the grid.
     """
 
     def __init__(self, points):
@@ -54,7 +57,7 @@ class GridIndex:
         if not np.all(np.isfinite(P)):
             raise ValueError("indexed points must be finite")
         n = P.shape[0]
-        lo, extent = P.min(axis=0), np.ptp(P, axis=0)
+        lo, extent = column_span(P)
         axes = np.argsort(-extent, kind="stable")[:_MAX_AXES]
         axes = axes[(extent[axes] > 0.0) & np.isfinite(extent[axes])]
         side = 1.0
@@ -101,22 +104,23 @@ class GridIndex:
         arg = np.full(Q.shape[0], self.n, dtype=np.int64)
         G = Q[:, self._axes]
         center = self._cells(G)
-        active, r = np.arange(Q.shape[0]), 0
+        active, a, b, g = np.arange(Q.shape[0]), 0, 0, self._axes.size
         while active.size:
-            self._visit_ring(Q, G, active, center[active], r, best, arg)
+            self._visit_shell(Q, G, active, center[active], a, b, best, arg)
             c = center[active]
-            covered = np.all((c <= r) & (c + r >= self._shape - 1), axis=1)
-            done = covered | (best[active] < self._unvisited_d2(G[active], c, r))
+            covered = np.all((c <= b) & (c + b >= self._shape - 1), axis=1)
+            done = covered | (best[active] < self._unvisited_d2(G[active], c, b))
             active = active[~done]
-            r += 1
+            cells = _SHELL_BUDGET / max(1, active.size) + (2 * b + 1) ** g  # the next block's cells
+            top = int((cells ** (1 / max(g, 1)) - 1) // 2)
+            top += (2 * top + 3) ** g <= cells  # the root may round down past an integer
+            a, b = b + 1, max(b + 1, top)
         return best, arg
 
-    def _visit_ring(self, Q, G, active, center, r, best, arg) -> None:
-        """Scan the points in the ring-r cells around each active query,
-        skipping cells that cannot hold a point as near as its best so far."""
-        offsets = _shell(self._axes.size, r)
-        # drop the offsets that leave the grid from every grid cell
-        offsets = offsets[np.all(np.abs(offsets) < self._shape, axis=1)]
+    def _visit_shell(self, Q, G, active, center, a, b, best, arg) -> None:
+        """Scan the points in the cells at Chebyshev offsets a..b from each active
+        query, skipping cells that cannot hold a point as near as its best so far."""
+        offsets = _shell(tuple(self._shape.tolist()), a, b)
         shift = offsets @ self._strides
         base = center @ self._strides + self._pad
         step = max(1, _PIECE // max(1, shift.size))
@@ -174,8 +178,8 @@ class GridIndex:
     def _lower_d2(self, gap, G) -> np.ndarray:
         """Squared distance lower bound from per-axis gaps (gridded axes) of
         queries G, shrunk by the rounding slack."""
-        tol = 4.0 * _EPS * (np.abs(G).max(axis=1, initial=0.0)[:, None] + self._scale)
-        d2 = np.sum(np.maximum(gap - tol, 0.0) ** 2, axis=1)
+        tol = 4.0 * _EPS * (row_reduce(np.maximum, np.abs(G))[:, None] + self._scale)
+        d2 = row_reduce(np.add, np.maximum(gap - tol, 0.0) ** 2)
         return d2 * (1.0 - 2.0 * (self.dim + 8) * _EPS) - (self.dim + 8) * _TINY
 
 
@@ -192,10 +196,12 @@ def _pieces(weights: np.ndarray, budget: int):
 
 
 @lru_cache(maxsize=64)
-def _shell(g: int, r: int) -> np.ndarray:
-    """Integer offsets in g >= 0 dimensions with Chebyshev norm exactly r."""
-    cube = np.indices((2 * r + 1,) * g).reshape(g, (2 * r + 1) ** g).T - r
-    out = cube[np.abs(cube).max(axis=1, initial=0) == r]
+def _shell(shape: tuple, a: int, b: int) -> np.ndarray:
+    """Integer offsets with Chebyshev norm in [a, b] that reach a grid of
+    `shape` (g >= 0 axes) from one of its cells: |offset_j| < shape_j."""
+    reach = np.minimum(b, np.array(shape, dtype=np.int64) - 1)
+    cube = np.indices(2 * reach + 1).reshape(len(shape), np.prod(2 * reach + 1)).T - reach
+    out = cube[np.abs(cube).max(axis=1, initial=0) >= a]
     out.setflags(write=False)
     return out
 

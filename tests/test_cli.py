@@ -317,9 +317,9 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
     (["train", "--data", "{overflow}", "--test", "{labels01}", "--model", "nn1"],
      "{overflow} overflow"),
     # the checks pass; the work itself overflows, before the run directory is made
-    (AUGMENT01 + ["--c", "1e308"], "overflow"),
-    (SWEEP_SMALL + ["--c", "1e308"], "overflow"),
-    (SWEEP_SMALL[:-1] + ["1e308"], "overflow"),
+    (AUGMENT01 + ["--c", "1e308"], "c 1e+308: overflow"),
+    (SWEEP_SMALL + ["--c", "1e308"], "c 1e+308: overflow"),
+    (SWEEP_SMALL[:-1] + ["1e308"], "fixed_radius 1e+308: overflow"),
 ], ids=["margin-labels", "train-mlp-labels", "margin-grid", "margin-grid-order",
         "margin-grid-repeated",
         "sweep-shapes", "sweep-radii", "malformed-csv", "train-nn1-one-class",

@@ -12,6 +12,8 @@ from adaptrobust.core import (
     RandomStream,
     as_point,
     check_range,
+    column_span,
+    row_reduce,
     sq_dists_to,
     write_text_lines,
 )
@@ -65,6 +67,34 @@ def test_distance_symmetric_nonnegative(xs, ys):
     p, q = xs[:n], ys[:n]
     assert kernel_distance(p, q) >= 0.0
     assert kernel_distance(p, q) == kernel_distance(q, p)
+
+
+@st.composite
+def narrow_and_wide(draw):
+    """A 2-D or 3-D array with 0-12 columns (last axis) of exact zeros and
+    magnitudes within 7 decades of a scale from 1e-300 to 1e293, so that
+    summation order shows in the last bits. The helpers only ever see squares
+    and absolute values, so there are no signs."""
+    lead = draw(st.lists(st.integers(0, 12), min_size=1, max_size=2))
+    shape = (*lead, draw(st.integers(0, 12)))
+    scale = draw(st.integers(-300, 293))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.uniform(1.0, 10.0, shape) * 10.0 ** (scale + rng.integers(0, 7, shape))
+    A[rng.random(shape) < 0.2] = 0.0
+    return A
+
+
+@settings(max_examples=300, deadline=None)
+@given(narrow_and_wide())
+def test_column_reductions_are_numpys_bit_for_bit(A):
+    # sums: a column fold below 8 columns, np.sum from 8, the same bytes both ways
+    assert row_reduce(np.add, A).tobytes() == np.sum(A, axis=-1).tobytes()
+    assert (row_reduce(np.maximum, np.abs(A)).tobytes()
+            == np.abs(A).max(axis=-1, initial=0.0).tobytes())
+    if A.ndim == 2 and A.shape[0] > 0:
+        lo, extent = column_span(A)
+        assert lo.tobytes() == A.min(axis=0).tobytes()
+        assert extent.tobytes() == np.ptp(A, axis=0).tobytes()
 
 
 def test_random_stream_replay_100k():

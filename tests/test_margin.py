@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptrobust import margin
+from adaptrobust import margin, neighbors
 from adaptrobust.core import LabeledDataset, RandomStream, sq_dists_to
 from adaptrobust.datagen import manifold_sampler, shape_geometry
 from adaptrobust.losses import probe_flags
@@ -70,6 +70,22 @@ def test_dense_circle_supports_match_radius_midpoint_rule():
     raw = X * (geom.hi - geom.lo) + geom.lo
     want = (np.sqrt(raw[:, 0] ** 2 + raw[:, 1] ** 2) >= 1.5).astype(np.int64)
     assert np.array_equal(h.predict_batch(X), want)
+
+
+def test_few_far_witness_queries_cross_wide_shells(monkeypatch):
+    # A witness query on the circles supports crosses about 16 empty rings of
+    # cells; one ring per pass took 33 passes for these 8 samples (joint
+    # index, then both class indexes). With few queries active a pass covers
+    # many rings, so at most half as many passes remain.
+    geom = shape_geometry("circles")
+    h = NearestSetClassifier(geom.class_support(0, 10000), geom.class_support(1, 10000))
+    X = manifold_sampler("circles")(RandomStream(0), 8)
+    passes = []
+    visit = neighbors.GridIndex._visit_shell
+    monkeypatch.setattr(neighbors.GridIndex, "_visit_shell",
+                        lambda self, *args: passes.append(1) or visit(self, *args))
+    h.opposite_witness(X)
+    assert len(passes) <= 16
 
 
 def test_swapped_supports_flip_predictions():

@@ -264,18 +264,28 @@ def index_case(draw):
     return P, Q
 
 
+# shell budgets: ring by ring, the default, and one pass over the whole grid
+BUDGETS = [1, neighbors._SHELL_BUDGET, 2**40]
+
+
+def index_nearest(P, Q, budget, piece=None):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbors, "_SHELL_BUDGET", budget)
+        if piece:
+            mp.setattr(neighbors, "_PIECE", piece)
+        return GridIndex(P).nearest(Q)
+
+
 @settings(max_examples=300, deadline=None)
 @given(index_case())
 def test_grid_index_matches_scan_bit_for_bit(case):
     P, Q = case
     want_d2, want_idx = scan_nearest(P, Q)
-    for piece in (None, 64):  # the default pieces, then every ring split small
-        with pytest.MonkeyPatch.context() as mp:
-            if piece:
-                mp.setattr(neighbors, "_PIECE", piece)
-            d2, idx = GridIndex(P).nearest(Q)
-        assert idx.tolist() == want_idx
-        assert d2.tobytes() == want_d2.tobytes()
+    for budget in BUDGETS:
+        for piece in (None, 64):  # the default pieces, then every shell split small
+            d2, idx = index_nearest(P, Q, budget, piece)
+            assert idx.tolist() == want_idx
+            assert d2.tobytes() == want_d2.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
@@ -285,7 +295,41 @@ def test_grid_index_on_clustered_data_matches_scan(d):
     P = centers[rng.integers(0, 8, 3000)] + rng.normal(scale=0.01, size=(3000, d))
     Q = np.vstack([rng.random((300, d)) * 1.4 - 0.2, P[:50]])
     want_d2, want_idx = scan_nearest(P, Q)
-    d2, idx = GridIndex(P).nearest(Q)
+    for budget in BUDGETS:
+        d2, idx = index_nearest(P, Q, budget)
+        assert idx.tolist() == want_idx and d2.tobytes() == want_d2.tobytes()
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_far_queries_across_wide_shells_match_scan(m, budget):
+    # Two concentric rings and m queries in the empty annulus between them,
+    # so a query crosses many empty rings of cells. The first query has an
+    # exact tie at squared distance 10000: offset (100, 0), Chebyshev 100,
+    # holds the smaller index and lies farther out than offset (60, 80).
+    rng = np.random.default_rng(m)
+    angles = rng.random((2, 2000)) * 2.0 * np.pi
+    rings = np.concatenate([np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
+                            for r, t in zip((100.0, 400.0), angles)])
+    P = np.vstack([[[350.0, 0.0]], rings, [[310.0, 80.0]]])
+    Q = np.array([[250.0, 0.0], [0.0, -250.0], [-180.0, 170.0]])[:m]
+    want_d2, want_idx = scan_nearest(P, Q)
+    assert want_idx[0] == 0 and want_d2[0] == 10000.0 == sq_dists_to(P[-1:], Q[0])[0]
+    d2, idx = index_nearest(P, Q, budget)
+    assert idx.tolist() == want_idx and d2.tobytes() == want_d2.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+@pytest.mark.parametrize("n", [1, 30])
+def test_grid_with_no_gridded_axis_matches_scan(n, d):
+    # one point, or n copies of one point: zero extent on every axis, so the
+    # grid has no gridded axis and the distance bounds see (k, 0) gaps
+    P = np.repeat(np.random.default_rng(d).random((1, d)), n, axis=0)
+    Q = np.vstack([P[:1], np.random.default_rng(n).random((20, d)) * 4.0 - 2.0])
+    index = GridIndex(P)
+    assert index._axes.size == 0
+    want_d2, want_idx = scan_nearest(P, Q)
+    d2, idx = index.nearest(Q)
     assert idx.tolist() == want_idx and d2.tobytes() == want_d2.tobytes()
 
 
