@@ -32,6 +32,7 @@ from .neighbors import NnClassifier
 FULL_FIXED_RADII = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 EVAL_RADII = (0.02, 0.05, 0.1, 0.2)
 _FILE = click.Path(exists=True, dir_okay=False)  # input files: a directory is rejected
+_GIVEN = "adaptrobust.given"  # context meta key: option names the user gave
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +58,8 @@ def resolve_config(ctx: click.Context) -> dict:
     """Merge defaults < config file < explicit command-line flags, keyed by
     parameter name (`r` for --r, `include_originals` for --originals). File
     values go through the option's click type; unknown keys or bad values stop
-    the command with a one-line error."""
+    the command with a one-line error. The names given on the command line or
+    in the file are kept for `_refuse_unused`."""
     params = {p.name: p for p in ctx.command.params if p.name != "config"}
     path = ctx.params["config"]
     file_vals = _parse_config_file(path) if path else {}
@@ -75,7 +77,18 @@ def resolve_config(ctx: click.Context) -> dict:
                 raise click.ClickException(
                     f"{path}: bad value for {key!r}: {exc.message}") from None
         cfg[key] = value
+    ctx.meta[_GIVEN] = {key for key in params if key in file_vals
+                        or ctx.get_parameter_source(key) == ParameterSource.COMMANDLINE}
     return cfg
+
+
+def _refuse_unused(keys, reason: str) -> None:
+    """A one-line error naming each option of `keys` that was given on the
+    command line or in --config although `reason` leaves it unused."""
+    given = [f"--{k.replace('_', '-')}" for k in keys
+             if k in click.get_current_context().meta[_GIVEN]]
+    if given:
+        raise click.ClickException(f"{', '.join(given)}: not used {reason}")
 
 
 def _parse_radii(text, option: str) -> list[float]:
@@ -402,6 +415,8 @@ def cmd_augment(cfg):
 def cmd_train(cfg):
     """Fit a model and report binary, fixed-radius robust, and adaptive robust
     losses on held-out data."""
+    if cfg["model"] == "nn1":
+        _refuse_unused(("epochs", "lr", "batch"), "by --model nn1, which does not train")
     _check(cfg, **_TRAINING, r="[0, inf)", seed="[0, inf)")
     train_ds = datagen.load_csv(cfg["data"])
     test_ds = datagen.load_csv(cfg["test"])
@@ -618,6 +633,8 @@ def cmd_render(cfg):
 def cmd_sweep(cfg):
     """Full augmentation grid (no-aug, fixed radii, adaptive) across shapes and
     seeds, summarized in one table CSV."""
+    if not cfg["render"]:
+        _refuse_unused(("ambient",), "with --no-render, which draws no figures")
     shape_list = [s.strip() for s in str(cfg["shapes"]).split(",") if s.strip()]
     try:
         _check_shapes(shape_list)

@@ -91,14 +91,33 @@ def column_span(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, np.array([c.max() for c in P.T]) - lo
 
 
-def sq_dists_to(points: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Squared distances from every row of `points` to `q`.
+def sq_dists_to(P: np.ndarray, Q: np.ndarray, pos=None, cnt=None) -> np.ndarray:
+    """Squared distances of point-query pairs, column-major: the points are
+    the columns `pos` of the (d, n) array P, and column k of the (d, k) array
+    Q is the query of the next cnt[k] of them. By default all n points go to
+    one query, a linear scan: `sq_dists_to(X.T, x[:, None])`.
 
     This kernel is the single source of point-to-point arithmetic for the
-    nearest-neighbor machinery; batch paths use the same per-pair arithmetic,
-    so their answers are bit-identical to a linear scan.
+    nearest-neighbor machinery, so the index's answers are bit-identical to a
+    linear scan. One coordinate at a time is gathered, differenced and squared
+    in place; below 8 coordinates the rows are summed left to right from zero,
+    from 8 a (pairs, d) copy is summed pairwise by numpy: the bytes of
+    `np.sum((X - x) ** 2, axis=-1)` either way.
     """
-    return row_reduce(np.add, (points - q) ** 2)
+    if pos is None:
+        pos, cnt = np.arange(P.shape[1]), [P.shape[1]]
+    d, pairs = P.shape[0], len(pos)
+    row = np.empty(pairs)
+    out = np.zeros(pairs) if d < 8 else np.empty((pairs, d))
+    for j in range(d):
+        np.take(P[j], pos, out=row, mode="clip")  # pos is in range: no checked copy
+        row -= np.repeat(Q[j], cnt)
+        row *= row
+        if d < 8:
+            out += row
+        else:
+            out[:, j] = row
+    return out if d < 8 else np.add.reduce(out, axis=-1)
 
 
 class RandomStream:

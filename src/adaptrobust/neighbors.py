@@ -2,9 +2,9 @@
 radii and 1-NN classification.
 
 Every nearest-neighbour query in the package goes through `GridIndex`. The
-index computes each candidate distance with `core.sq_dists_to`, so its answers
-are bit-identical to a brute-force linear scan, and ties go to the smallest
-index.
+index keeps its points column-major and computes each candidate distance with
+`core.sq_dists_to`, the kernel a linear scan uses too, so its answers are
+bit-identical to a brute-force scan, and ties go to the smallest index.
 """
 from __future__ import annotations
 
@@ -18,9 +18,12 @@ from .core import BatchFirst, LabeledDataset, column_span, row_reduce, sq_dists_
 
 _PER_CELL = 4           # target mean number of points per grid cell
 _MAX_AXES = 3           # gridded coordinates; the others only add to distances
-# Elements per candidate array: a piece of candidate pairs holds a few
-# (pairs, d) float arrays at once, about 4e6 elements in all.
-_PIECE = 1_000_000
+# Work per piece, in elements: a query's candidate cells per pass, or d + 4
+# per candidate pair. A piece's arrays, each 8 bytes per pair, stay in a 2 MB
+# L2 cache at this size. Measured on the 16,000-probe query of the nn1
+# workload (2-core x86-64, medians of 30): 27-29 ms at 2^17, 29-30 ms at 2^16
+# and 2^18, 33 ms at 2^15 and 42-44 ms at 10^6.
+_PIECE = 2**17
 _SHELL_BUDGET = 1024    # cells per pass after ring 0, shared by the active queries
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
@@ -35,6 +38,11 @@ class GridIndex:
     distance projected onto the gridded axes is a lower bound on the full
     distance, so the index is exact in any dimension; with no gridded axis it
     is one cell, a scan.
+
+    The sorted points are stored once, column-major, as a C-contiguous (d, n)
+    array. Candidates are scanned in pieces of about `_PIECE` elements, one
+    coordinate at a time through `core.sq_dists_to`, so each pass's arrays
+    stay in cache and every distance has the bytes of a linear scan.
 
     A query visits shells of rings of cells at growing Chebyshev distance
     from its cell (clamped into the grid): ring 0, then the widest shell whose
@@ -84,7 +92,10 @@ class GridIndex:
         self._pad = pad @ self._strides
         cell = self._cells(P[:, axes]) @ self._strides + self._pad
         self._order = np.argsort(cell, kind="stable")
-        self._pts = P[self._order]
+        # (d, n), filled column by column: the build holds no second copy of P
+        self._cols = np.empty((P.shape[1], n))
+        for j, col in enumerate(P.T):
+            self._cols[j] = col[self._order]
         self._counts = np.bincount(cell, minlength=int(np.prod(padded)))
         self._starts = np.cumsum(self._counts) - self._counts
 
@@ -103,13 +114,16 @@ class GridIndex:
         best = np.full(Q.shape[0], np.inf)
         arg = np.full(Q.shape[0], self.n, dtype=np.int64)
         G = Q[:, self._axes]
+        tol = 4.0 * _EPS * (row_reduce(np.maximum, np.abs(G)) + self._scale)  # rounding slack
         center = self._cells(G)
+        QT = np.ascontiguousarray(Q.T)
         active, a, b, g = np.arange(Q.shape[0]), 0, 0, self._axes.size
         while active.size:
-            self._visit_shell(Q, G, active, center[active], a, b, best, arg)
+            self._visit_shell(QT, G, tol, active, center[active], a, b, best, arg)
             c = center[active]
             covered = np.all((c <= b) & (c + b >= self._shape - 1), axis=1)
-            done = covered | (best[active] < self._unvisited_d2(G[active], c, b))
+            unvisited = self._unvisited_d2(G[active], tol[active], c, b)
+            done = covered | (best[active] < unvisited)
             active = active[~done]
             cells = _SHELL_BUDGET / max(1, active.size) + (2 * b + 1) ** g  # the next block's cells
             top = int((cells ** (1 / max(g, 1)) - 1) // 2)
@@ -117,7 +131,7 @@ class GridIndex:
             a, b = b + 1, max(b + 1, top)
         return best, arg
 
-    def _visit_shell(self, Q, G, active, center, a, b, best, arg) -> None:
+    def _visit_shell(self, QT, G, tol, active, center, a, b, best, arg) -> None:
         """Scan the points in the cells at Chebyshev offsets a..b from each active
         query, skipping cells that cannot hold a point as near as its best so far."""
         offsets = _shell(tuple(self._shape.tolist()), a, b)
@@ -130,26 +144,28 @@ class GridIndex:
             owner, k = np.nonzero(cnt)
             owner += lo
             q = active[owner]
-            Gq = G[q]
-            edge = self._lo + (center[owner] + offsets[k]) * self._side
-            gap = np.maximum(np.maximum(edge - Gq, Gq - (edge + self._side)), 0.0)
-            near = self._lower_d2(gap, Gq) <= best[q]
+            gaps = []  # per gridded axis, from each query to its candidate cell
+            for j in range(self._axes.size):
+                edge = self._lo[j] + (center[:, j][owner] + offsets[:, j][k]) * self._side
+                Gj = G[:, j][q]
+                gaps.append(np.maximum(np.maximum(edge - Gj, Gj - (edge + self._side)), 0.0))
+            near = self._lower_d2(gaps, tol[q]) <= best[q]
             owner, k = owner[near], k[near]
             if owner.size == 0:
                 continue
             cid, cnt = cid[owner - lo, k], cnt[owner - lo, k]
             # a query's cells may fall into two pieces: the merge keeps ties exact
             for a, b in _pieces(cnt * (self.dim + 4), _PIECE):
-                self._scan_cells(Q, active, owner[a:b], cid[a:b], cnt[a:b], best, arg)
+                self._scan_cells(QT, active, owner[a:b], cid[a:b], cnt[a:b], best, arg)
 
-    def _scan_cells(self, Q, active, owner, cid, cnt, best, arg) -> None:
+    def _scan_cells(self, QT, active, owner, cid, cnt, best, arg) -> None:
         """Merge the points of cells `cid` into the best answers of queries
         `active[owner]`; all pairs of one query are consecutive."""
         ends = np.cumsum(cnt)
         pos = np.arange(ends[-1]) + np.repeat(self._starts[cid] - (ends - cnt), cnt)
         q = active[owner]
-        d2 = sq_dists_to(self._pts[pos], np.repeat(Q[q], cnt, axis=0))
-        pair0 = np.flatnonzero(np.diff(owner, prepend=-1))
+        d2 = sq_dists_to(self._cols, QT[:, q], pos, cnt)
+        pair0 = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
         first = (ends - cnt)[pair0]
         gmin = np.minimum.reduceat(d2, first)
         # the smallest index among each query's candidates at its minimum
@@ -161,7 +177,7 @@ class GridIndex:
         best[q[better]] = gmin[better]
         arg[q[better]] = gidx[better]
 
-    def _unvisited_d2(self, G, center, r) -> np.ndarray:
+    def _unvisited_d2(self, G, tol, center, r) -> np.ndarray:
         """Lower bound on the squared distance from each query to the points
         outside its visited block (cells within Chebyshev distance r of its
         centre cell)."""
@@ -170,16 +186,19 @@ class GridIndex:
         out = np.maximum(np.maximum(lo - G, G - top), 0.0)  # gap to the grid box
         below = np.where(a > 0, np.maximum(out, G - (lo + a * side)), np.inf)
         above = np.where(b < self._shape - 1, np.maximum(out, lo + (b + 1) * side - G), np.inf)
+        near = np.minimum(below, above)
         # the half-space past the block on one side of axis j, within the box
-        sides = [np.where(np.arange(G.shape[1]) == j, np.minimum(below, above), out)
-                 for j in range(G.shape[1])]
-        return np.min([self._lower_d2(gap, G) for gap in sides], axis=0, initial=np.inf)
+        g = range(G.shape[1])
+        sides = [[near[:, i] if i == j else out[:, i] for i in g] for j in g]
+        return np.min([self._lower_d2(gaps, tol) for gaps in sides], axis=0, initial=np.inf)
 
-    def _lower_d2(self, gap, G) -> np.ndarray:
-        """Squared distance lower bound from per-axis gaps (gridded axes) of
-        queries G, shrunk by the rounding slack."""
-        tol = 4.0 * _EPS * (row_reduce(np.maximum, np.abs(G))[:, None] + self._scale)
-        d2 = row_reduce(np.add, np.maximum(gap - tol, 0.0) ** 2)
+    def _lower_d2(self, gaps, tol) -> np.ndarray:
+        """Squared distance lower bound from the gaps of queries along each
+        gridded axis (one array per axis), shrunk by their rounding slack
+        `tol`; summed by axes from zero, as `core.row_reduce` does."""
+        d2 = np.zeros(tol.shape)
+        for gap in gaps:
+            d2 += np.maximum(gap - tol, 0.0) ** 2
         return d2 * (1.0 - 2.0 * (self.dim + 8) * _EPS) - (self.dim + 8) * _TINY
 
 

@@ -48,7 +48,7 @@ def test_predict_is_one_row_of_predict_batch(s, seed, label):
     h_nn = NnClassifier(LabeledDataset(train, labels))
     got = assert_batch_first(h_nn, X)
     for x, y in zip(X, got):  # ties go to the smallest index
-        d2 = sq_dists_to(train, x)
+        d2 = sq_dists_to(train.T, x[:, None])
         assert y == labels[np.flatnonzero(d2 == d2.min())[0]]
 
     half = max(1, len(train) // 2)
@@ -56,7 +56,8 @@ def test_predict_is_one_row_of_predict_batch(s, seed, label):
     h_set = NearestSetClassifier(support0, support1)
     got = assert_batch_first(h_set, X)
     for x, y in zip(X, got):  # exact ties between the sets go to 0
-        d0, d1 = sq_dists_to(support0, x).min(), sq_dists_to(support1, x).min()
+        d0 = sq_dists_to(support0.T, x[:, None]).min()
+        d1 = sq_dists_to(support1.T, x[:, None]).min()
         assert y == (0 if d0 <= d1 else 1)
 
     assert_batch_first(MlpClassifier(init(d, seed=seed)), X)

@@ -214,6 +214,9 @@ def bad_csvs(tmp_path):
                         ("param", ["d,h1,h2", "2,10,10", "oops"] + params[1:])]:
         paths[f"model_{name}"] = tmp_path / f"model_{name}.txt"
         paths[f"model_{name}"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for name, text in [("nn1_epochs", "epochs=5\n"), ("ambient", "ambient=500\n")]:
+        paths[name] = tmp_path / f"{name}.cfg"
+        paths[name].write_text(text, encoding="utf-8")
     paths["twice"] = tmp_path / "twice.cfg"
     paths["twice"].write_text("n=10\nshape=circles\nn=20\n", encoding="utf-8")
     paths["binary"] = tmp_path / "binary.bin"
@@ -320,6 +323,13 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
     (AUGMENT01 + ["--c", "1e308"], "c 1e+308: overflow"),
     (SWEEP_SMALL + ["--c", "1e308"], "c 1e+308: overflow"),
     (SWEEP_SMALL[:-1] + ["1e308"], "fixed_radius 1e+308: overflow"),
+    # an option the run would not use is an error, not silently echoed
+    (TRAIN01 + ["--model", "nn1", "--epochs", "7", "--lr", "9", "--batch", "3"],
+     "--epochs, --lr, --batch: --model nn1"),
+    (TRAIN01 + ["--model", "nn1", "--lr", "0.05"], "--lr: --model nn1"),
+    (TRAIN01 + ["--model", "nn1", "--config", "{nn1_epochs}"], "--epochs: --model nn1"),
+    (SWEEP_SMALL + ["--no-render", "--ambient", "500"], "--ambient: --no-render"),
+    (SWEEP_SMALL + ["--no-render", "--config", "{ambient}"], "--ambient: --no-render"),
 ], ids=["margin-labels", "train-mlp-labels", "margin-grid", "margin-grid-order",
         "margin-grid-repeated",
         "sweep-shapes", "sweep-radii", "malformed-csv", "train-nn1-one-class",
@@ -340,7 +350,9 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
         "render-seed", "sweep-base-seed", "sweep-shapes-comma", "sweep-shapes-empty",
         "sweep-radii-repeated", "sweep-radii-same-name", "sweep-shapes-repeated",
         "margin-overflow", "augment-overflow", "train-nn1-overflow", "augment-c-overflow",
-        "sweep-c-overflow", "sweep-fixed-radii-overflow"])
+        "sweep-c-overflow", "sweep-fixed-radii-overflow", "train-nn1-training-options",
+        "train-nn1-default-lr", "train-nn1-config-epochs", "sweep-no-render-ambient",
+        "sweep-no-render-config-ambient"])
 def test_bad_input_stops_with_one_line_error(tmp_path, bad_csvs, args, names):
     args = [a.format(**bad_csvs) for a in args]
     res = runner.invoke(main, args + ["--out", str(tmp_path / "out"), "--name", "bad"])

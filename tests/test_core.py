@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def kernel_distance(p, q):
     """Euclidean distance through the library's squared-distance kernel."""
-    return float(np.sqrt(sq_dists_to(np.atleast_2d(as_point(p)), as_point(q))[0]))
+    return float(np.sqrt(sq_dists_to(as_point(p)[:, None], as_point(q)[:, None])[0]))
 
 
 def oracle_distance(p, q):
@@ -95,6 +95,41 @@ def test_column_reductions_are_numpys_bit_for_bit(A):
         lo, extent = column_span(A)
         assert lo.tobytes() == A.min(axis=0).tobytes()
         assert extent.tobytes() == np.ptp(A, axis=0).tobytes()
+
+
+@st.composite
+def pairs_case(draw):
+    """Points (n, d) and queries (k, d) with 0-12 coordinates, exact zeros and
+    magnitudes within 7 decades of a scale from 1e-150 to 1e146, so the squared
+    terms span a scale from 1e-300 to 1e293 and summation order shows in the
+    last bits; some points equal a query (distance exactly 0). Each query is
+    paired with cnt[k] random positions, repeats allowed."""
+    n, k, d = draw(st.integers(1, 12)), draw(st.integers(1, 4)), draw(st.integers(0, 12))
+    scale = draw(st.integers(-150, 146))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def coords(shape):
+        A = rng.uniform(1.0, 10.0, shape) * 10.0 ** (scale + rng.integers(0, 7, shape))
+        A *= rng.choice([-1.0, 1.0], shape)
+        A[rng.random(shape) < 0.2] = 0.0
+        return A
+
+    P, Q = coords((n, d)), coords((k, d))
+    P[rng.random(n) < 0.3] = Q[0]
+    cnt = rng.integers(0, 2 * n, k)
+    return P, Q, rng.integers(0, n, cnt.sum()), cnt
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs_case())
+def test_distance_kernel_is_numpys_sum_bit_for_bit(case):
+    # one coordinate at a time, summed by columns below 8 and pairwise from 8:
+    # the bytes of numpy's row sum of the squared differences either way
+    P, Q, pos, cnt = case
+    want = np.sum((P[pos] - np.repeat(Q, cnt, axis=0)) ** 2, axis=-1)
+    assert sq_dists_to(P.T, Q.T, pos, cnt).tobytes() == want.tobytes()
+    scan = np.sum((P - Q[0]) ** 2, axis=-1)  # the default form: every point to one query
+    assert sq_dists_to(P.T, Q[:1].T).tobytes() == scan.tobytes()
 
 
 def test_random_stream_replay_100k():

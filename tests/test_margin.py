@@ -123,7 +123,7 @@ def two_scan_predict(support0, support1, X):
 def two_scan_witness(support0, support1, x):
     """The nearest point of the support opposite to x's nearest-set label;
     argmin takes the smallest index."""
-    d0, d1 = sq_dists_to(support0, x), sq_dists_to(support1, x)
+    d0, d1 = sq_dists_to(support0.T, x[:, None]), sq_dists_to(support1.T, x[:, None])
     if d0.min() <= d1.min():
         return support1[int(np.argmin(d1))]
     return support0[int(np.argmin(d0))]

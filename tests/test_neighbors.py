@@ -28,7 +28,8 @@ def scan_rho(S, x, y):
     mask = S.labels != y
     if not np.any(mask):
         return S.diameter_bound
-    return float(np.sqrt(sq_dists_to(S.points[mask], np.asarray(x, dtype=np.float64)).min()))
+    x = np.asarray(x, dtype=np.float64)
+    return float(np.sqrt(sq_dists_to(S.points[mask].T, x[:, None]).min()))
 
 
 def oracle_nn(S, x):
@@ -232,7 +233,7 @@ def scan_nearest(P, Q):
     """The reference: one scan per query; argmin takes the smallest index."""
     d2, idx = [], []
     for q in Q:
-        row = sq_dists_to(P, q)
+        row = sq_dists_to(P.T, q[:, None])
         idx.append(int(np.argmin(row)))
         d2.append(row[idx[-1]])
     return np.array(d2, dtype=np.float64), idx
@@ -314,7 +315,7 @@ def test_far_queries_across_wide_shells_match_scan(m, budget):
     P = np.vstack([[[350.0, 0.0]], rings, [[310.0, 80.0]]])
     Q = np.array([[250.0, 0.0], [0.0, -250.0], [-180.0, 170.0]])[:m]
     want_d2, want_idx = scan_nearest(P, Q)
-    assert want_idx[0] == 0 and want_d2[0] == 10000.0 == sq_dists_to(P[-1:], Q[0])[0]
+    assert want_idx[0] == 0 and want_d2[0] == 10000.0 == sq_dists_to(P[-1:].T, Q[:1].T)[0]
     d2, idx = index_nearest(P, Q, budget)
     assert idx.tolist() == want_idx and d2.tobytes() == want_d2.tobytes()
 
