@@ -113,6 +113,15 @@ def _check(cfg: dict, **intervals: str) -> None:
 _TRAINING = dict(epochs="[0, inf)", batch="[1, inf)", lr="(0, inf)", probes="[0, inf)")
 
 
+def _check_union(a: LabeledDataset, b: LabeledDataset, names: str) -> None:
+    """`LabeledDataset`'s overflow rule on the union of two loaded sets, which
+    can break it although each set keeps it; the error names both inputs."""
+    try:
+        LabeledDataset(np.concatenate([a.points, b.points]), np.concatenate([a.labels, b.labels]))
+    except ValueError as exc:
+        raise click.ClickException(f"{names}: {exc}") from None
+
+
 def _run_dir(cfg: dict) -> Path:
     """Make the run directory and echo the resolved config into it. A --name
     that is not one directory name, or a run path mkdir fails on, is an error,
@@ -210,8 +219,7 @@ class SweepCell:
 @dataclass(frozen=True)
 class SweepResult:
     cells: tuple
-    table: dict  # (shape, variant) -> {"binary": mean, "adaptive": mean}
-    variants: tuple
+    table: dict  # (shape, variant) -> {"binary": mean, "adaptive": mean}, shape-major
 
 
 def _augmentation_variants(c: float, fixed_radii) -> list[tuple[str, dict | None]]:
@@ -293,18 +301,20 @@ def run_sweep(shapes, n: int, m: int, c: float, fixed_radii, n_seeds: int,
                 "binary": float(np.mean([c_.binary.value for c_ in sel])),
                 "adaptive": float(np.mean([c_.adaptive.value for c_ in sel])),
             }
-    return SweepResult(cells=tuple(cells), table=table,
-                       variants=tuple(v for v, _ in variants))
+    return SweepResult(cells=tuple(cells), table=table)
 
 
-def sweep_table_csv(result: SweepResult, shapes) -> list[str]:
+def sweep_table_csv(result: SweepResult) -> list[str]:
+    """One row per shape, two columns per variant, in `result.table`'s key order."""
+    shapes = dict.fromkeys(s for s, _ in result.table)
+    variants = dict.fromkeys(v for _, v in result.table)
     cols = []
-    for v in result.variants:
+    for v in variants:
         cols += [f"{v}_binary", f"{v}_adaptive"]
     lines = ["shape," + ",".join(cols)]
     for shape in shapes:
         row = [shape]
-        for v in result.variants:
+        for v in variants:
             cell = result.table[(shape, v)]
             row += [repr(cell["binary"]), repr(cell["adaptive"])]
         lines.append(",".join(row))
@@ -405,9 +415,9 @@ def cmd_augment(cfg):
 @click.option("--data", required=True, type=_FILE)
 @click.option("--test", required=True, type=_FILE)
 @click.option("--model", default="mlp", type=click.Choice(["mlp", "nn1"]), show_default=True)
-@click.option("--epochs", default=2000, show_default=True)
-@click.option("--lr", default=0.05, show_default=True)
-@click.option("--batch", default=32, show_default=True)
+@click.option("--epochs", default=mlp.TrainSpec.epochs, show_default=True)
+@click.option("--lr", default=mlp.TrainSpec.learning_rate, show_default=True)
+@click.option("--batch", default=mlp.TrainSpec.batch_size, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--probes", default=100, show_default=True)
 @click.option("--r", default=0.1, show_default=True,
@@ -424,6 +434,7 @@ def cmd_train(cfg):
         raise click.ClickException(
             f"--test {cfg['test']} has {test_ds.dim}-D points, "
             f"but --data {cfg['data']} has {train_ds.dim}-D points")
+    _check_union(train_ds, test_ds, f"--data {cfg['data']} --test {cfg['test']}")
     labels = train_ds.classes().tolist()
     if cfg["model"] == "mlp" and not set(labels) <= {0, 1}:
         raise click.ClickException(
@@ -505,7 +516,9 @@ def cmd_margin(cfg):
         click.echo(ln)
 
 
-SCENARIOS = ("two_point", "four_point", "two_rectangles")
+# Each construction and the options it reads; any other given option is refused.
+SCENARIOS = {"two_point": ("gap", "r"), "four_point": (),
+             "two_rectangles": ("epsilon", "mc", "seed")}
 
 
 @command("scenario")
@@ -524,6 +537,8 @@ def cmd_scenario(cfg):
     if name not in SCENARIOS:
         raise click.ClickException(f"unknown scenario {name!r}; options: {', '.join(SCENARIOS)}")
     _check(cfg, epsilon="(0, 1)", gap="(0, inf)", r="[0, inf]", mc="[1, inf)", seed="[0, inf)")
+    _refuse_unused([k for k in ("epsilon", "gap", "r", "mc", "seed") if k not in SCENARIOS[name]],
+                   f"by scenario {name}")
     lines, reports = _scenario_report(cfg)
     run = _run_dir(cfg)
     _write_reports(run / "reports" / f"scenario_{name}.csv", reports)
@@ -605,6 +620,8 @@ def cmd_render(cfg):
         note = "model=nn1"
     if dim != 2:
         raise click.ClickException(f"{source} has {dim}-D inputs, but --data has 2-D points")
+    if cfg["nn1_data"] is not None:
+        _check_union(nn_ds, ds, f"{source} --data {cfg['data']}")
     svg = render_regions_svg(h, ds, cfg["ambient"], RandomStream(cfg["seed"]),
                              config_note=f"{note} ambient={cfg['ambient']} seed={cfg['seed']}")
     run = _run_dir(cfg)
@@ -652,7 +669,7 @@ def cmd_sweep(cfg):
         n_seeds=cfg["seeds"], base_seed=cfg["base_seed"], epochs=cfg["epochs"],
         lr=cfg["lr"], batch=cfg["batch"], probes=cfg["probes"])
     run = _run_dir(cfg)
-    write_text_lines(run / "reports" / "sweep_table.csv", sweep_table_csv(result, shape_list))
+    write_text_lines(run / "reports" / "sweep_table.csv", sweep_table_csv(result))
     write_text_lines(run / "reports" / "sweep_cells.csv", sweep_cells_csv(result))
     for cell in result.cells if cfg["render"] else ():  # every sweep shape is 2-D: cannot fail
         note = f"shape={cell.shape} variant={cell.variant} seed_index={cell.seed_index}"

@@ -84,9 +84,8 @@ def row_reduce(op, A: np.ndarray) -> np.ndarray:
 
 
 def column_span(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(min, max - min) of each column of the (n, d) array P; by columns below 8."""
-    if P.shape[1] >= 8:
-        return P.min(axis=0), np.ptp(P, axis=0)
+    """(min, max - min) of each column of the (n, d) array P, column by column:
+    min and max are exact, so these are the bytes of numpy's own at any width."""
     lo = np.array([c.min() for c in P.T])
     return lo, np.array([c.max() for c in P.T]) - lo
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import point_offsets
+from .augment import expand, point_offsets
 from .core import Classifier, LabeledDataset, RandomStream, check_range, radius_grid
-from .neighbors import rho, rho_all
+from .neighbors import rho
 
 REPORT_CSV_HEADER = "loss_name,value,probes,seed,n"
 
@@ -98,11 +98,11 @@ def robust_loss_fixed_grid(h: Classifier, D: LabeledDataset, radii, probes: int 
 def adaptive_robust_empirical(h: Classifier, S: LabeledDataset, c: float = 0.5,
                               probes: int = 100, *, stream: RandomStream) -> LossReport:
     """Probe estimate of the empirical adaptive robust loss on S: item i counts
-    when h mislabels x_i or any probe from the ball of radius c * rho_S(x_i, y_i)
-    gets a label other than y_i."""
+    when h mislabels x_i or any probe from its `augment.expand` ball, of radius
+    c * rho_S(x_i, y_i), gets a label other than y_i."""
     check_range("c", c, "(0, inf)")
     check_range("probes", probes, "[1, inf) int")
-    scales = [(f"adaptive_empirical_c={c:g}", c * rho_all(S))]
+    scales = [(f"adaptive_empirical_c={c:g}", expand(S, c))]
     return _probe_losses(h, S, scales, probes, stream)[0]
 
 

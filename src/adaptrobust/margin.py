@@ -26,10 +26,7 @@ import numpy as np
 from .augment import unit_ball
 from .core import BatchFirst, Classifier, RandomStream, check_range, radius_grid, row_reduce, write_text_lines
 from .losses import probe_flags
-from .neighbors import GridIndex
-
-_EPS = np.finfo(np.float64).eps
-_TINY = np.finfo(np.float64).smallest_subnormal
+from .neighbors import _EPS, _TINY, GridIndex
 
 
 @dataclass(frozen=True, eq=False)

@@ -189,16 +189,16 @@ def test_criterion_08_gradient_check():
                    f"({time.perf_counter() - t0:.1f}s)")
 
 
-def _rank(table, shape, variants, metric):
+def _rank(table, shape, metric):
     mine = table[(shape, "adaptive")][metric]
-    return 1 + sum(1 for v in variants if table[(shape, v)][metric] < mine)
+    return 1 + sum(1 for (s, _), cell in table.items() if s == shape and cell[metric] < mine)
 
 
 @pytest.mark.slow
 def test_criterion_09_adaptive_augmentation_rank(sweep_result):
-    ranks_bin = {s: _rank(sweep_result.table, s, sweep_result.variants, "binary")
+    ranks_bin = {s: _rank(sweep_result.table, s, "binary")
                  for s in SWEEP_SHAPES}
-    ranks_adp = {s: _rank(sweep_result.table, s, sweep_result.variants, "adaptive")
+    ranks_adp = {s: _rank(sweep_result.table, s, "adaptive")
                  for s in SWEEP_SHAPES}
     good_bin = sum(1 for r in ranks_bin.values() if r <= 2)
     good_adp = sum(1 for r in ranks_adp.values() if r <= 2)

@@ -214,7 +214,8 @@ def bad_csvs(tmp_path):
                         ("param", ["d,h1,h2", "2,10,10", "oops"] + params[1:])]:
         paths[f"model_{name}"] = tmp_path / f"model_{name}.txt"
         paths[f"model_{name}"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for name, text in [("nn1_epochs", "epochs=5\n"), ("ambient", "ambient=500\n")]:
+    for name, text in [("nn1_epochs", "epochs=5\n"), ("ambient", "ambient=500\n"),
+                       ("gap", "gap=0.7\n")]:
         paths[name] = tmp_path / f"{name}.cfg"
         paths[name].write_text(text, encoding="utf-8")
     paths["twice"] = tmp_path / "twice.cfg"
@@ -224,6 +225,8 @@ def bad_csvs(tmp_path):
     paths["overflow"] = tmp_path / "overflow.csv"  # finite, but squared distances overflow
     paths["overflow"].write_text("x1,x2,label\n1e200,0,0\n-1e200,0,1\n0,1e200,0\n",
                                  encoding="utf-8")
+    paths["far"] = tmp_path / "far.csv"  # fine alone, but overflows next to the unit square
+    paths["far"].write_text("x1,x2,label\n1e200,1e200,0\n1e200,1e200,1\n", encoding="utf-8")
     return paths
 
 
@@ -330,6 +333,16 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
     (TRAIN01 + ["--model", "nn1", "--config", "{nn1_epochs}"], "--epochs: --model nn1"),
     (SWEEP_SMALL + ["--no-render", "--ambient", "500"], "--ambient: --no-render"),
     (SWEEP_SMALL + ["--no-render", "--config", "{ambient}"], "--ambient: --no-render"),
+    (["scenario", "four_point", "--gap", "9", "--epsilon", "0.3", "--mc", "5"],
+     "--epsilon, --gap, --mc: scenario four_point"),
+    (["scenario", "four_point", "--r", "0.2"], "--r: scenario four_point"),
+    (["scenario", "two_point", "--mc", "5"], "--mc: scenario two_point"),
+    (["scenario", "two_rectangles", "--config", "{gap}"], "--gap: scenario two_rectangles"),
+    # each set keeps the overflow rule alone, but not next to the other
+    (["train", "--data", "{labels01}", "--test", "{far}", "--model", "nn1"],
+     "--data {labels01} --test {far}: too far apart"),
+    (["render", "--nn1-data", "{far}", "--data", "{labels01}"],
+     "--nn1-data {far} --data {labels01}: too far apart"),
 ], ids=["margin-labels", "train-mlp-labels", "margin-grid", "margin-grid-order",
         "margin-grid-repeated",
         "sweep-shapes", "sweep-radii", "malformed-csv", "train-nn1-one-class",
@@ -352,7 +365,9 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
         "margin-overflow", "augment-overflow", "train-nn1-overflow", "augment-c-overflow",
         "sweep-c-overflow", "sweep-fixed-radii-overflow", "train-nn1-training-options",
         "train-nn1-default-lr", "train-nn1-config-epochs", "sweep-no-render-ambient",
-        "sweep-no-render-config-ambient"])
+        "sweep-no-render-config-ambient", "scenario-four-point-options", "scenario-four-point-r",
+        "scenario-two-point-mc", "scenario-two-rectangles-config-gap", "train-far-test",
+        "render-far-nn1-data"])
 def test_bad_input_stops_with_one_line_error(tmp_path, bad_csvs, args, names):
     args = [a.format(**bad_csvs) for a in args]
     res = runner.invoke(main, args + ["--out", str(tmp_path / "out"), "--name", "bad"])
@@ -613,6 +628,35 @@ def test_scenario_two_rectangles_output(tmp_path):
     value = float([ln for ln in res.output.splitlines()
                    if ln.startswith("disagreement_mass")][0].split("=")[1].split("(")[0])
     assert abs(value - 0.5) < 0.02
+
+
+SCENARIO_READS = {"two_point": {"--gap", "--r"}, "four_point": set(),
+                  "two_rectangles": {"--epsilon", "--mc", "--seed"}}
+
+
+@pytest.mark.parametrize("name", SCENARIO_READS)
+def test_scenario_takes_exactly_the_options_its_construction_reads(tmp_path, name):
+    # another valid value changes the report of an option the construction
+    # reads and is refused for any other option
+    base = ["scenario", name, "--out", str(tmp_path / name)]
+    if name == "two_rectangles":
+        base += ["--mc", "2000"]
+
+    def reports(run):
+        return [(tmp_path / name / run / "reports" / f"scenario_{name}.{ext}").read_bytes()
+                for ext in ("txt", "csv")]
+
+    run_ok(base + ["--name", "base"])
+    for flag, value in [("--epsilon", "0.3"), ("--gap", "0.7"), ("--r", "0.3"), ("--mc", "3000"),
+                        ("--seed", "1")]:
+        res = runner.invoke(main, base + [flag, value, "--name", flag[2:]])
+        if flag in SCENARIO_READS[name]:
+            assert res.exit_code == 0, res.output
+            assert reports(flag[2:]) != reports("base"), flag
+        else:
+            assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+            assert res.output == f"Error: {flag}: not used by scenario {name}\n"
+            assert not (tmp_path / name / flag[2:]).exists()
 
 
 def test_scenario_unknown_name_lists_options(tmp_path):
