@@ -444,9 +444,12 @@ def cmd_train(cfg):
             f"--data {cfg['data']}: the adaptive loss needs two classes, got {labels}")
     if cfg["model"] == "mlp":
         model = mlp.init(train_ds.dim, seed=cfg["seed"])
-        model = mlp.train(model, train_ds, mlp.TrainSpec(
-            epochs=cfg["epochs"], batch_size=cfg["batch"],
-            learning_rate=cfg["lr"], seed=cfg["seed"]))
+        spec = mlp.TrainSpec(epochs=cfg["epochs"], batch_size=cfg["batch"],
+                             learning_rate=cfg["lr"], seed=cfg["seed"])
+        try:
+            model = mlp.train(model, train_ds, spec)
+        except ValueError as exc:
+            raise click.ClickException(f"--data {cfg['data']}: {exc}") from None
         h = mlp.MlpClassifier(model)
     else:
         h = NnClassifier(train_ds)

@@ -11,13 +11,14 @@ radius hold by construction. All three probe estimators share one core,
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .augment import expand, point_offsets
-from .core import Classifier, LabeledDataset, RandomStream, check_range, radius_grid
-from .neighbors import rho
+from .core import Classifier, LabeledDataset, RandomStream, check_range, column_span, radius_grid, row_reduce
+from .neighbors import _EPS, _TINY, rho
 
 REPORT_CSV_HEADER = "loss_name,value,probes,seed,n"
 
@@ -46,22 +47,53 @@ def binary_loss(h: Classifier, D: LabeledDataset) -> LossReport:
 _PROBE_CHUNK = 10  # probes per row and call
 
 
+def certified_labels(h: Classifier, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(labels, safe): h's labels of the rows of X, and the radii `h.certify`
+    certifies for them when h has it (one query for both), else None."""
+    return h.certify(X) if hasattr(h, "certify") else (h.predict_batch(X), None)
+
+
+def _reach(U: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """An upper bound on |radii_i * U_i[j]| for each probe offset U_i[j].
+
+    The computed |u| can fall short of the true norm by (d + 3) / 2 eps
+    relative plus sqrt(d) subnormals (the squares may underflow), and forming
+    r * |u| rounds once more. As in `neighbors.certified_radius`, the margin
+    taken is about four times these bounds. The rounding of x + r * u
+    depends on the size of r * u, not on r, so the certificate's own slack
+    covers it."""
+    d = U.shape[-1]
+    norms = np.sqrt(row_reduce(np.add, U**2))
+    return radii[:, None] * (norms * (1.0 + 4.0 * (d + 8) * _EPS)
+                             + 4.0 * math.sqrt((d + 8) * _TINY)) + _TINY
+
+
 def probe_flags(h: Classifier, X: np.ndarray, offsets: np.ndarray, radii: np.ndarray,
-                targets: np.ndarray, todo: np.ndarray) -> np.ndarray:
+                targets: np.ndarray, todo: np.ndarray, safe=None) -> np.ndarray:
     """For each row i in `todo`: does any probe X_i + radii_i * offsets_i[j] get
     a label other than targets_i? Rows outside `todo` come back False.
 
-    Only the `todo` rows are evaluated, _PROBE_CHUNK probes at a time, and a
-    row stops at its first flip: a skipped probe cannot change a decided row."""
+    `safe`, when given, holds per row a radius within which h keeps label
+    targets_i (`neighbors.certified_radius`, for unit-ball offsets): a row
+    whose radius is within it is not probed, nor is a probe whose `_reach` is.
+    The other probes of the `todo` rows are evaluated _PROBE_CHUNK draws at a
+    time, and a row stops at its first flip: a skipped probe cannot change a
+    decided row. Without `safe` every probe of a live row is evaluated."""
     n, k, d = offsets.shape
     flags = np.zeros(n, dtype=bool)
-    live = np.flatnonzero(todo)
+    live = np.flatnonzero(todo if safe is None else todo & ~(radii <= safe))
     for j in range(0, k, _PROBE_CHUNK):
         if live.size == 0:
             break
-        Z = X[live, None, :] + radii[live, None, None] * offsets[live, j:j + _PROBE_CHUNK]
-        pred = h.predict_batch(Z.reshape(-1, d)).reshape(Z.shape[:2])
-        hit = np.any(pred != targets[live, None], axis=1)
+        U = offsets[live, j:j + _PROBE_CHUNK]
+        use = (np.ones(U.shape[:2], dtype=bool) if safe is None  # a NaN safe certifies nothing
+               else ~(_reach(U, radii[live]) <= safe[live, None]))
+        if not use.any():
+            continue
+        Z = X[live, None, :] + radii[live, None, None] * U
+        owner = np.nonzero(use)[0]
+        hit = np.zeros(live.size, dtype=bool)
+        hit[owner[h.predict_batch(Z[use]) != targets[live[owner]]]] = True
         flags[live[hit]] = True
         live = live[~hit]
     return flags
@@ -72,12 +104,14 @@ def _probe_losses(h: Classifier, D: LabeledDataset, scales, probes: int,
     """One report per (name, per-item radii) in `scales`: the fraction of items
     that h mislabels or that some probe of their ball flips. Probe directions
     are shared across `scales` and flags accumulate, so the values are
-    nondecreasing along it."""
-    flags = h.predict_batch(D.points) != D.labels
+    nondecreasing along it. A classifier that certifies its labels skips the
+    probes its certificate decides."""
+    pred, safe = certified_labels(h, D.points)
+    flags = pred != D.labels
     offsets = point_offsets(stream, D.n, probes, D.dim)
     reports = []
     for name, radii in scales:
-        flags = flags | probe_flags(h, D.points, offsets, radii, D.labels, ~flags)
+        flags = flags | probe_flags(h, D.points, offsets, radii, D.labels, ~flags, safe)
         reports.append(LossReport(name, float(np.mean(flags)), probes, stream.seed, D.n))
     return reports
 
@@ -88,9 +122,15 @@ def robust_loss_fixed_grid(h: Classifier, D: LabeledDataset, radii, probes: int 
     `core.radius_grid` rule): an item counts at r when it is misclassified or
     any of `probes` uniform draws from the radius-r ball around it receives a
     label different from the true one. Flags accumulate over the grid, so the
-    values are nondecreasing in r."""
+    values are nondecreasing in r. A radius whose probes, next to D, break
+    `LabeledDataset`'s overflow rule raises ValueError naming it."""
     radii = radius_grid(radii)
     check_range("probes", probes, "[0, inf) int")
+    lo, extent = column_span(D.points)
+    try:  # every probe lies in D's bounding box widened by r on each side
+        LabeledDataset(np.array([lo - radii[-1], lo + extent + radii[-1]]), [0, 0])
+    except ValueError as exc:
+        raise ValueError(f"r {float(radii[-1])!r}: {exc}") from None
     scales = [(f"robust_fixed_r={r:g}", np.full(D.n, r)) for r in radii]
     return _probe_losses(h, D, scales, probes, stream)
 

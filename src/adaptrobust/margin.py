@@ -10,11 +10,11 @@ classifiers (which flip exactly once along the segment), a heuristic for others.
 
 Only the test `flip distance < r` and the probe flags reach the profile, so
 work whose outcome is already decided is skipped: a row stops being probed
-once it is in the margin, nearest-set rows are not probed at radii their
-distance gap certifies, and the bisection stops once no grid radius can tell
-its bracket's ends apart. For a classifier that labels each row on its own,
-such as the nearest-set one, the values are the same bits as with every
-probe and bisection step evaluated.
+once it is in the margin, a probe within the radius a certifying classifier
+(nearest-set or 1-NN) certifies is not evaluated, and the bisection stops
+once no grid radius can tell its bracket's ends apart. For a classifier that
+labels each row on its own, such as the nearest-set one, the values are the
+same bits as with every probe and bisection step evaluated.
 """
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ import numpy as np
 
 from .augment import unit_ball
 from .core import BatchFirst, Classifier, RandomStream, check_range, radius_grid, row_reduce, write_text_lines
-from .losses import probe_flags
-from .neighbors import _EPS, _TINY, GridIndex
+from .losses import certified_labels, probe_flags
+from .neighbors import GridIndex, certified_radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,23 +74,7 @@ class NearestSetClassifier(BatchFirst):
             rows = label == y
             d2, idx = self._class_index[1 - y].nearest(X[rows])
             out[rows], d2_opp[rows] = support[idx], d2
-        return out, self._certified_radius(X, np.sqrt(d2_own), np.sqrt(d2_opp))
-
-    def _certified_radius(self, X, d_own, d_opp) -> np.ndarray:
-        """Largest r with d_opp - d_own >= 2 r plus a rounding slack.
-
-        If |z - x| < r then z is nearer than d_own + r to x's own support and
-        farther than d_opp - r from the other, so z keeps x's label while
-        d_opp - d_own >= 2 r. The slack keeps this true in floats: probe
-        offsets may exceed norm 1 by a few ulps, forming x + r * u rounds each
-        coordinate by about eps times the coordinate scale, and the summed
-        squares and square roots behind every distance carry a relative
-        error of (d + 3) eps plus a few subnormals. The margin taken here is
-        about four times the sum of these bounds."""
-        kappa = 4.0 * (X.shape[1] + 8) * _EPS
-        scale = row_reduce(np.maximum, np.abs(X)) + self._scale
-        tiny = 4.0 * math.sqrt((X.shape[1] + 8) * _TINY)
-        return (d_opp - d_own - kappa * (d_opp + scale) - tiny) / (2.0 + kappa)
+        return out, certified_radius(X, np.sqrt(d2_own), np.sqrt(d2_opp), self._scale)
 
 
 _BISECTION_STEPS = 30
@@ -159,15 +143,16 @@ def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100, *,
     raw curve is already monotone), plus a bisection toward witness W_i when h
     has `opposite_witness(X) -> (W, safe)`: h labels W_i unlike x_i, and no
     probe of x_i flips its label at radii <= safe_i (-inf: none certified).
+    A classifier with `certify(X) -> (labels, safe)` and no witness gets its
+    probes skipped in the same way.
     """
     radii = radius_grid(radii)
     check_range("N", N, "[1, inf) int")
     check_range("probes", probes, "[0, inf) int")
     X = np.asarray(sampler(stream.child(0), N), dtype=np.float64)
-    preds = h.predict_batch(X)
+    preds, safe = certified_labels(h, X)  # no probe flips a row within safe
 
     flips = np.full(N, math.inf)
-    safe = np.full(N, -math.inf)  # no probe flips a row at radii <= safe
     if hasattr(h, "opposite_witness"):
         W, safe = h.opposite_witness(X)
         flips = _flip_distances_batch(h, X, W, preds, radii)
@@ -179,8 +164,7 @@ def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100, *,
     for j, r in enumerate(radii):
         decided = flips < r
         if r > 0.0:
-            todo = ~(member | decided) & (safe < r)
-            member |= probe_flags(h, X, offsets, np.full(N, r), preds, todo)
+            member |= probe_flags(h, X, offsets, np.full(N, r), preds, ~(member | decided), safe)
         # Nondecreasing: `member` and `flips < r` only grow along the grid.
         values[j] = np.mean(member | decided)
     return MarginProfile(radii, values)

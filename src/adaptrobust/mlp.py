@@ -128,7 +128,7 @@ def grad(model: MlpModel, batch: LabeledDataset) -> np.ndarray:
 
 def train(model: MlpModel, data: LabeledDataset, spec: TrainSpec) -> MlpModel:
     """Mini-batch gradient descent on one flat parameter vector, updated in
-    place."""
+    place. Parameters that leave the float range raise ValueError."""
     if not set(np.unique(data.labels)) <= {0, 1}:
         raise ValueError("the network is binary; labels must be 0/1")
     params = model.params.copy()
@@ -136,12 +136,15 @@ def train(model: MlpModel, data: LabeledDataset, spec: TrainSpec) -> MlpModel:
     P, G = (_layers(v, model.dim, *model.widths) for v in (params, grads))
     X, y = data.points, data.labels.astype(np.float64)
     stream = RandomStream(spec.seed)
-    for _ in range(spec.epochs):
-        perm = stream.permutation(data.n)
-        for start in range(0, data.n, spec.batch_size):
-            idx = perm[start:start + spec.batch_size]
-            _backprop(G, P, X[idx], y[idx])
-            params -= spec.learning_rate * grads
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
+        for _ in range(spec.epochs):
+            perm = stream.permutation(data.n)
+            for start in range(0, data.n, spec.batch_size):
+                idx = perm[start:start + spec.batch_size]
+                _backprop(G, P, X[idx], y[idx])
+                params -= spec.learning_rate * grads
+    if not np.all(np.isfinite(params)):
+        raise ValueError("training diverged: the network's parameters are not finite")
     return MlpModel(params, model.dim, model.widths)
 
 

@@ -254,16 +254,51 @@ def rho_all(S: LabeledDataset) -> np.ndarray:
     return _nearest_opposite(S, S.points, S.labels)
 
 
+def certified_radius(X: np.ndarray, d_own: np.ndarray, d_opp: np.ndarray,
+                     scale: float) -> np.ndarray:
+    """The one certificate of the nearest-set rules: for each row x of X, the
+    largest r with d_opp - d_own >= 2 r plus a rounding slack, where d_own is
+    the distance from x to its nearest point, d_opp to the nearest point of
+    another label and `scale` bounds the indexed coordinates. Every point
+    computed as x + r * u with r at most this radius and |u| <= 1 (up to
+    rounding in u) keeps x's label.
+
+    If |z - x| < r then z is nearer than d_own + r to a point of x's label and
+    farther than d_opp - r from every other, so z keeps x's label while
+    d_opp - d_own >= 2 r. The slack keeps this true in floats: probe offsets
+    may exceed norm 1 by a few ulps, forming x + r * u rounds each coordinate
+    by about eps times the coordinate scale, and the summed squares and square
+    roots behind every distance carry a relative error of (d + 3) eps plus a
+    few subnormals. The margin taken here is about four times the sum of
+    these bounds."""
+    kappa = 4.0 * (X.shape[1] + 8) * _EPS
+    scale = row_reduce(np.maximum, np.abs(X)) + scale
+    tiny = 4.0 * math.sqrt((X.shape[1] + 8) * _TINY)
+    return (d_opp - d_own - kappa * (d_opp + scale) - tiny) / (2.0 + kappa)
+
+
 @dataclass(frozen=True, eq=False)
 class NnClassifier(BatchFirst):
     """1-NN predictor over a fixed training set; ties go to the smallest index."""
 
     train: LabeledDataset
     _index: GridIndex = field(init=False, repr=False)
+    _scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", GridIndex(self.train.points))
+        object.__setattr__(self, "_scale", float(np.abs(self.train.points).max()))
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         _, idx = self._index.nearest(X)
         return self.train.labels[idx]
+
+    def certify(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, safe) of the rows of X: the `predict_batch` labels from
+        the same query, and each row's `certified_radius`, with d_opp the
+        `rho` of the row under its label (on single-class data the
+        `diameter_bound` sentinel, which can only under-certify)."""
+        X = np.asarray(X, dtype=np.float64)
+        d2, idx = self._index.nearest(X)
+        labels = self.train.labels[idx]
+        return labels, certified_radius(X, np.sqrt(d2), rho(self.train, X, labels), self._scale)

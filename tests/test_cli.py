@@ -165,6 +165,15 @@ def test_train_nn1(split_csvs, tmp_path):
     assert lines[1].split(",")[1] == "0.0"  # separable circles: 1-NN is perfect
 
 
+def test_train_nn1_runs_at_a_radius_whose_probes_stay_in_range(tmp_path):
+    # 1e300 is refused on these points (test_bad_input_stops_with_one_line_error)
+    square = tmp_path / "square.csv"
+    square.write_text("x1,x2,label\n0,0,0\n1,0,1\n0,1,0\n1,1,1\n", encoding="utf-8")
+    run_ok(["train", "--data", str(square), "--test", str(square), "--model", "nn1",
+            "--r", "1e100", "--out", str(tmp_path), "--name", "far"])
+    assert (tmp_path / "far" / "reports" / "losses.csv").exists()
+
+
 def test_zero_epoch_train_equals_untrained_eval(split_csvs, tmp_path):
     tr, te = split_csvs
     run_ok(["train", "--data", str(tr), "--test", str(te), "--model", "mlp",
@@ -227,6 +236,8 @@ def bad_csvs(tmp_path):
                                  encoding="utf-8")
     paths["far"] = tmp_path / "far.csv"  # fine alone, but overflows next to the unit square
     paths["far"].write_text("x1,x2,label\n1e200,1e200,0\n1e200,1e200,1\n", encoding="utf-8")
+    paths["square"] = tmp_path / "square.csv"  # the unit square's corners, two per label
+    paths["square"].write_text("x1,x2,label\n0,0,0\n1,0,1\n0,1,0\n1,1,1\n", encoding="utf-8")
     return paths
 
 
@@ -343,6 +354,12 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
      "--data {labels01} --test {far}: too far apart"),
     (["render", "--nn1-data", "{far}", "--data", "{labels01}"],
      "--nn1-data {far} --data {labels01}: too far apart"),
+    # every probe lies ~1e300 away: all its distances would be inf, and all tie
+    (["train", "--data", "{square}", "--test", "{square}", "--model", "nn1", "--r", "1e300"],
+     "r 1e+300: overflow"),
+    # the set keeps the overflow rule (its extent is 0), but training diverges
+    (["train", "--data", "{far}", "--test", "{far}", "--epochs", "5"],
+     "--data {far}: diverged not finite"),
 ], ids=["margin-labels", "train-mlp-labels", "margin-grid", "margin-grid-order",
         "margin-grid-repeated",
         "sweep-shapes", "sweep-radii", "malformed-csv", "train-nn1-one-class",
@@ -367,7 +384,7 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
         "train-nn1-default-lr", "train-nn1-config-epochs", "sweep-no-render-ambient",
         "sweep-no-render-config-ambient", "scenario-four-point-options", "scenario-four-point-r",
         "scenario-two-point-mc", "scenario-two-rectangles-config-gap", "train-far-test",
-        "render-far-nn1-data"])
+        "render-far-nn1-data", "train-r-overflow", "train-mlp-diverges"])
 def test_bad_input_stops_with_one_line_error(tmp_path, bad_csvs, args, names):
     args = [a.format(**bad_csvs) for a in args]
     res = runner.invoke(main, args + ["--out", str(tmp_path / "out"), "--name", "bad"])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptrobust import mlp
-from adaptrobust.augment import point_offsets
+from adaptrobust.augment import ExpansionSpec, augment, point_offsets
 from adaptrobust.core import BatchFirst, LabeledDataset, RandomStream
 from adaptrobust.datagen import ShapeSpec, generate, split, SplitSpec
 from adaptrobust.losses import (
@@ -306,12 +306,48 @@ def test_probe_flags_match_the_unpruned_loop(seed, d, k):
     # a few-epoch network, whose logits can round differently with the batch rows
     net = mlp.train(mlp.init(d, seed=seed), S, mlp.TrainSpec(epochs=3, batch_size=8,
                                                             learning_rate=0.5, seed=seed))
-    for h in (nn, mlp.MlpClassifier(net)):
+    # the certificate speaks for rows whose 1-NN label is their target
+    pred, safe = nn.certify(S.points)
+    safe = np.where(pred == S.labels, safe, -np.inf)
+    for h, s in ((nn, safe), (mlp.MlpClassifier(net), None)):
         want = unpruned_probe_wrong(h, S.points, offsets, radii, S.labels) & todo
         counted = RowCounter(h)
-        got = probe_flags(counted, S.points, offsets, radii, S.labels, todo)
+        got = probe_flags(counted, S.points, offsets, radii, S.labels, todo, s)
         assert got.tobytes() == want.tobytes()
         assert counted.rows <= todo.sum() * k and (counted.rows < S.n * k or k == 0)
+
+
+def count_nn_rows(monkeypatch):
+    """[rows], filled by later `NnClassifier.predict_batch` calls."""
+    rows, predict = [0], NnClassifier.predict_batch
+
+    def counted(self, X):
+        rows[0] += len(X)
+        return predict(self, X)
+
+    monkeypatch.setattr(NnClassifier, "predict_batch", counted)
+    return rows
+
+
+def test_nn_certificate_settles_its_own_half_adaptive_balls(monkeypatch):
+    S, T = split(generate(ShapeSpec("sfigure", 1000, seed=3)), SplitSpec(0.8, seed=4))
+    aug, _ = augment(S, ExpansionSpec(c=0.5, m=4, seed=5))
+    rows = count_nn_rows(monkeypatch)
+    h = NnClassifier(S)
+    rep = adaptive_robust_empirical(h, S, c=0.5, probes=10, stream=RandomStream(6))
+    assert rep.value == 0.0 and rows == [0]  # every probe row lies inside a certified radius
+    uncertified = RowCounter(h)  # hides `certify`
+    assert adaptive_robust_empirical(uncertified, S, c=0.5, probes=10,
+                                     stream=RandomStream(6)).value == 0.0
+    assert uncertified.rows == S.n * 11
+    h, rows[0] = NnClassifier(aug), 0
+    rep = adaptive_robust_testtime(h, T, S, factor=0.5, probes=10, stream=RandomStream(7))
+    certified = rows[0]
+    assert 0 < certified < T.n * 10
+    uncertified = RowCounter(h)
+    assert adaptive_robust_testtime(uncertified, T, S, factor=0.5, probes=10,
+                                    stream=RandomStream(7)).value == rep.value
+    assert certified < uncertified.rows - T.n  # its first T.n rows label the centres
 
 
 def test_pruned_loss_grids_match_the_unpruned_loop():

@@ -545,4 +545,4 @@ def test_profile_counts_nominal_and_evaluated_probes(monkeypatch):
     h = NearestSetClassifier(pts[labels == 0], pts[labels == 1])
     counts[:] = [0, 0]
     margin_profile(uniform_2d, h, [0.0] + grid, N=100, probes=30, stream=RandomStream(17))
-    assert counts == [18000, 1940]
+    assert counts == [18000, 1162]

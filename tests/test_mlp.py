@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -203,6 +204,16 @@ def test_training_rejects_nonbinary_labels():
 
 
 # --- classifier and persistence -------------------------------------------------------
+
+def test_diverging_training_raises_without_numpy_warnings():
+    # the extent is 0, so the set keeps the overflow rule, but 1e200 inputs
+    # overflow the products of the first layer
+    data = LabeledDataset(np.full((2, 2), 1e200), np.array([0, 1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            train(init(2, seed=0), data, TrainSpec(epochs=5))
+
 
 def test_threshold_rule():
     m = MlpModel(np.zeros(151), 2, (10, 10))  # forward == 0.5 everywhere

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from adaptrobust import neighbors
 from adaptrobust.core import LabeledDataset, sq_dists_to
+from adaptrobust.losses import probe_flags
 from adaptrobust.neighbors import GridIndex, NnClassifier, rho, rho_all
 
 
@@ -225,6 +226,83 @@ def test_nn_tie_order_across_equidistant_clusters():
     assert h.predict([0.25, 0.25]) == 1
     # equidistant from all three clusters; the smallest global index (0) wins
     assert np.array_equal(h.predict_batch(np.array([[0.5, 0.5], [0.5, 0.5]])), [1, 1])
+
+
+# --- the 1-NN certificate ------------------------------------------------------
+
+def certificate_case(name):
+    """(training set, queries, rows expected uncertified) for each kind of
+    labelling the certificate must hold on."""
+    rng = np.random.default_rng(31)
+    if name == "ties":  # a lattice: lattice queries and midpoints tie exactly
+        pts = np.array([[i, j] for i in range(5) for j in range(5)], dtype=float) / 4
+        S = LabeledDataset(pts, rng.integers(0, 2, 25))
+        X = np.vstack([pts, pts[:-1] + [0.125, 0.0], pts + [0.125, 0.125], rng.random((60, 2))])
+        return S, X, None
+    if name == "duplicates":  # each of the first 8 points again, with the other label
+        pts, labels = rng.random((40, 2)), rng.integers(0, 2, 40)
+        S = LabeledDataset(np.vstack([pts, pts[:8]]), np.concatenate([labels, 1 - labels[:8]]))
+        return S, np.vstack([pts, rng.random((60, 2))]), np.arange(8)
+    if name == "four-labels":
+        S = LabeledDataset(rng.random((60, 2)), rng.integers(0, 4, 60))
+        return S, np.vstack([S.points, rng.random((60, 2))]), None
+    S = LabeledDataset(rng.random((30, 2)), np.zeros(30, dtype=int))  # one class
+    return S, np.vstack([S.points, rng.random((60, 2))]), None
+
+
+def worst_directions(S, X, labels):
+    """(m, k, d) unit offsets per query: toward its nearest point of another
+    label (when there is one), away from its nearest point, and +-e_1."""
+    d2 = np.sum((X[:, None, :] - S.points[None, :, :]) ** 2, axis=2)
+    own = S.points[np.argmin(d2, axis=1)]
+    dirs = [X - own, np.tile([1.0, 0.0], (len(X), 1)), np.tile([-1.0, 0.0], (len(X), 1))]
+    opposite = S.labels[None, :] != labels[:, None]
+    if opposite.any():
+        dirs.append(S.points[np.argmin(np.where(opposite, d2, np.inf), axis=1)] - X)
+    U = np.stack(dirs, axis=1)
+    norms = np.sqrt(np.sum(U**2, axis=2, keepdims=True))
+    return np.where(norms > 0.0, U / np.where(norms > 0.0, norms, 1.0), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("name", ["ties", "duplicates", "four-labels", "one-class"])
+def test_nn_certified_radius_holds_on_its_sphere(name):
+    S, X, uncertified = certificate_case(name)
+    h = NnClassifier(S)
+    labels, safe = h.certify(X)
+    assert np.array_equal(labels, h.predict_batch(X))
+    if uncertified is not None:  # a query on two points with different labels
+        assert np.all(safe[uncertified] < 0.0)
+    rows = safe > 0.0
+    assert rows.sum() > len(X) // 2
+    U = worst_directions(S, X, labels)[rows]
+    # at exactly the certified norm, and one ulp above it
+    for r in (safe[rows], np.nextafter(safe[rows], np.inf)):
+        for j in range(U.shape[1]):
+            Z = X[rows] + r[:, None] * U[:, j]
+            assert np.array_equal(h.predict_batch(Z), labels[rows])
+
+
+@pytest.mark.parametrize("name", ["ties", "duplicates", "four-labels", "one-class"])
+def test_probe_flags_skip_the_certified_norm_and_probe_one_ulp_above(name):
+    S, X, _ = certificate_case(name)
+    h = NnClassifier(S)
+    labels, safe = h.certify(X)
+    offsets, todo = worst_directions(S, X, labels), safe > 0.0
+    n, k, _ = offsets.shape
+    for radii, evaluated in ((np.maximum(safe, 0.0), 0),
+                             (np.nextafter(np.maximum(safe, 0.0), np.inf), todo.sum() * k)):
+        want = np.any(h.predict_batch((X[:, None] + radii[:, None, None] * offsets)
+                                      .reshape(n * k, 2)).reshape(n, k) != labels[:, None], axis=1)
+        rows = [0]
+
+        class Counted:
+            def predict_batch(self, Z):
+                rows[0] += len(Z)
+                return h.predict_batch(Z)
+
+        got = probe_flags(Counted(), X, offsets, radii, labels, todo, safe)
+        assert got.tobytes() == (want & todo).tobytes()
+        assert not got.any() and rows[0] == evaluated
 
 
 # --- the grid index ----------------------------------------------------------

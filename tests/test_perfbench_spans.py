@@ -35,3 +35,21 @@ def test_reduced_op_fires_every_expected_span(tmp_path, name):
         tracer.uninstall()
     tracer.require(wl.expected_spans)
     wl.check(out)
+
+
+def test_traced_nn1_counters_repeat(tmp_path):
+    # the per-layer evidence for the nn1 certificate: work counters are a pure
+    # function of the op, so two traced runs of one op count the same work
+    wl = workloads.make("nn1", tmp_path)
+    keys = ("losses.probe_rows", "neighbors.NnClassifier.predict_batch.rows",
+            "neighbors.rho_all.pairs")
+    runs = []
+    for _ in range(2):
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            wl.check(wl.op(0, 0, small=True))
+        finally:
+            tracer.uninstall()
+        runs.append({key: tracer.counts[key] for key in keys})
+    assert runs[0] == runs[1] and all(runs[0].values()), runs
