@@ -486,8 +486,7 @@ def cmd_margin(cfg):
         raise click.ClickException(f"--grid {cfg['grid']!r}: {exc}") from None
     if cfg["shape"] is not None:
         geom = datagen.shape_geometry(cfg["shape"])
-        support0 = geom.class_support(0, 10000)
-        support1 = geom.class_support(1, 10000)
+        h = margin.NearestSetClassifier(geom.class_support(0, 10000), geom.class_support(1, 10000))
         sampler = datagen.manifold_sampler(cfg["shape"])
     else:
         ds = datagen.load_csv(cfg["data"])
@@ -495,20 +494,18 @@ def cmd_margin(cfg):
         if labels != [0, 1]:
             raise click.ClickException(
                 f"--data {cfg['data']}: margin needs labels 0 and 1, got {labels}")
-        support0 = ds.points[ds.labels == 0]
-        support1 = ds.points[ds.labels == 1]
+        h = margin.NearestSetClassifier(ds.points[ds.labels == 0], ds.points[ds.labels == 1])
 
         def sampler(stream, count, _pts=ds.points):
             idx = stream.integers(0, _pts.shape[0], count)
             return _pts[idx]
 
-    h = margin.NearestSetClassifier(support0, support1)
     profile = margin.margin_profile(sampler, h, radii, N=cfg["n"], probes=cfg["probes"],
                                     stream=RandomStream(cfg["seed"]))
     r_star = margin.inverse_phi(profile, cfg["epsilon"])
     summary = [f"epsilon={cfg['epsilon']}", f"r_star={r_star!r}"]
     if r_star > 0.0:
-        bound = margin.nn_sample_bound(support0.shape[1], cfg["epsilon"], cfg["epsilon"], r_star)
+        bound = margin.nn_sample_bound(h.train.dim, cfg["epsilon"], cfg["epsilon"], r_star)
         summary.append(f"nn_sample_bound={bound!r}")
     else:
         summary.append("nn_sample_bound=undefined (r_star = 0)")

@@ -47,10 +47,11 @@ def binary_loss(h: Classifier, D: LabeledDataset) -> LossReport:
 _PROBE_CHUNK = 10  # probes per row and call
 
 
-def certified_labels(h: Classifier, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(labels, safe): h's labels of the rows of X, and the radii `h.certify`
-    certifies for them when h has it (one query for both), else None."""
-    return h.certify(X) if hasattr(h, "certify") else (h.predict_batch(X), None)
+def certified_labels(h: Classifier, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None,
+                                                             np.ndarray | None]:
+    """(labels, W, safe) of the rows of X: `h.opposite_witness(X)` when h has
+    it (one query for all three), else h's labels and None for both."""
+    return h.opposite_witness(X) if hasattr(h, "opposite_witness") else (h.predict_batch(X), None, None)
 
 
 def _reach(U: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -106,7 +107,7 @@ def _probe_losses(h: Classifier, D: LabeledDataset, scales, probes: int,
     are shared across `scales` and flags accumulate, so the values are
     nondecreasing along it. A classifier that certifies its labels skips the
     probes its certificate decides."""
-    pred, safe = certified_labels(h, D.points)
+    pred, _, safe = certified_labels(h, D.points)
     flags = pred != D.labels
     offsets = point_offsets(stream, D.n, probes, D.dim)
     reports = []

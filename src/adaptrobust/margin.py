@@ -1,80 +1,48 @@
-"""Nearest-set canonical predictors, margin-rate profiles, and the 1-NN
+"""The nearest-set canonical predictor, margin-rate profiles, and the 1-NN
 sample-size bound.
 
 The margin rate of a distribution is the mass of points whose distance to the
 canonical predictor's decision boundary is below r, as a function of r. It is
 estimated here by Monte-Carlo over domain samples, combining random ball
 probes with a directed bisection toward a witness point on the other side of
-the boundary, for classifiers that supply one; it is exact for nearest-set
-classifiers (which flip exactly once along the segment), a heuristic for others.
+the boundary, for classifiers that supply one (1-NN, and so the nearest-set
+predictor); it is exact for nearest-set classifiers (which flip exactly once
+along the segment), a heuristic for others.
 
 Only the test `flip distance < r` and the probe flags reach the profile, so
 work whose outcome is already decided is skipped: a row stops being probed
-once it is in the margin, a probe within the radius a certifying classifier
-(nearest-set or 1-NN) certifies is not evaluated, and the bisection stops
-once no grid radius can tell its bracket's ends apart. For a classifier that
-labels each row on its own, such as the nearest-set one, the values are the
-same bits as with every probe and bisection step evaluated.
+once it is in the margin, a probe within the radius the witness query
+certifies is not evaluated, and the bisection stops once no grid radius can
+tell its bracket's ends apart. For a classifier that labels each row on its
+own, such as 1-NN, the values are the same bits as with every probe and
+bisection step evaluated.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .augment import unit_ball
-from .core import BatchFirst, Classifier, RandomStream, check_range, radius_grid, row_reduce, write_text_lines
+from .core import Classifier, LabeledDataset, RandomStream, check_range, radius_grid, row_reduce, write_text_lines
 from .losses import certified_labels, probe_flags
-from .neighbors import GridIndex, certified_radius
+from .neighbors import NnClassifier
 
 
-@dataclass(frozen=True, eq=False)
-class NearestSetClassifier(BatchFirst):
-    """Nearest-set labeling over dense samplings of the two class regions.
+class NearestSetClassifier(NnClassifier):
+    """Nearest-set labeling over dense samplings of the two class regions:
+    1-NN over [support0; support1] labelled 0 and 1, so exact ties go to 0."""
 
-    A point gets the label of the closer support set; exact ties go to 0. This
-    is 1-NN over [support0; support1] with ties to the smallest index. Each
-    support also has its own index, for the witnesses.
-    """
+    predict_batch = NnClassifier.predict_batch  # its own attribute: its spans are apart from 1-NN's
 
-    support0: np.ndarray
-    support1: np.ndarray
-    _index: GridIndex = field(init=False, repr=False)
-    _class_index: tuple = field(init=False, repr=False)
-    _scale: float = field(init=False, repr=False)
-
-    def __post_init__(self):
-        s0 = np.asarray(self.support0, dtype=np.float64)
-        s1 = np.asarray(self.support1, dtype=np.float64)
-        # the index builds below reject an empty, non-2-D or non-finite support
-        if s0.shape[1:] != s1.shape[1:]:
-            raise ValueError("supports must share a dimension")
-        object.__setattr__(self, "support0", s0)
-        object.__setattr__(self, "support1", s1)
-        object.__setattr__(self, "_index", GridIndex(np.vstack([s0, s1])))
-        object.__setattr__(self, "_class_index", (GridIndex(s0), GridIndex(s1)))
-        object.__setattr__(self, "_scale", float(max(np.abs(s0).max(), np.abs(s1).max())))
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        _, idx = self._index.nearest(X)
-        return (idx >= self.support0.shape[0]).astype(np.int64)
-
-    def opposite_witness(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For each row x of X: the nearest support point of the class this
-        classifier does NOT assign to x (ties go to the smallest index), and
-        a certified radius: every point computed as x + r * u with r at most
-        that radius and |u| <= 1 (up to rounding in u) gets x's label."""
-        X = np.asarray(X, dtype=np.float64)
-        d2_own, nearest = self._index.nearest(X)
-        label = nearest >= self.support0.shape[0]
-        out = np.empty_like(X)
-        d2_opp = np.empty(X.shape[0])
-        for y, support in ((0, self.support1), (1, self.support0)):
-            rows = label == y
-            d2, idx = self._class_index[1 - y].nearest(X[rows])
-            out[rows], d2_opp[rows] = support[idx], d2
-        return out, certified_radius(X, np.sqrt(d2_own), np.sqrt(d2_opp), self._scale)
+    def __init__(self, support0, support1):
+        s0, s1 = np.asarray(support0, dtype=np.float64), np.asarray(support1, dtype=np.float64)
+        if s0.ndim != 2 or s1.shape[1:] != s0.shape[1:] or 0 in (len(s0), len(s1)):
+            raise ValueError("supports must be nonempty (n, d) arrays of one dimension")
+        super().__init__(LabeledDataset(np.vstack([s0, s1]), np.repeat([0, 1], [len(s0), len(s1)])))
+        object.__setattr__(self, "support0", self.train.points[:len(s0)])
+        object.__setattr__(self, "support1", self.train.points[len(s0):])
 
 
 _BISECTION_STEPS = 30
@@ -141,21 +109,16 @@ def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100, *,
     For each of N sampled points, membership in the radius-r margin is tested
     with shared probe directions (scaled per radius, flags accumulated so the
     raw curve is already monotone), plus a bisection toward witness W_i when h
-    has `opposite_witness(X) -> (W, safe)`: h labels W_i unlike x_i, and no
-    probe of x_i flips its label at radii <= safe_i (-inf: none certified).
-    A classifier with `certify(X) -> (labels, safe)` and no witness gets its
-    probes skipped in the same way.
+    has `opposite_witness(X) -> (labels, W, safe)` (`losses.certified_labels`):
+    h labels W_i unlike x_i unless W_i = x_i (no witness), and no probe of x_i
+    flips its label at radii <= safe_i (-inf: none certified).
     """
     radii = radius_grid(radii)
     check_range("N", N, "[1, inf) int")
     check_range("probes", probes, "[0, inf) int")
     X = np.asarray(sampler(stream.child(0), N), dtype=np.float64)
-    preds, safe = certified_labels(h, X)  # no probe flips a row within safe
-
-    flips = np.full(N, math.inf)
-    if hasattr(h, "opposite_witness"):
-        W, safe = h.opposite_witness(X)
-        flips = _flip_distances_batch(h, X, W, preds, radii)
+    preds, W, safe = certified_labels(h, X)  # no probe flips a row within safe
+    flips = np.full(N, math.inf) if W is None else _flip_distances_batch(h, X, W, preds, radii)
 
     member = np.zeros(N, dtype=bool)
     values = np.empty(radii.shape[0])

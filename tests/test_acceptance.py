@@ -237,7 +237,7 @@ def test_criterion_11_margin_profiles():
             return (np.asarray(X)[:, 0] >= self.t).astype(np.int64)
 
         def opposite_witness(self, X):
-            return 2 * self.t - X, np.full(X.shape[0], -math.inf)
+            return self.predict_batch(X), 2 * self.t - X, np.full(X.shape[0], -math.inf)
 
     class SlabBayes:
         """The two-rectangle bayes predictor, witnessed by the mirror image
@@ -250,7 +250,7 @@ def test_criterion_11_margin_profiles():
             return self.h.predict_batch(X)
 
         def opposite_witness(self, X):
-            return X * [1.0, -1.0], np.full(X.shape[0], -math.inf)
+            return self.predict_batch(X), X * [1.0, -1.0], np.full(X.shape[0], -math.inf)
 
     t = 0.5
     prof = margin_profile(lambda s, n: s.uniform((n, 1)), Threshold1D(t),

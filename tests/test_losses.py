@@ -307,7 +307,7 @@ def test_probe_flags_match_the_unpruned_loop(seed, d, k):
     net = mlp.train(mlp.init(d, seed=seed), S, mlp.TrainSpec(epochs=3, batch_size=8,
                                                             learning_rate=0.5, seed=seed))
     # the certificate speaks for rows whose 1-NN label is their target
-    pred, safe = nn.certify(S.points)
+    pred, _, safe = nn.opposite_witness(S.points)
     safe = np.where(pred == S.labels, safe, -np.inf)
     for h, s in ((nn, safe), (mlp.MlpClassifier(net), None)):
         want = unpruned_probe_wrong(h, S.points, offsets, radii, S.labels) & todo
@@ -336,7 +336,7 @@ def test_nn_certificate_settles_its_own_half_adaptive_balls(monkeypatch):
     h = NnClassifier(S)
     rep = adaptive_robust_empirical(h, S, c=0.5, probes=10, stream=RandomStream(6))
     assert rep.value == 0.0 and rows == [0]  # every probe row lies inside a certified radius
-    uncertified = RowCounter(h)  # hides `certify`
+    uncertified = RowCounter(h)  # hides `opposite_witness`
     assert adaptive_robust_empirical(uncertified, S, c=0.5, probes=10,
                                      stream=RandomStream(6)).value == 0.0
     assert uncertified.rows == S.n * 11

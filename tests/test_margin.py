@@ -44,7 +44,17 @@ class Witnessed:
         return self.h.predict_batch(X)
 
     def opposite_witness(self, X):
-        return self.witness(X), np.full(X.shape[0], -math.inf)
+        return self.h.predict_batch(X), self.witness(X), np.full(X.shape[0], -math.inf)
+
+
+class Hidden:
+    """h with only `predict_batch`: no witness and no certified radius."""
+
+    def __init__(self, h):
+        self.h = h
+
+    def predict_batch(self, X):
+        return self.h.predict_batch(X)
 
 
 # --- canonical bayes -------------------------------------------------------------
@@ -133,7 +143,7 @@ def check_against_two_scans(s0, s1, X):
     h = NearestSetClassifier(s0, s1)
     assert np.array_equal(h.predict_batch(X), two_scan_predict(s0, s1, X))
     want = np.array([two_scan_witness(s0, s1, x) for x in X]).reshape(X.shape)
-    assert h.opposite_witness(X)[0].tobytes() == want.tobytes()
+    assert h.opposite_witness(X)[1].tobytes() == want.tobytes()
 
 
 def test_circles_predict_batch_matches_two_scans():
@@ -178,8 +188,15 @@ def test_lattice_predict_batch_matches_two_scans(case):
 
 
 def test_empty_support_errors():
-    with pytest.raises(ValueError):
-        NearestSetClassifier(np.zeros((0, 2)), np.array([[1.0, 1.0]]))
+    for s0, s1 in [
+        (np.zeros((0, 2)), np.ones((1, 2))),     # first support empty
+        (np.ones((1, 2)), np.zeros((0, 2))),     # second support empty
+        (np.zeros(2), np.ones(2)),               # 1-D supports
+        (np.zeros((1, 2)), np.ones(2)),          # a 1-D second support
+        (np.zeros((1, 2)), np.ones((1, 3))),     # mismatched dimensions
+    ]:
+        with pytest.raises(ValueError, match="supports must be nonempty"):
+            NearestSetClassifier(s0, s1)
 
 
 # --- membership -----------------------------------------------------------------
@@ -476,7 +493,7 @@ def test_pruned_circles_profile_matches_the_unpruned_loop(monkeypatch):
     sampler = manifold_sampler("circles")
     radii = [0.01, 0.05, 0.1, 0.124, 0.125, 0.126, 0.2, 0.5]
     want = reference_profile(sampler, h, radii, 200, 30, RandomStream(11),
-                             lambda X: h.opposite_witness(X)[0])
+                             lambda X: h.opposite_witness(X)[1])
     counts = count_probe_rows(monkeypatch)
     got = margin_profile(sampler, h, radii, N=200, probes=30, stream=RandomStream(11))
     assert got.values.tobytes() == want.tobytes()
@@ -494,7 +511,7 @@ def test_pruned_generic_profiles_match_the_unpruned_loop():
     radii = [0.02, 0.05, 0.1, 0.3]
     witness = lambda X: 1.0 - X
     for h in (nn, Threshold1D(0.6)):
-        for g, w in ((h, None), (Witnessed(h, witness), witness)):
+        for g, w in ((Hidden(h), None), (Witnessed(h, witness), witness)):
             got = margin_profile(uniform_2d, g, radii, N=150, probes=25,
                                  stream=RandomStream(13))
             want = reference_profile(uniform_2d, h, radii, 150, 25, RandomStream(13), w)
@@ -507,7 +524,7 @@ def test_grid_stop_decides_like_the_full_bisection(case):
     s0, s1, X = case
     X = np.vstack([X, s0, s1])
     h = NearestSetClassifier(s0, s1)
-    W, preds = h.opposite_witness(X)[0], h.predict_batch(X)
+    W, preds = h.opposite_witness(X)[1], h.predict_batch(X)
     full = reference_flips(h, X, W, preds)
     # grid radii at the exact flip distances make `flips < r` a tie
     radii = np.unique(np.concatenate([full[np.isfinite(full)], [0.0, 0.1, 0.25, 1.0]]))
@@ -520,7 +537,7 @@ def test_certified_radius_holds_on_its_sphere():
     h = NearestSetClassifier(geom.class_support(0, 500), geom.class_support(1, 500))
     rng = np.random.default_rng(14)
     X = rng.random((400, 2))
-    W, safe = h.opposite_witness(X)
+    _, W, safe = h.opposite_witness(X)
     labels = h.predict_batch(X)
     rows = safe > 0.0
     assert rows.sum() > 300
@@ -546,3 +563,43 @@ def test_profile_counts_nominal_and_evaluated_probes(monkeypatch):
     counts[:] = [0, 0]
     margin_profile(uniform_2d, h, [0.0] + grid, N=100, probes=30, stream=RandomStream(17))
     assert counts == [18000, 1162]
+
+
+# --- 1-NN, witnessed ----------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", ["circles", "sines"])
+def test_nn_profile_over_both_supports_is_the_nearest_set_profile(shape):
+    # for two labels 1-NN is the nearest-set rule, witnesses and certificate too
+    geom = shape_geometry(shape)
+    s0, s1 = geom.class_support(0, 1000), geom.class_support(1, 1000)
+    nn = NnClassifier(LabeledDataset(np.vstack([s0, s1]), np.repeat([0, 1], 1000)))
+    grid = [0.01, 0.02, 0.05, 0.1, 0.2, 0.5]
+    got, want = (margin_profile(manifold_sampler(shape), h, grid, N=300, probes=20,
+                                stream=RandomStream(18))
+                 for h in (nn, NearestSetClassifier(s0, s1)))
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_single_class_nn_is_its_own_witness():
+    rng = np.random.default_rng(19)
+    h = NnClassifier(LabeledDataset(rng.random((40, 2)), np.full(40, 3)))
+    X = rng.random((100, 2))
+    labels, W, safe = h.opposite_witness(X)
+    assert np.all(labels == 3) and W.tobytes() == X.tobytes() and np.all(safe > 0.0)
+    got, want = (margin_profile(uniform_2d, g, [0.1, 0.5, 2.0], N=100, probes=10,
+                                stream=RandomStream(20)) for g in (h, Hidden(h)))
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_witness_indexes_are_built_once_per_classifier(monkeypatch):
+    rng = np.random.default_rng(21)
+    h = NnClassifier(LabeledDataset(rng.random((60, 2)), rng.integers(0, 3, 60)))
+    X = rng.random((50, 2))
+    builds, build = [], neighbors.GridIndex.__init__
+    monkeypatch.setattr(neighbors.GridIndex, "__init__",
+                        lambda self, points: builds.append(len(points)) or build(self, points))
+    first = h.opposite_witness(X)
+    assert len(builds) == len(np.unique(first[0]))  # one index per label predicted
+    second = h.opposite_witness(X)
+    assert len(builds) == len(np.unique(first[0]))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))

@@ -268,7 +268,7 @@ def worst_directions(S, X, labels):
 def test_nn_certified_radius_holds_on_its_sphere(name):
     S, X, uncertified = certificate_case(name)
     h = NnClassifier(S)
-    labels, safe = h.certify(X)
+    labels, _, safe = h.opposite_witness(X)
     assert np.array_equal(labels, h.predict_batch(X))
     if uncertified is not None:  # a query on two points with different labels
         assert np.all(safe[uncertified] < 0.0)
@@ -286,7 +286,7 @@ def test_nn_certified_radius_holds_on_its_sphere(name):
 def test_probe_flags_skip_the_certified_norm_and_probe_one_ulp_above(name):
     S, X, _ = certificate_case(name)
     h = NnClassifier(S)
-    labels, safe = h.certify(X)
+    labels, _, safe = h.opposite_witness(X)
     offsets, todo = worst_directions(S, X, labels), safe > 0.0
     n, k, _ = offsets.shape
     for radii, evaluated in ((np.maximum(safe, 0.0), 0),

@@ -53,3 +53,18 @@ def test_traced_nn1_counters_repeat(tmp_path):
             tracer.uninstall()
         runs.append({key: tracer.counts[key] for key in keys})
     assert runs[0] == runs[1] and all(runs[0].values()), runs
+
+
+def test_traced_margin_counts_nearest_set_rows_once(tmp_path):
+    # the nearest-set predictor is a 1-NN subclass with its own `predict_batch`
+    # name: its rows count under the nearest-set span only, not also as 1-NN
+    wl = workloads.make("margin", tmp_path)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        wl.check(wl.op(0, 0, small=True))
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["margin.NearestSetClassifier.predict_batch"] > 0
+    assert tracer.calls["neighbors.NnClassifier.predict_batch"] == 0
+    assert tracer.counts["neighbors.NnClassifier.predict_batch.rows"] == 0
