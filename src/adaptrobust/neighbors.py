@@ -5,8 +5,8 @@ Every nearest-neighbour query in the package goes through `GridIndex`. The
 index keeps its points column-major and computes each candidate distance with
 `core.sq_dists_to`, the kernel a linear scan uses too, so its answers are
 bit-identical to a brute-force scan, and ties go to the smallest index. The
-nearest point of another label comes from one per-label index set, built per
-call by `rho` and `rho_all` and once per `NnClassifier`.
+nearest point of another label comes from one index per label over the points
+not so labelled, built per call.
 """
 from __future__ import annotations
 
@@ -227,29 +227,20 @@ def _shell(shape: tuple, a: int, b: int) -> np.ndarray:
     return out
 
 
-class _OtherLabels:
-    """Per label y, an index over the points of S not labelled y, built on first use."""
-
-    def __init__(self, S: LabeledDataset):
-        self.S = S
-        self._built = {}  # y -> (rows of S not labelled y, their index or None)
-
-    def nearest(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(distance, row of S) of the nearest point of S labelled other than
-        Y_i, for each row X_i; S.diameter_bound and -1 when there is none."""
-        dist = np.full(X.shape[0], self.S.diameter_bound)
-        rows = np.full(X.shape[0], -1, dtype=np.int64)
-        for y in np.unique(Y).tolist():
-            if y not in self._built:
-                others = np.flatnonzero(self.S.labels != y)
-                points = np.take(self.S.points, others, axis=0)  # ~10x faster than S.points[others]
-                self._built[y] = others, GridIndex(points) if others.size else None
-            others, index = self._built[y]
-            if others.size:
-                sel = Y == y
-                d2, i = index.nearest(X[sel])
-                dist[sel], rows[sel] = np.sqrt(d2), others[i]
-        return dist, rows
+def _nearest_other(S: LabeledDataset, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distance, row of S) of the nearest point of S labelled other than Y_i,
+    for each row X_i; S.diameter_bound and -1 when there is none. One index
+    per label of Y, over the points of S not so labelled."""
+    dist = np.full(X.shape[0], S.diameter_bound)
+    rows = np.full(X.shape[0], -1, dtype=np.int64)
+    for y in np.unique(Y).tolist():
+        others = np.flatnonzero(S.labels != y)
+        if others.size:
+            sel = Y == y
+            points = np.take(S.points, others, axis=0)  # ~10x faster than S.points[others]
+            d2, i = GridIndex(points).nearest(X[sel])
+            dist[sel], rows[sel] = np.sqrt(d2), others[i]
+    return dist, rows
 
 
 def rho(S: LabeledDataset, X, Y) -> np.ndarray:
@@ -262,12 +253,12 @@ def rho(S: LabeledDataset, X, Y) -> np.ndarray:
         raise ValueError("query dimension mismatch")
     if Y.shape != (X.shape[0],):
         raise ValueError("need one label per query")
-    return _OtherLabels(S).nearest(X, Y)[0]
+    return _nearest_other(S, X, Y)[0]
 
 
 def rho_all(S: LabeledDataset) -> np.ndarray:
     """rho(S, S.points, S.labels): the radius of every item of S."""
-    return _OtherLabels(S).nearest(S.points, S.labels)[0]
+    return _nearest_other(S, S.points, S.labels)[0]
 
 
 def certified_radius(X: np.ndarray, d_own: np.ndarray, d_opp: np.ndarray,
@@ -299,12 +290,10 @@ class NnClassifier(BatchFirst):
 
     train: LabeledDataset
     _index: GridIndex = field(init=False, repr=False)
-    _others: _OtherLabels = field(init=False, repr=False)
     _scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", GridIndex(self.train.points))
-        object.__setattr__(self, "_others", _OtherLabels(self.train))
         object.__setattr__(self, "_scale", float(np.abs(self.train.points).max()))
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
@@ -320,6 +309,7 @@ class NnClassifier(BatchFirst):
         X = np.asarray(X, dtype=np.float64)
         d2, idx = self._index.nearest(X)
         labels = self.train.labels[idx]
-        d_opp, rows = self._others.nearest(X, labels)
-        W = np.where((rows < 0)[:, None], X, self.train.points[rows])
+        d_opp, rows = _nearest_other(self.train, X, labels)
+        W = np.take(self.train.points, rows, axis=0)
+        W[rows < 0] = X[rows < 0]
         return labels, W, certified_radius(X, np.sqrt(d2), d_opp, self._scale)

@@ -589,17 +589,3 @@ def test_single_class_nn_is_its_own_witness():
     got, want = (margin_profile(uniform_2d, g, [0.1, 0.5, 2.0], N=100, probes=10,
                                 stream=RandomStream(20)) for g in (h, Hidden(h)))
     assert got.values.tobytes() == want.values.tobytes()
-
-
-def test_witness_indexes_are_built_once_per_classifier(monkeypatch):
-    rng = np.random.default_rng(21)
-    h = NnClassifier(LabeledDataset(rng.random((60, 2)), rng.integers(0, 3, 60)))
-    X = rng.random((50, 2))
-    builds, build = [], neighbors.GridIndex.__init__
-    monkeypatch.setattr(neighbors.GridIndex, "__init__",
-                        lambda self, points: builds.append(len(points)) or build(self, points))
-    first = h.opposite_witness(X)
-    assert len(builds) == len(np.unique(first[0]))  # one index per label predicted
-    second = h.opposite_witness(X)
-    assert len(builds) == len(np.unique(first[0]))
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))

@@ -283,6 +283,24 @@ def test_nn_certified_radius_holds_on_its_sphere(name):
 
 
 @pytest.mark.parametrize("name", ["ties", "duplicates", "four-labels", "one-class"])
+def test_witness_is_the_nearest_point_of_another_label(name):
+    S, X, _ = certificate_case(name)
+    h = NnClassifier(S)
+    labels, W, _ = h.opposite_witness(X)
+    # the reference: a scan per query; argmin takes the smallest index
+    d2 = np.sum((X[:, None, :] - S.points[None, :, :]) ** 2, axis=2)
+    other = S.labels[None, :] != labels[:, None]
+    found = other.any(axis=1)
+    want = S.points[np.argmin(np.where(other, d2, np.inf), axis=1)]
+    assert W[found].tobytes() == want[found].tobytes()
+    assert W[~found].tobytes() == X[~found].tobytes()
+    dist = np.sqrt(np.sum((W - X) ** 2, axis=1))
+    assert dist[found].tobytes() == rho(S, X, labels)[found].tobytes()
+    if name != "duplicates":  # a duplicate with a smaller index can give W the row's label
+        assert np.all(h.predict_batch(W[found]) != labels[found])
+
+
+@pytest.mark.parametrize("name", ["ties", "duplicates", "four-labels", "one-class"])
 def test_probe_flags_skip_the_certified_norm_and_probe_one_ulp_above(name):
     S, X, _ = certificate_case(name)
     h = NnClassifier(S)
