@@ -92,13 +92,13 @@ def _refuse_unused(keys, reason: str) -> None:
 
 
 def _parse_radii(text, option: str) -> list[float]:
-    """Comma-separated nonnegative radii, or a one-line error naming the option."""
+    """Comma-separated finite nonnegative radii, or a one-line error naming the option."""
     try:
         radii = [float(v) for v in str(text).split(",")]
         check_range(option, radii, "[0, inf)")
     except ValueError:
         raise click.ClickException(
-            f"{option} {text!r}: expected comma-separated nonnegative numbers") from None
+            f"{option} {text!r}: expected comma-separated finite nonnegative numbers") from None
     return radii
 
 

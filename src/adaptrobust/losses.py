@@ -6,8 +6,8 @@ arbitrary classifier; estimators here probe each ball with k uniform samples
 losses. Probe offsets for item i are drawn from a child stream keyed by i, so
 results are independent of evaluation order, and the fixed-radius grid
 accumulates flags over increasing radii, which makes monotonicity in the
-radius hold by construction. All three probe estimators share one core,
-`_probe_losses`, and one probe path, `probe_flags`.
+radius hold by construction. The three probe estimators and
+`margin.margin_profile` decide every ball in one engine, `ball_flags`.
 """
 from __future__ import annotations
 
@@ -45,13 +45,7 @@ def binary_loss(h: Classifier, D: LabeledDataset) -> LossReport:
 
 
 _PROBE_CHUNK = 10  # probes per row and call
-
-
-def certified_labels(h: Classifier, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None,
-                                                             np.ndarray | None]:
-    """(labels, W, safe) of the rows of X: `h.opposite_witness(X)` when h has
-    it (one query for all three), else h's labels and None for both."""
-    return h.opposite_witness(X) if hasattr(h, "opposite_witness") else (h.predict_batch(X), None, None)
+_BISECTION_STEPS = 30
 
 
 def _reach(U: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -70,25 +64,19 @@ def _reach(U: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 
 def probe_flags(h: Classifier, X: np.ndarray, offsets: np.ndarray, radii: np.ndarray,
-                targets: np.ndarray, todo: np.ndarray, safe=None) -> np.ndarray:
+                targets: np.ndarray, todo: np.ndarray, safe: np.ndarray) -> np.ndarray:
     """For each row i in `todo`: does any probe X_i + radii_i * offsets_i[j] get
-    a label other than targets_i? Rows outside `todo` come back False.
-
-    `safe`, when given, holds per row a radius within which h keeps label
-    targets_i (`neighbors.certified_radius`, for unit-ball offsets): a row
-    whose radius is within it is not probed, nor is a probe whose `_reach` is.
-    The other probes of the `todo` rows are evaluated _PROBE_CHUNK draws at a
-    time, and a row stops at its first flip: a skipped probe cannot change a
-    decided row. Without `safe` every probe of a live row is evaluated."""
+    a label other than targets_i? Rows outside `todo` come back False. `safe`
+    holds per row a radius within which h keeps label targets_i (NaN: none);
+    the probes are evaluated _PROBE_CHUNK draws at a time."""
     n, k, d = offsets.shape
     flags = np.zeros(n, dtype=bool)
-    live = np.flatnonzero(todo if safe is None else todo & ~(radii <= safe))
+    live = np.flatnonzero(todo & ~(radii <= safe))
     for j in range(0, k, _PROBE_CHUNK):
         if live.size == 0:
             break
         U = offsets[live, j:j + _PROBE_CHUNK]
-        use = (np.ones(U.shape[:2], dtype=bool) if safe is None  # a NaN safe certifies nothing
-               else ~(_reach(U, radii[live]) <= safe[live, None]))
+        use = ~(_reach(U, radii[live]) <= safe[live, None])
         if not use.any():
             continue
         Z = X[live, None, :] + radii[live, None, None] * U
@@ -100,21 +88,71 @@ def probe_flags(h: Classifier, X: np.ndarray, offsets: np.ndarray, radii: np.nda
     return flags
 
 
+def _flip_distances(h: Classifier, X: np.ndarray, W: np.ndarray, labels: np.ndarray,
+                    R: np.ndarray) -> np.ndarray:
+    """Distance from each row x_i of X to an evaluated label flip on the segment
+    to its witness W_i, by bisection (exact with at most one flip per segment);
+    inf where W_i = x_i or h labels W_i like x_i. Row i stops once its bracket
+    (lo, hi] holds none of its radii R[:, i], where later steps keep hi."""
+    diff = W - X
+    total = np.sqrt(row_reduce(np.add, diff**2))
+    valid = total > 0.0
+    valid[valid] = h.predict_batch(W[valid]) != labels[valid]
+    dirs = diff / np.where(valid, total, 1.0)[:, None]
+    lo, hi = np.zeros(X.shape[0]), np.where(valid, total, math.inf)
+    live = np.flatnonzero(valid)
+    for _ in range(_BISECTION_STEPS):
+        R_live = R[:, live]
+        live = live[((lo[live] < R_live) & (R_live <= hi[live])).any(axis=0)]
+        if live.size == 0:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        same = h.predict_batch(X[live] + mid[:, None] * dirs[live]) == labels[live]
+        lo[live] = np.where(same, mid, lo[live])
+        hi[live] = np.where(same, hi[live], mid)
+    return hi
+
+
+def ball_flags(h: Classifier, X: np.ndarray, offsets: np.ndarray, scales: np.ndarray,
+               targets: np.ndarray | None = None, bisect: bool = False) -> list[np.ndarray]:
+    """The one ball engine: for each row `radii` of the (k, n) stack `scales`,
+    flag x_i when h labels it other than targets_i (h's own labels by default)
+    or a point of its open radii_i-ball gets such a label: a probe
+    x_i + radii_i * offsets_i[j], or with `bisect` a flip toward h's witness
+    closer than radii_i. Flags accumulate along `scales`. h is queried once,
+    by `opposite_witness(X) -> (labels, W, safe)` when it has one.
+
+    Only decided work is skipped: a flagged row, a row's probes after its
+    first flip, a ball of radius 0 (it is empty), a probe whose `_reach` lies
+    within the certified radius safe_i, and bisection steps once no radius of
+    the row falls in its bracket. So for a classifier that labels each row on
+    its own, such as 1-NN, the flags are the bits of the unpruned loop."""
+    labels, W, safe = (h.opposite_witness(X) if hasattr(h, "opposite_witness")
+                       else (h.predict_batch(X), None, np.zeros(X.shape[0])))
+    safe = np.fmax(safe, 0.0)  # a radius-0 ball is empty: every row is safe at 0, NaN rows too
+    targets = labels if targets is None else targets
+    flags = labels != targets
+    flips = (_flip_distances(h, X, W, labels, scales) if bisect and W is not None
+             else np.full(X.shape[0], math.inf))
+    out = []
+    for radii in scales:
+        flags = flags | (flips < radii)
+        if np.any(radii > 0.0):
+            flags = flags | probe_flags(h, X, offsets, radii, targets, ~flags, safe)
+        out.append(flags)
+    return out
+
+
 def _probe_losses(h: Classifier, D: LabeledDataset, scales, probes: int,
                   stream: RandomStream) -> list[LossReport]:
     """One report per (name, per-item radii) in `scales`: the fraction of items
-    that h mislabels or that some probe of their ball flips. Probe directions
-    are shared across `scales` and flags accumulate, so the values are
-    nondecreasing along it. A classifier that certifies its labels skips the
-    probes its certificate decides."""
-    pred, _, safe = certified_labels(h, D.points)
-    flags = pred != D.labels
+    whose ball `ball_flags` flags, with probe directions shared across
+    `scales`, so the values are nondecreasing along it."""
+    names, R = zip(*scales)
     offsets = point_offsets(stream, D.n, probes, D.dim)
-    reports = []
-    for name, radii in scales:
-        flags = flags | probe_flags(h, D.points, offsets, radii, D.labels, ~flags, safe)
-        reports.append(LossReport(name, float(np.mean(flags)), probes, stream.seed, D.n))
-    return reports
+    flags = ball_flags(h, D.points, offsets, np.array(R), D.labels)
+    return [LossReport(name, float(np.mean(f)), probes, stream.seed, D.n)
+            for name, f in zip(names, flags)]
 
 
 def robust_loss_fixed_grid(h: Classifier, D: LabeledDataset, radii, probes: int = 100, *,

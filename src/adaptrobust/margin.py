@@ -7,15 +7,8 @@ estimated here by Monte-Carlo over domain samples, combining random ball
 probes with a directed bisection toward a witness point on the other side of
 the boundary, for classifiers that supply one (1-NN, and so the nearest-set
 predictor); it is exact for nearest-set classifiers (which flip exactly once
-along the segment), a heuristic for others.
-
-Only the test `flip distance < r` and the probe flags reach the profile, so
-work whose outcome is already decided is skipped: a row stops being probed
-once it is in the margin, a probe within the radius the witness query
-certifies is not evaluated, and the bisection stops once no grid radius can
-tell its bracket's ends apart. For a classifier that labels each row on its
-own, such as 1-NN, the values are the same bits as with every probe and
-bisection step evaluated.
+along the segment), a heuristic for others. The probes, the bisection and the
+rules that skip decided work are the one ball engine's, `losses.ball_flags`.
 """
 from __future__ import annotations
 
@@ -25,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import unit_ball
-from .core import Classifier, LabeledDataset, RandomStream, check_range, radius_grid, row_reduce, write_text_lines
-from .losses import certified_labels, probe_flags
+from .core import Classifier, LabeledDataset, RandomStream, check_range, radius_grid, write_text_lines
+from .losses import ball_flags
 from .neighbors import NnClassifier
 
 
@@ -43,39 +36,6 @@ class NearestSetClassifier(NnClassifier):
         super().__init__(LabeledDataset(np.vstack([s0, s1]), np.repeat([0, 1], [len(s0), len(s1)])))
         object.__setattr__(self, "support0", self.train.points[:len(s0)])
         object.__setattr__(self, "support1", self.train.points[len(s0):])
-
-
-_BISECTION_STEPS = 30
-
-
-def _flip_distances_batch(h: Classifier, X: np.ndarray, W: np.ndarray,
-                          preds: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Distance from each row of X to a verified label flip along the segment
-    to its witness row of W, by bisection; rows whose witness shares their
-    label get inf. Assumes at most one flip per segment (exact for nearest-set
-    classifiers); every returned distance points at an evaluated, flipped
-    point.
-
-    A row's bisection stops once its bracket (lo, hi] holds no radius of the
-    sorted grid `radii`: later steps keep hi in that bracket, so
-    `distance < r` is already decided for every grid r."""
-    diff = W - X
-    total = np.sqrt(row_reduce(np.add, diff**2))
-    valid = total > 0.0
-    valid[valid] = h.predict_batch(W[valid]) != preds[valid]
-    dirs = diff / np.where(valid, total, 1.0)[:, None]
-    lo, hi = np.zeros(X.shape[0]), np.where(valid, total, math.inf)
-    live = np.flatnonzero(valid)
-    for _ in range(_BISECTION_STEPS):
-        live = live[np.searchsorted(radii, hi[live], side="right")
-                    > np.searchsorted(radii, lo[live], side="right")]
-        if live.size == 0:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        same = h.predict_batch(X[live] + mid[:, None] * dirs[live]) == preds[live]
-        lo[live] = np.where(same, mid, lo[live])
-        hi[live] = np.where(same, hi[live], mid)
-    return hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,33 +64,23 @@ class MarginProfile:
 
 def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100, *,
                    stream: RandomStream) -> MarginProfile:
-    """Monte-Carlo margin-rate profile of h over the sampler's distribution.
-
-    For each of N sampled points, membership in the radius-r margin is tested
-    with shared probe directions (scaled per radius, flags accumulated so the
-    raw curve is already monotone), plus a bisection toward witness W_i when h
-    has `opposite_witness(X) -> (labels, W, safe)` (`losses.certified_labels`):
-    h labels W_i unlike x_i unless W_i = x_i (no witness), and no probe of x_i
-    flips its label at radii <= safe_i (-inf: none certified).
+    """Monte-Carlo margin-rate profile of h over the sampler's distribution:
+    at each grid radius r, the fraction of N sampled points whose open r-ball
+    holds a point that h labels unlike the point (`losses.ball_flags`). Each
+    point has `probes` shared probe directions, scaled per radius, plus a
+    bisection toward its witness W_i when h has `opposite_witness(X) ->
+    (labels, W, safe)`; flags accumulate, so the raw curve is already
+    monotone.
     """
     radii = radius_grid(radii)
     check_range("N", N, "[1, inf) int")
     check_range("probes", probes, "[0, inf) int")
     X = np.asarray(sampler(stream.child(0), N), dtype=np.float64)
-    preds, W, safe = certified_labels(h, X)  # no probe flips a row within safe
-    flips = np.full(N, math.inf) if W is None else _flip_distances_batch(h, X, W, preds, radii)
-
-    member = np.zeros(N, dtype=bool)
-    values = np.empty(radii.shape[0])
     s = stream.child(1)
     offsets = unit_ball(s.normal((N, probes, X.shape[1])), s.uniform((N, probes)))
-    for j, r in enumerate(radii):
-        decided = flips < r
-        if r > 0.0:
-            member |= probe_flags(h, X, offsets, np.full(N, r), preds, ~(member | decided), safe)
-        # Nondecreasing: `member` and `flips < r` only grow along the grid.
-        values[j] = np.mean(member | decided)
-    return MarginProfile(radii, values)
+    scales = np.broadcast_to(radii[:, None], (radii.shape[0], N))
+    flags = ball_flags(h, X, offsets, scales, bisect=True)
+    return MarginProfile(radii, np.array([np.mean(f) for f in flags]))
 
 
 def inverse_phi(profile: MarginProfile, epsilon: float) -> float:

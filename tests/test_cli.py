@@ -255,8 +255,10 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
     (["margin", "--shape", "circles", "--grid", "0.1,abc"], "--grid"),
     (["margin", "--shape", "circles", "--grid", "0.2,0.1"], "--grid"),
     (["margin", "--shape", "circles", "--grid", "0.1,0.1"], "--grid '0.1,0.1': radius grid"),
+    (["margin", "--shape", "circles", "--grid", "0.1,inf"], "--grid finite nonnegative"),
     (["sweep", "--shapes", "circles,foo"], "'foo'"),
     (["sweep", "--fixed-radii", "0.1,-1"], "--fixed-radii"),
+    (["sweep", "--fixed-radii", "1,inf"], "--fixed-radii finite nonnegative"),
     (["augment", "--data", "{malformed}", "--c", "0.5"], "{malformed}"),
     (["train", "--data", "{oneclass}", "--test", "{labels01}", "--model", "nn1"], "{oneclass}"),
     (["train", "--data", "{oneclass}", "--test", "{labels01}", "--model", "mlp"], "{oneclass}"),
@@ -361,8 +363,8 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
     (["train", "--data", "{far}", "--test", "{far}", "--epochs", "5"],
      "--data {far}: diverged not finite"),
 ], ids=["margin-labels", "train-mlp-labels", "margin-grid", "margin-grid-order",
-        "margin-grid-repeated",
-        "sweep-shapes", "sweep-radii", "malformed-csv", "train-nn1-one-class",
+        "margin-grid-repeated", "margin-grid-inf",
+        "sweep-shapes", "sweep-radii", "sweep-radii-inf", "malformed-csv", "train-nn1-one-class",
         "train-mlp-one-class", "train-epochs", "train-batch", "train-lr", "sweep-epochs",
         "sweep-batch", "sweep-lr", "sweep-n", "sweep-n-2", "sweep-n-3", "generate-n", "margin-n",
         "generate-label-noise-high", "generate-label-noise-negative", "sweep-seeds",

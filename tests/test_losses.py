@@ -43,6 +43,19 @@ class RowCounter(BatchFirst):
         return self.h.predict_batch(X)
 
 
+class BatchSensitive(BatchFirst):
+    """Label 1 for every row of a batch of more than `size` rows, else 0, as a
+    network whose logits round with the rows that share its batch; counts the
+    rows it classifies."""
+
+    def __init__(self, size):
+        self.size, self.rows = size, 0
+
+    def predict_batch(self, X):
+        self.rows += len(X)
+        return np.full(len(X), int(len(X) > self.size), dtype=np.int64)
+
+
 CONST0 = Pointwise(lambda x: 0)
 CONST1 = Pointwise(lambda x: 1)
 
@@ -85,6 +98,27 @@ def test_r0_equals_binary_exactly():
     h = Pointwise(lambda x: int(x[0] > 0.5))
     rep = robust_loss_fixed_grid(h, D, [0.0], probes=50, stream=RandomStream(2))[0]
     assert rep.value == binary_loss(h, D).value
+
+
+def test_fixed_loss_never_probes_a_radius_0_ball():
+    # the open radius-0 ball is empty: probing x itself in a larger batch would
+    # flip every row of a batch-sensitive classifier
+    D = dataset([[0.0], [1.0], [2.0], [3.0]], [0, 0, 0, 0])
+    h = BatchSensitive(D.n)
+    assert binary_loss(h, D).value == 0.0
+    h.rows = 0
+    reps = robust_loss_fixed_grid(h, D, [0.0, 0.5], probes=10, stream=RandomStream(2))
+    assert [rep.value for rep in reps] == [0.0, 1.0]
+    assert h.rows == D.n + D.n * 10  # the labels, then one probe chunk per row at r = 0.5
+
+
+def test_testtime_never_probes_a_zero_radius_ball():
+    # the first test point lies on a reference point of another label: rho = 0
+    ref = dataset([[0.0], [1.0]], [1, 0])
+    T = dataset([[0.0], [1.0]], [0, 0])
+    h = BatchSensitive(T.n)
+    rep = adaptive_robust_testtime(h, T, ref, factor=0.5, probes=10, stream=RandomStream(3))
+    assert rep.value == 0.5 and h.rows == T.n + 10
 
 
 def test_two_close_points_with_large_radius_lose_everywhere():
@@ -309,7 +343,7 @@ def test_probe_flags_match_the_unpruned_loop(seed, d, k):
     # the certificate speaks for rows whose 1-NN label is their target
     pred, _, safe = nn.opposite_witness(S.points)
     safe = np.where(pred == S.labels, safe, -np.inf)
-    for h, s in ((nn, safe), (mlp.MlpClassifier(net), None)):
+    for h, s in ((nn, safe), (mlp.MlpClassifier(net), np.full(S.n, -np.inf))):
         want = unpruned_probe_wrong(h, S.points, offsets, radii, S.labels) & todo
         counted = RowCounter(h)
         got = probe_flags(counted, S.points, offsets, radii, S.labels, todo, s)

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from adaptrobust import margin, neighbors
 from adaptrobust.core import LabeledDataset, RandomStream, sq_dists_to
 from adaptrobust.datagen import manifold_sampler, shape_geometry
-from adaptrobust.losses import probe_flags
+from adaptrobust import losses
+from adaptrobust.losses import _flip_distances, probe_flags
 from adaptrobust.margin import (
     MarginProfile,
     NearestSetClassifier,
-    _flip_distances_batch,
     inverse_phi,
     margin_profile,
     nn_sample_bound,
@@ -225,11 +225,11 @@ def test_flip_distance_locates_the_boundary():
     h = Threshold1D(0.25)
     X = np.array([[0.9], [0.9], [0.9]])
     W = np.array([[-1.0], [0.5], [0.9]])  # flipped, same-label, coincident witness
-    radii = np.linspace(0.0, 1.0, 100_001)
-    d = _flip_distances_batch(h, X, W, h.predict_batch(X), radii)
+    radii = np.linspace(0.0, 1.0, 100_001)[:, None]
+    d = _flip_distances(h, X, W, h.predict_batch(X), np.repeat(radii, 3, axis=1))
     assert d[0] == pytest.approx(0.65, abs=1e-5)
     assert d[1] == math.inf and d[2] == math.inf
-    none = _flip_distances_batch(h, X[1:], W[1:], h.predict_batch(X[1:]), radii)
+    none = _flip_distances(h, X[1:], W[1:], h.predict_batch(X[1:]), np.repeat(radii, 2, axis=1))
     assert none.tolist() == [math.inf, math.inf]  # no row to bisect
 
 
@@ -483,7 +483,7 @@ def count_probe_rows(monkeypatch):
         counts[0] += offsets.shape[0] * offsets.shape[1]
         return probe_flags(Counted(h), X, offsets, *rest)
 
-    monkeypatch.setattr(margin, "probe_flags", counted)
+    monkeypatch.setattr(losses, "probe_flags", counted)
     return counts
 
 
@@ -528,8 +528,15 @@ def test_grid_stop_decides_like_the_full_bisection(case):
     full = reference_flips(h, X, W, preds)
     # grid radii at the exact flip distances make `flips < r` a tie
     radii = np.unique(np.concatenate([full[np.isfinite(full)], [0.0, 0.1, 0.25, 1.0]]))
-    got = _flip_distances_batch(h, X, W, preds, radii)
+    got = _flip_distances(h, X, W, preds, np.repeat(radii[:, None], len(X), axis=1))
     assert np.array_equal(got[:, None] < radii, full[:, None] < radii)
+    # a grid per row: its own flip distance and its neighbour's (ties), and
+    # the shared radii stretched by a factor of the row's own
+    own = np.where(np.isfinite(full), full, 0.5)
+    R = np.vstack([own, np.roll(own, 1),
+                   np.outer([0.1, 0.25, 1.0], 1.0 + np.arange(len(X)) / len(X))])
+    got = _flip_distances(h, X, W, preds, R)
+    assert np.array_equal(got < R, full < R)
 
 
 def test_certified_radius_holds_on_its_sphere():
