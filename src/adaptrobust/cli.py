@@ -3,12 +3,13 @@
 Every subcommand is a pure function of its resolved configuration and input
 files. All seven share one skeleton, `command`: it adds --out, --name and
 --config, merges defaults < config file < explicit flags into one dict keyed
-by parameter name (the long flag without dashes), and hands that dict to the
-command body. A body checks its input and computes all it writes before
-`_run_dir` makes the run directory and echoes the config into it, and `command`
-turns a ValueError (the library's bad-input signal) into a one-line error, so a
-failed run leaves nothing behind. Seeds are explicit and no output file embeds
-timestamps, so reruns with equal configs reproduce equal bytes.
+by parameter name (the long flag without dashes), and hands it to the command
+body, which writes nothing: it returns its files and the lines to print.
+`command` turns a ValueError (the library's bad-input signal) into a one-line
+error, and makes the run directory and writes the files only after the body
+returns, so a failed run leaves nothing behind; a generator (`sweep`'s figures)
+is drawn as it is written and must not fail. Seeds are explicit and no output
+file embeds timestamps, so reruns with equal configs reproduce equal bytes.
 
 Run layout: <out>/<run-name>/{config.echo, data/*.csv, models/*, reports/*.csv,
 figs/*.svg}. The output root comes from --out, else $ADAPTROBUST_OUT, else ./out.
@@ -122,15 +123,22 @@ def _check_union(a: LabeledDataset, b: LabeledDataset, names: str) -> None:
         raise click.ClickException(f"{names}: {exc}") from None
 
 
-def _run_dir(cfg: dict) -> Path:
-    """Make the run directory and echo the resolved config into it. A --name
-    that is not one directory name, or a run path mkdir fails on, is an error,
-    and a failed call removes the directories it made."""
-    root, name = Path(cfg["out"] or os.environ.get("ADAPTROBUST_OUT") or "out"), cfg["name"]
-    if name in ("", ".", "..") or Path(name).name != name:
-        raise click.ClickException(f"--name {name!r}: must be one directory name")
-    run, made = root / name, []
-    subs = [run / sub for sub in ("data", "models", "reports", "figs")]
+def _load_drawable(path: str, option: str) -> LabeledDataset:
+    """The dataset CSV given as `option`, as `render_regions_svg` draws it: 2-D
+    points with labels 0 and 1, the labels it has colors for."""
+    ds = datagen.load_csv(path)
+    if ds.dim != 2:
+        raise click.ClickException(f"{option} {path}: rendering needs 2-D points, got {ds.dim}-D")
+    labels = ds.classes().tolist()
+    if not set(labels) <= {0, 1}:
+        raise click.ClickException(f"{option} {path}: rendering needs labels 0/1, got {labels}")
+    return ds
+
+
+def _run_dir(run: Path) -> None:
+    """Make the run directory and its subdirectories. A run path mkdir fails on
+    is an error, and a failed call removes the directories it made."""
+    made, subs = [], [run / sub for sub in ("data", "models", "reports", "figs")]
     try:
         for path in [*reversed(run.parents), run, *subs]:
             if not path.is_dir():
@@ -139,17 +147,12 @@ def _run_dir(cfg: dict) -> Path:
     except (OSError, ValueError) as exc:
         for path in reversed(made):
             path.rmdir()
-        raise click.ClickException(
-            f"--out {root} --name {name}: cannot make the run directory ({exc})") from None
-    lines = [f"{k}={v}" for k, v in sorted(cfg.items())
-             if k not in ("out", "name") and v is not None]
-    write_text_lines(run / "config.echo", lines)
-    return run
+        raise click.ClickException(f"--out {run.parent} --name {run.name}: "
+                                   f"cannot make the run directory ({exc})") from None
 
 
-def _write_reports(path: Path, reports: list[losses.LossReport]) -> None:
-    lines = [losses.REPORT_CSV_HEADER] + [r.csv_row() for r in reports]
-    write_text_lines(path, lines)
+def _report_lines(reports: list[losses.LossReport]) -> list[str]:
+    return [losses.REPORT_CSV_HEADER] + [r.csv_row() for r in reports]
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +332,14 @@ def sweep_cells_csv(result: SweepResult) -> list[str]:
     return lines
 
 
+def _cell_figure(cell: SweepCell, ambient: int):
+    """A cell's figure lines, drawn as `command` writes them, one at a time: every
+    sweep shape is 2-D with labels 0/1, so drawing cannot fail."""
+    note = f"shape={cell.shape} variant={cell.variant} seed_index={cell.seed_index}"
+    yield from render_regions_svg(mlp.MlpClassifier(cell.model), cell.fitted, ambient,
+                                  RandomStream(cell.figure_seed), config_note=note)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -340,11 +351,13 @@ def main():
 
 
 def command(name: str):
-    """Register the decorated `body(cfg)` as subcommand `name` of `main`, with
-    --out, --name (default `name`) and --config after the body's own options;
-    `cfg` is the `resolve_config` result. Required parameters are checked in
-    `cfg`, so a --config file can supply them too. A ValueError, the library's
-    bad-input signal, becomes a one-line error; other exceptions keep theirs."""
+    """Register the decorated `body(cfg, run) -> (files, echo)` as subcommand
+    `name` of `main`, with --out, --name (default `name`) and --config after
+    the body's own options; `cfg` is the `resolve_config` result. Required
+    parameters are checked in `cfg`, so a --config file can supply them too. A
+    ValueError, the library's bad-input signal, becomes a one-line error; other
+    exceptions keep theirs. Only once the body returns is the run directory
+    `run` made, with `config.echo` and `files` (path under it -> lines) in it."""
     def register(body):
         def callback(**_):
             try:
@@ -355,9 +368,19 @@ def command(name: str):
                         raise click.ClickException(
                             f"missing {flag}: give it on the command line or as "
                             f"{p.name}=... in --config")
-                return body(cfg)
+                run_name = cfg["name"]
+                if run_name in ("", ".", "..") or Path(run_name).name != run_name:
+                    raise click.ClickException(f"--name {run_name!r}: must be one directory name")
+                run = Path(cfg["out"] or os.environ.get("ADAPTROBUST_OUT") or "out") / run_name
+                files, echo = body(cfg, run)
             except ValueError as exc:
                 raise click.ClickException(str(exc)) from None
+            _run_dir(run)
+            config = [f"{k}={v}" for k, v in sorted(cfg.items())
+                      if k not in ("out", "name") and v is not None]
+            for path, lines in {"config.echo": config, **files}.items():
+                write_text_lines(run / path, lines)
+            click.echo("\n".join(echo))
 
         cmd = main.command(name)(functools.update_wrapper(callback, body))
         required = [p for p in cmd.params if p.required]
@@ -378,14 +401,13 @@ def command(name: str):
 @click.option("--n", default=1000, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--label-noise", default=0.0, show_default=True)
-def cmd_generate(cfg):
+def cmd_generate(cfg, run):
     """Sample a synthetic shape dataset to CSV."""
     _check(cfg, n="[2, inf)", label_noise="[0, 1)", seed="[0, inf)")
     ds = datagen.generate(datagen.ShapeSpec(
         shape=cfg["shape"], n=cfg["n"], seed=cfg["seed"], label_noise=cfg["label_noise"]))
-    run = _run_dir(cfg)
-    datagen.save_csv(ds, run / "data" / "dataset.csv")
-    click.echo(f"wrote {run / 'data' / 'dataset.csv'} ({ds.n} rows)")
+    path = "data/dataset.csv"
+    return {path: datagen.csv_lines(ds)}, [f"wrote {run / path} ({ds.n} rows)"]
 
 
 @command("augment")
@@ -395,7 +417,7 @@ def cmd_generate(cfg):
 @click.option("--m", default=4, show_default=True, help="Samples per ball.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--originals/--no-originals", "include_originals", default=True, show_default=True)
-def cmd_augment(cfg):
+def cmd_augment(cfg, run):
     """Expand a dataset by sampling from adaptive or fixed-radius balls."""
     if (cfg["c"] is None) == (cfg["fixed_radius"] is None):
         raise click.ClickException("give exactly one of --c and --fixed-radius")
@@ -406,9 +428,8 @@ def cmd_augment(cfg):
         include_originals=cfg["include_originals"], seed=cfg["seed"],
         fixed_radius=cfg["fixed_radius"])
     aug, origins = augment_data(ds, spec)
-    run = _run_dir(cfg)
-    datagen.save_csv(aug, run / "data" / "augmented.csv", origins=origins)
-    click.echo(f"wrote {run / 'data' / 'augmented.csv'} ({aug.n} rows)")
+    path = "data/augmented.csv"
+    return {path: datagen.csv_lines(aug, origins)}, [f"wrote {run / path} ({aug.n} rows)"]
 
 
 @command("train")
@@ -422,7 +443,7 @@ def cmd_augment(cfg):
 @click.option("--probes", default=100, show_default=True)
 @click.option("--r", default=0.1, show_default=True,
               help="Radius for the fixed robust-loss evaluation.")
-def cmd_train(cfg):
+def cmd_train(cfg, run):
     """Fit a model and report binary, fixed-radius robust, and adaptive robust
     losses on held-out data."""
     if cfg["model"] == "nn1":
@@ -436,9 +457,6 @@ def cmd_train(cfg):
             f"but --data {cfg['data']} has {train_ds.dim}-D points")
     _check_union(train_ds, test_ds, f"--data {cfg['data']} --test {cfg['test']}")
     labels = train_ds.classes().tolist()
-    if cfg["model"] == "mlp" and not set(labels) <= {0, 1}:
-        raise click.ClickException(
-            f"--data {cfg['data']}: the mlp model needs labels 0/1, got {labels}")
     if len(labels) < 2:
         raise click.ClickException(
             f"--data {cfg['data']}: the adaptive loss needs two classes, got {labels}")
@@ -450,19 +468,16 @@ def cmd_train(cfg):
             model = mlp.train(model, train_ds, spec)
         except ValueError as exc:
             raise click.ClickException(f"--data {cfg['data']}: {exc}") from None
-        h = mlp.MlpClassifier(model)
+        h, files = mlp.MlpClassifier(model), {"models/model.txt": mlp.model_lines(model)}
     else:
-        h = NnClassifier(train_ds)
-    reports = _evaluate(h, test_ds, train_ds, [cfg["r"]], cfg["probes"],
-                        RandomStream(cfg["seed"]))
-    run = _run_dir(cfg)
-    if cfg["model"] == "mlp":
-        mlp.save_model(model, run / "models" / "model.txt")
-    else:
-        datagen.save_csv(train_ds, run / "models" / "nn1_train.csv")
-    _write_reports(run / "reports" / "losses.csv", reports)
-    for rep in reports:
-        click.echo(f"{rep.name} = {rep.value:.4f}")
+        h, files = NnClassifier(train_ds), {"models/nn1_train.csv": datagen.csv_lines(train_ds)}
+    try:
+        reports = _evaluate(h, test_ds, train_ds, [cfg["r"]], cfg["probes"],
+                            RandomStream(cfg["seed"]))
+    except ValueError as exc:
+        raise click.ClickException(f"--data {cfg['data']} --test {cfg['test']}: {exc}") from None
+    files["reports/losses.csv"] = _report_lines(reports)
+    return files, [f"{rep.name} = {rep.value:.4f}" for rep in reports]
 
 
 @command("margin")
@@ -474,7 +489,7 @@ def cmd_train(cfg):
 @click.option("--probes", default=100, show_default=True)
 @click.option("--epsilon", default=0.05, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-def cmd_margin(cfg):
+def cmd_margin(cfg, run):
     """Estimate the margin-rate profile of the canonical nearest-set predictor,
     invert it at epsilon, and report the 1-NN sample bound."""
     if (cfg["shape"] is None) == (cfg["data"] is None):
@@ -509,11 +524,8 @@ def cmd_margin(cfg):
         summary.append(f"nn_sample_bound={bound!r}")
     else:
         summary.append("nn_sample_bound=undefined (r_star = 0)")
-    run = _run_dir(cfg)
-    profile.save(run / "reports" / "margin.csv")
-    write_text_lines(run / "reports" / "margin_summary.txt", summary)
-    for ln in summary:
-        click.echo(ln)
+    files = {"reports/margin.csv": profile.csv_lines(), "reports/margin_summary.txt": summary}
+    return files, summary
 
 
 # Each construction and the options it reads; any other given option is refused.
@@ -528,7 +540,7 @@ SCENARIOS = {"two_point": ("gap", "r"), "four_point": (),
 @click.option("--r", default=1.0, show_default=True, help="Robustness parameter.")
 @click.option("--mc", default=100000, show_default=True, help="Monte-Carlo points.")
 @click.option("--seed", default=0, show_default=True)
-def cmd_scenario(cfg):
+def cmd_scenario(cfg, run):
     """Run an exact construction and print claimed-vs-computed values.
 
     NAME is one of: two_point, four_point, two_rectangles.
@@ -540,10 +552,8 @@ def cmd_scenario(cfg):
     _refuse_unused([k for k in ("epsilon", "gap", "r", "mc", "seed") if k not in SCENARIOS[name]],
                    f"by scenario {name}")
     lines, reports = _scenario_report(cfg)
-    run = _run_dir(cfg)
-    _write_reports(run / "reports" / f"scenario_{name}.csv", reports)
-    write_text_lines(run / "reports" / f"scenario_{name}.txt", lines)
-    click.echo("\n".join(lines))
+    return {f"reports/scenario_{name}.csv": _report_lines(reports),
+            f"reports/scenario_{name}.txt": lines}, lines
 
 
 def _scenario_report(cfg: dict):
@@ -599,35 +609,28 @@ def _scenario_report(cfg: dict):
               help="Training CSV to overlay.")
 @click.option("--ambient", default=4000, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-def cmd_render(cfg):
+def cmd_render(cfg, run):
     """Render decision regions plus training data into an SVG (2-D only)."""
     if (cfg["model_file"] is None) == (cfg["nn1_data"] is None):
         raise click.ClickException("give exactly one of --model-file and --nn1-data")
     _check(cfg, ambient="[0, inf)", seed="[0, inf)")
-    ds = datagen.load_csv(cfg["data"])
-    if ds.dim != 2:
-        raise click.ClickException(f"--data {cfg['data']}: rendering needs 2-D points, "
-                                   f"got {ds.dim}-D")
+    ds = _load_drawable(cfg["data"], "--data")
     if cfg["model_file"] is not None:
         model = mlp.load_model(cfg["model_file"])
-        source, dim = f"--model-file {cfg['model_file']}", model.dim
+        if model.dim != 2:
+            raise click.ClickException(f"--model-file {cfg['model_file']} has {model.dim}-D "
+                                       "inputs, but --data has 2-D points")
         h = mlp.MlpClassifier(model)
         note = "model=mlp"
     else:
-        nn_ds = datagen.load_csv(cfg["nn1_data"])
-        source, dim = f"--nn1-data {cfg['nn1_data']}", nn_ds.dim
+        nn_ds = _load_drawable(cfg["nn1_data"], "--nn1-data")
+        _check_union(nn_ds, ds, f"--nn1-data {cfg['nn1_data']} --data {cfg['data']}")
         h = NnClassifier(nn_ds)
         note = "model=nn1"
-    if dim != 2:
-        raise click.ClickException(f"{source} has {dim}-D inputs, but --data has 2-D points")
-    if cfg["nn1_data"] is not None:
-        _check_union(nn_ds, ds, f"{source} --data {cfg['data']}")
     svg = render_regions_svg(h, ds, cfg["ambient"], RandomStream(cfg["seed"]),
                              config_note=f"{note} ambient={cfg['ambient']} seed={cfg['seed']}")
-    run = _run_dir(cfg)
-    path = run / "figs" / "regions.svg"
-    write_text_lines(path, svg)
-    click.echo(f"wrote {path}")
+    path = "figs/regions.svg"
+    return {path: svg}, [f"wrote {run / path}"]
 
 
 @command("sweep")
@@ -647,7 +650,7 @@ def cmd_render(cfg):
 @click.option("--probes", default=100, show_default=True)
 @click.option("--render/--no-render", default=True, show_default=True)
 @click.option("--ambient", default=2000, show_default=True)
-def cmd_sweep(cfg):
+def cmd_sweep(cfg, run):
     """Full augmentation grid (no-aug, fixed radii, adaptive) across shapes and
     seeds, summarized in one table CSV."""
     if not cfg["render"]:
@@ -668,15 +671,12 @@ def cmd_sweep(cfg):
         shape_list, n=cfg["n"], m=cfg["m"], c=cfg["c"], fixed_radii=radii,
         n_seeds=cfg["seeds"], base_seed=cfg["base_seed"], epochs=cfg["epochs"],
         lr=cfg["lr"], batch=cfg["batch"], probes=cfg["probes"])
-    run = _run_dir(cfg)
-    write_text_lines(run / "reports" / "sweep_table.csv", sweep_table_csv(result))
-    write_text_lines(run / "reports" / "sweep_cells.csv", sweep_cells_csv(result))
-    for cell in result.cells if cfg["render"] else ():  # every sweep shape is 2-D: cannot fail
-        note = f"shape={cell.shape} variant={cell.variant} seed_index={cell.seed_index}"
-        svg = render_regions_svg(mlp.MlpClassifier(cell.model), cell.fitted, cfg["ambient"],
-                                 RandomStream(cell.figure_seed), config_note=note)
-        write_text_lines(run / "figs" / f"{cell.shape}_{cell.variant}_s{cell.seed_index}.svg", svg)
-    click.echo(f"wrote {run / 'reports' / 'sweep_table.csv'}")
+    path = "reports/sweep_table.csv"
+    files = {path: sweep_table_csv(result), "reports/sweep_cells.csv": sweep_cells_csv(result)}
+    for cell in result.cells if cfg["render"] else ():
+        files[f"figs/{cell.shape}_{cell.variant}_s{cell.seed_index}.svg"] = _cell_figure(
+            cell, cfg["ambient"])
+    return files, [f"wrote {run / path}"]
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Synthetic manifold datasets, CSV reading and writing, and splitting.
+"""Synthetic manifold datasets, the dataset CSV schema, and splitting.
 
 Each shape is a family of one-dimensional parametric curves in the plane, one
 curve collection per class, sampled uniformly in arc length and affinely
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledDataset, RandomStream, check_range, read_text_lines, write_text_lines
+from .core import LabeledDataset, RandomStream, check_range, read_text_lines
 
 
 @dataclass(frozen=True)
@@ -247,7 +247,7 @@ def split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledD
 # augmented data, -1 for a retained original), integer labels, UTF-8, LF endings.
 
 
-def save_csv(ds: LabeledDataset, path, origins: np.ndarray | None = None) -> None:
+def csv_lines(ds: LabeledDataset, origins: np.ndarray | None = None) -> list[str]:
     d = ds.dim
     header = ",".join(f"x{j + 1}" for j in range(d)) + ",label"
     if origins is not None:
@@ -258,7 +258,7 @@ def save_csv(ds: LabeledDataset, path, origins: np.ndarray | None = None) -> Non
         if origins is not None:
             row += f",{int(origins[i])}"
         lines.append(row)
-    write_text_lines(path, lines)
+    return lines
 
 
 def load_csv(path) -> LabeledDataset:

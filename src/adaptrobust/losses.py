@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import expand, point_offsets
-from .core import Classifier, LabeledDataset, RandomStream, check_range, column_span, radius_grid, row_reduce
+from .core import Classifier, LabeledDataset, RandomStream, check_range, radius_grid, row_reduce
 from .neighbors import _EPS, _TINY, rho
 
 REPORT_CSV_HEADER = "loss_name,value,probes,seed,n"
@@ -143,12 +143,17 @@ def ball_flags(h: Classifier, X: np.ndarray, offsets: np.ndarray, scales: np.nda
     return out
 
 
-def _probe_losses(h: Classifier, D: LabeledDataset, scales, probes: int,
+def _probe_losses(h: Classifier, D: LabeledDataset, param: str, scales, probes: int,
                   stream: RandomStream) -> list[LossReport]:
     """One report per (name, per-item radii) in `scales`: the fraction of items
-    whose ball `ball_flags` flags, with probe directions shared across
-    `scales`, so the values are nondecreasing along it."""
+    whose ball `ball_flags` flags, with probe directions shared across `scales`,
+    so the values are nondecreasing along it. A largest radius breaking the
+    overflow rule next to D raises ValueError naming `param`, which set it."""
     names, R = zip(*scales)
+    try:  # a probe lies within D's diameter plus its radius of every point of D
+        LabeledDataset(np.array([[0.0], [D.diameter_bound + np.max(R)]]), [0, 0])
+    except ValueError as exc:
+        raise ValueError(f"{param}: {exc}") from None
     offsets = point_offsets(stream, D.n, probes, D.dim)
     flags = ball_flags(h, D.points, offsets, np.array(R), D.labels)
     return [LossReport(name, float(np.mean(f)), probes, stream.seed, D.n)
@@ -161,17 +166,12 @@ def robust_loss_fixed_grid(h: Classifier, D: LabeledDataset, radii, probes: int 
     `core.radius_grid` rule): an item counts at r when it is misclassified or
     any of `probes` uniform draws from the radius-r ball around it receives a
     label different from the true one. Flags accumulate over the grid, so the
-    values are nondecreasing in r. A radius whose probes, next to D, break
-    `LabeledDataset`'s overflow rule raises ValueError naming it."""
+    values are nondecreasing in r. A radius whose probes lie too far from D
+    for `_probe_losses`'s overflow rule raises ValueError naming it."""
     radii = radius_grid(radii)
     check_range("probes", probes, "[0, inf) int")
-    lo, extent = column_span(D.points)
-    try:  # every probe lies in D's bounding box widened by r on each side
-        LabeledDataset(np.array([lo - radii[-1], lo + extent + radii[-1]]), [0, 0])
-    except ValueError as exc:
-        raise ValueError(f"r {float(radii[-1])!r}: {exc}") from None
     scales = [(f"robust_fixed_r={r:g}", np.full(D.n, r)) for r in radii]
-    return _probe_losses(h, D, scales, probes, stream)
+    return _probe_losses(h, D, f"r {float(radii[-1])!r}", scales, probes, stream)
 
 
 def adaptive_robust_empirical(h: Classifier, S: LabeledDataset, c: float = 0.5,
@@ -182,7 +182,7 @@ def adaptive_robust_empirical(h: Classifier, S: LabeledDataset, c: float = 0.5,
     check_range("c", c, "(0, inf)")
     check_range("probes", probes, "[1, inf) int")
     scales = [(f"adaptive_empirical_c={c:g}", expand(S, c))]
-    return _probe_losses(h, S, scales, probes, stream)[0]
+    return _probe_losses(h, S, f"c {c!r}", scales, probes, stream)[0]
 
 
 def adaptive_robust_testtime(h: Classifier, test: LabeledDataset, ref: LabeledDataset,
@@ -197,7 +197,7 @@ def adaptive_robust_testtime(h: Classifier, test: LabeledDataset, ref: LabeledDa
     check_range("factor", factor, "(0, inf)")
     check_range("probes", probes, "[1, inf) int")
     scales = [(f"adaptive_testtime_f={factor:g}", factor * rho(ref, test.points, test.labels))]
-    return _probe_losses(h, test, scales, probes, stream)[0]
+    return _probe_losses(h, test, f"factor {factor!r}", scales, probes, stream)[0]
 
 
 def disagreement_mass(h1: Classifier, h2: Classifier, sampler, N: int,

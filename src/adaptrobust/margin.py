@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import unit_ball
-from .core import Classifier, LabeledDataset, RandomStream, check_range, radius_grid, write_text_lines
+from .core import Classifier, LabeledDataset, RandomStream, check_range, radius_grid
 from .losses import ball_flags
 from .neighbors import NnClassifier
 
@@ -56,10 +56,9 @@ class MarginProfile:
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "values", v)
 
-    def save(self, path) -> None:
-        lines = ["r,phi_hat"]
-        lines += [f"{float(r)!r},{float(v)!r}" for r, v in zip(self.radii, self.values)]
-        write_text_lines(path, lines)
+    def csv_lines(self) -> list[str]:
+        rows = [f"{float(r)!r},{float(v)!r}" for r, v in zip(self.radii, self.values)]
+        return ["r,phi_hat"] + rows
 
 
 def margin_profile(sampler, h: Classifier, radii, N: int, probes: int = 100, *,

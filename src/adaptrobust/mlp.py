@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BatchFirst, LabeledDataset, RandomStream, check_range, read_text_lines, write_text_lines
+from .core import BatchFirst, LabeledDataset, RandomStream, check_range, read_text_lines
 
 # Per-layer views of one flat parameter or gradient vector; b3 has shape (1,).
 _Layers = namedtuple("_Layers", "w1 b1 w2 b2 w3 b3")
@@ -160,17 +160,17 @@ class MlpClassifier(BatchFirst):
         return (forward_batch(self.model, X) >= 0.5).astype(np.int64)
 
 
-def save_model(model: MlpModel, path) -> None:
-    """Flat text format: literal header, then d,h1,h2, then one parameter per
-    line with 17 significant digits (lossless for float64)."""
+def model_lines(model: MlpModel) -> list[str]:
+    """The lines of the flat text format: literal header, then d,h1,h2, then
+    one parameter per line with 17 significant digits (lossless for float64)."""
     h1, h2 = model.widths
     lines = ["d,h1,h2", f"{model.dim},{h1},{h2}"]
     lines += [f"{v:.17g}" for v in model.params]
-    write_text_lines(path, lines)
+    return lines
 
 
 def load_model(path) -> MlpModel:
-    """Read the `save_model` format; a malformed file raises ValueError naming
+    """Read the `model_lines` format; a malformed file raises ValueError naming
     `path`."""
     lines = [ln.strip() for ln in read_text_lines(path) if ln.strip()]
     if len(lines) < 2 or lines[0] != "d,h1,h2":

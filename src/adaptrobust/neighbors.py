@@ -27,7 +27,7 @@ _MAX_AXES = 3           # gridded coordinates; the others only add to distances
 # and 2^18, 33 ms at 2^15 and 42-44 ms at 10^6.
 _PIECE = 2**17
 _SHELL_BUDGET = 1024    # cells per pass after ring 0, shared by the active queries
-_EPS = np.finfo(np.float64).eps  # rounding constants, also of margin's gap bound
+_EPS = np.finfo(np.float64).eps  # rounding constants: index bounds, certified radii, probe reach
 _TINY = np.finfo(np.float64).smallest_subnormal
 
 

@@ -5,7 +5,7 @@ from click.testing import CliRunner
 
 from adaptrobust import datagen, losses, mlp
 from adaptrobust.cli import main, render_regions_svg, run_sweep
-from adaptrobust.core import LabeledDataset, RandomStream
+from adaptrobust.core import LabeledDataset, RandomStream, write_text_lines
 from adaptrobust.neighbors import NnClassifier
 
 runner = CliRunner()
@@ -138,8 +138,8 @@ def split_csvs(tmp_path, dataset_csv):
     ds = datagen.load_csv(dataset_csv)
     train, test = datagen.split(ds, datagen.SplitSpec(0.8, seed=2))
     tr, te = tmp_path / "train.csv", tmp_path / "test.csv"
-    datagen.save_csv(train, tr)
-    datagen.save_csv(test, te)
+    write_text_lines(tr, datagen.csv_lines(train))
+    write_text_lines(te, datagen.csv_lines(test))
     return tr, te
 
 
@@ -174,6 +174,18 @@ def test_train_nn1_runs_at_a_radius_whose_probes_stay_in_range(tmp_path):
     assert (tmp_path / "far" / "reports" / "losses.csv").exists()
 
 
+def test_train_nn1_scores_points_near_the_overflow_edge(tmp_path):
+    # diagonal D ~7.1e153: D**2 and (1.5 * D)**2 (a test-time probe's reach at
+    # factor 0.5) are finite, but a box widened by the radius on both sides is not
+    edge = tmp_path / "edge.csv"
+    edge.write_text("x1,x2,label\n0,0,0\n5e153,5e153,1\n", encoding="utf-8")
+    run_ok(["train", "--data", str(edge), "--test", str(edge), "--model", "nn1",
+            "--out", str(tmp_path), "--name", "edge"])
+    lines = (tmp_path / "edge" / "reports" / "losses.csv").read_text().splitlines()
+    assert [ln.split(",")[:2] for ln in lines[1:]] == [
+        ["binary", "0.0"], ["robust_fixed_r=0.1", "0.0"], ["adaptive_testtime_f=0.5", "0.0"]]
+
+
 def test_zero_epoch_train_equals_untrained_eval(split_csvs, tmp_path):
     tr, te = split_csvs
     run_ok(["train", "--data", str(tr), "--test", str(te), "--model", "mlp",
@@ -198,25 +210,26 @@ def test_zero_epoch_train_equals_untrained_eval(split_csvs, tmp_path):
 @pytest.fixture()
 def bad_csvs(tmp_path):
     pts = np.random.default_rng(0).random((20, 2))
-    paths = {name: tmp_path / f"{name}.csv" for name in ("labels01", "labels02", "oneclass")}
-    datagen.save_csv(LabeledDataset(pts, np.array([0, 1] * 10)), paths["labels01"])
-    datagen.save_csv(LabeledDataset(pts, np.array([0, 2] * 10)), paths["labels02"])
-    datagen.save_csv(LabeledDataset(pts, np.zeros(20, dtype=int)), paths["oneclass"])
+    paths = {}
+    for name, points, labels in [("labels01", pts, [0, 1] * 10), ("labels02", pts, [0, 2] * 10),
+                                 ("oneclass", pts, [0] * 20), ("labels012", pts, [0, 1, 2, 1] * 5),
+                                 ("label5", pts, [0, 1] * 9 + [5, 1]),
+                                 ("dim3", np.random.default_rng(1).random((20, 3)), [0, 1] * 10)]:
+        paths[name] = tmp_path / f"{name}.csv"
+        write_text_lines(paths[name], datagen.csv_lines(LabeledDataset(points, labels)))
     paths["malformed"] = tmp_path / "malformed.csv"
     paths["malformed"].write_text("x1,x2,label\n0.1,oops,0\n", encoding="utf-8")
-    paths["dim3"] = tmp_path / "dim3.csv"
-    datagen.save_csv(LabeledDataset(np.random.default_rng(1).random((20, 3)),
-                                    np.array([0, 1] * 10)), paths["dim3"])
     paths["model3"] = tmp_path / "model3.txt"
-    mlp.save_model(mlp.init(3, seed=0), paths["model3"])
+    write_text_lines(paths["model3"], mlp.model_lines(mlp.init(3, seed=0)))
     paths["neglabel"] = tmp_path / "neglabel.csv"
     paths["neglabel"].write_text("x1,x2,label\n0.1,0.2,0\n0.3,0.4,-1\n", encoding="utf-8")
     for name, origin in [("origin_text", "abc"), ("origin_fraction", "-7.5")]:
         paths[name] = tmp_path / f"{name}.csv"
         paths[name].write_text(f"x1,x2,label,origin\n0.1,0.2,0,-1\n0.3,0.4,1,{origin}\n",
                                encoding="utf-8")
-    mlp.save_model(mlp.init(2, seed=0), tmp_path / "model2.txt")
-    params = (tmp_path / "model2.txt").read_text(encoding="utf-8").splitlines()[2:]
+    paths["model2"] = tmp_path / "model2.txt"
+    write_text_lines(paths["model2"], mlp.model_lines(mlp.init(2, seed=0)))
+    params = paths["model2"].read_text(encoding="utf-8").splitlines()[2:]
     for name, lines in [("noheader", ["2,10,10"] + params),
                         ("short", ["d,h1,h2", "2,10,10"] + params[:-1]),
                         ("sizes", ["d,h1,h2", "a,b,c"] + params),
@@ -358,10 +371,15 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
      "--nn1-data {far} --data {labels01}: too far apart"),
     # every probe lies ~1e300 away: all its distances would be inf, and all tie
     (["train", "--data", "{square}", "--test", "{square}", "--model", "nn1", "--r", "1e300"],
-     "r 1e+300: overflow"),
+     "--data {square} --test {square}: r 1e+300: overflow"),
     # the set keeps the overflow rule (its extent is 0), but training diverges
     (["train", "--data", "{far}", "--test", "{far}", "--epochs", "5"],
      "--data {far}: diverged not finite"),
+    # the figure has colors for labels 0 and 1 only
+    (["render", "--nn1-data", "{labels012}", "--data", "{labels012}"], "--data {labels012} 0/1"),
+    (["render", "--nn1-data", "{labels012}", "--data", "{labels01}"],
+     "--nn1-data {labels012} 0/1"),
+    (["render", "--model-file", "{model2}", "--data", "{label5}"], "--data {label5} 0/1"),
 ], ids=["margin-labels", "train-mlp-labels", "margin-grid", "margin-grid-order",
         "margin-grid-repeated", "margin-grid-inf",
         "sweep-shapes", "sweep-radii", "sweep-radii-inf", "malformed-csv", "train-nn1-one-class",
@@ -386,7 +404,8 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
         "train-nn1-default-lr", "train-nn1-config-epochs", "sweep-no-render-ambient",
         "sweep-no-render-config-ambient", "scenario-four-point-options", "scenario-four-point-r",
         "scenario-two-point-mc", "scenario-two-rectangles-config-gap", "train-far-test",
-        "render-far-nn1-data", "train-r-overflow", "train-mlp-diverges"])
+        "render-far-nn1-data", "train-r-overflow", "train-mlp-diverges", "render-labels-012",
+        "render-nn1-data-labels-012", "render-model-file-label-5"])
 def test_bad_input_stops_with_one_line_error(tmp_path, bad_csvs, args, names):
     args = [a.format(**bad_csvs) for a in args]
     res = runner.invoke(main, args + ["--out", str(tmp_path / "out"), "--name", "bad"])
@@ -597,7 +616,7 @@ def test_margin_command_on_shape(tmp_path):
 def test_margin_sample_bound_in_high_dimension_is_inf(tmp_path):
     data = tmp_path / "d400.csv"
     pts = np.random.default_rng(0).random((40, 400))
-    datagen.save_csv(LabeledDataset(pts, np.array([0, 1] * 20)), data)
+    write_text_lines(data, datagen.csv_lines(LabeledDataset(pts, np.array([0, 1] * 20))))
     res = run_ok(["margin", "--data", str(data), "--n", "5", "--probes", "2",
                   "--out", str(tmp_path), "--name", "m400"])
     assert "nn_sample_bound=inf" in res.output.splitlines()

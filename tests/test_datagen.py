@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from adaptrobust.core import LabeledDataset
+from adaptrobust.core import LabeledDataset, write_text_lines
 from adaptrobust.datagen import (
     SHAPE_NAMES,
     ShapeSpec,
     SplitSpec,
+    csv_lines,
     generate,
     load_csv,
     manifold_sampler,
-    save_csv,
     shape_geometry,
     split,
 )
@@ -121,16 +121,16 @@ def test_split_deterministic():
 def test_csv_roundtrip_bytes(tmp_path):
     ds = generate(ShapeSpec("sfigure", 97, seed=12))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    save_csv(ds, p1)
+    write_text_lines(p1, csv_lines(ds))
     loaded = load_csv(p1)
-    save_csv(loaded, p2)
+    write_text_lines(p2, csv_lines(loaded))
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_csv_origin_column_roundtrip(tmp_path):
     ds = LabeledDataset(np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([0, 1]))
     path = tmp_path / "aug.csv"
-    save_csv(ds, path, origins=np.array([-1, 0]))
+    write_text_lines(path, csv_lines(ds, origins=np.array([-1, 0])))
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "x1,x2,label,origin"
     loaded = load_csv(path)

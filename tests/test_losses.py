@@ -174,6 +174,20 @@ def test_fixed_grid_takes_the_one_radius_grid_rule(radii):
         robust_loss_fixed_grid(CONST0, D, radii, stream=RandomStream(0))
 
 
+@pytest.mark.parametrize("loss, name", [
+    (lambda h, D, v: robust_loss_fixed_grid(h, D, [0.5, v], stream=RandomStream(0)), "r"),
+    (lambda h, D, v: adaptive_robust_testtime(h, D, D, factor=v, stream=RandomStream(0)),
+     "factor"),
+    (lambda h, D, v: adaptive_robust_empirical(h, D, c=v, stream=RandomStream(0)), "c"),
+], ids=["fixed", "testtime", "empirical"])
+def test_probe_losses_refuse_a_radius_whose_probes_overflow(loss, name):
+    # probes ~1e300 from the unit square have squared distances that overflow
+    D = dataset([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0, 0, 1, 1])
+    with pytest.raises(ValueError, match=rf"^{name} 1e\+300: the points are too far apart"):
+        loss(NnClassifier(D), D, 1e300)
+    loss(NnClassifier(D), D, 1e100)  # far, but in range
+
+
 # --- adaptive empirical ---------------------------------------------------------------
 
 def test_nn_on_own_sample_has_zero_adaptive_loss_at_half():

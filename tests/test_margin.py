@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptrobust import margin, neighbors
-from adaptrobust.core import LabeledDataset, RandomStream, sq_dists_to
+from adaptrobust.core import LabeledDataset, RandomStream, sq_dists_to, write_text_lines
 from adaptrobust.datagen import manifold_sampler, shape_geometry
 from adaptrobust import losses
 from adaptrobust.losses import _flip_distances, probe_flags
@@ -369,7 +369,7 @@ def test_sample_bound_rejects_zero_radius():
 def test_profile_csv_roundtrip(tmp_path):
     prof = step_profile()
     path = tmp_path / "profile.csv"
-    prof.save(path)
+    write_text_lines(path, prof.csv_lines())
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "r,phi_hat"
     assert len(lines) == 4

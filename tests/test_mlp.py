@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adaptrobust.core import LabeledDataset, RandomStream
+from adaptrobust.core import LabeledDataset, RandomStream, write_text_lines
 from adaptrobust.datagen import SHAPE_NAMES, ShapeSpec, generate
 from adaptrobust.mlp import (
     MlpClassifier,
@@ -16,7 +16,7 @@ from adaptrobust.mlp import (
     grad,
     init,
     load_model,
-    save_model,
+    model_lines,
     train,
 )
 
@@ -231,7 +231,7 @@ def test_save_load_roundtrip(tmp_path):
     data = two_blobs(np.random.default_rng(25))
     model = train(init(2, seed=26), data, TrainSpec(epochs=20, seed=27))
     path = tmp_path / "model.txt"
-    save_model(model, path)
+    write_text_lines(path, model_lines(model))
     loaded = load_model(path)
     assert np.array_equal(loaded.params, model.params)
     assert (loaded.dim, loaded.widths) == (model.dim, model.widths)
