@@ -38,7 +38,19 @@ def expand(S: LabeledDataset, c: float) -> np.ndarray:
     """c-adaptive expansion radii: ball i is centred on x_i, keeps label y_i and
     has radius c * rho_S(x_i, y_i)."""
     check_range("c", c, "[0, inf)")
-    return c * rho_all(S)
+    return adaptive_radii("c", c, rho_all(S))
+
+
+def adaptive_radii(name: str, factor: float, dists: np.ndarray) -> np.ndarray:
+    """The adaptive radius rule, factor * dists. Radii that leave the float
+    range raise ValueError naming the parameter `name`, without numpy's
+    overflow warning: the squared distances of their balls overflow too."""
+    with np.errstate(over="ignore"):
+        radii = factor * dists
+    if not np.all(np.isfinite(radii)):
+        raise ValueError(f"{name} {factor!r}: the points are too far apart: "
+                         "squared distances overflow")
+    return radii
 
 
 def unit_ball(gauss, u) -> np.ndarray:

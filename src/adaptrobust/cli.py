@@ -267,11 +267,17 @@ def run_sweep(shapes, n: int, m: int, c: float, fixed_radii, n_seeds: int,
               probes: int) -> SweepResult:
     """Train one network per (shape, augmentation, seed) cell on the augmented
     training split and evaluate binary, fixed-radius robust (shared-probe grid)
-    and test-time adaptive robust losses on the held-out split; writes nothing."""
+    and test-time adaptive robust losses on the held-out split; writes nothing.
+
+    Three phases: plan every cell (data, augmentation, init, training seed),
+    train the cells that share a training-set size as one `mlp.train` stack,
+    then evaluate the cells in plan order. Every draw is keyed by its cell,
+    so the bytes are those of training and scoring each cell alone."""
     _check_shapes(shapes)
     variants = _augmentation_variants(c, fixed_radii)
     root = RandomStream(base_seed)
-    cells = []
+    plan, models = [], []  # per cell: (shape, variant, seed index, test, train, fitted, stream)
+    groups: dict[int, list[int]] = {}  # training-set size -> its cells' plan indexes
     for si, shape in enumerate(shapes):
         for k in range(n_seeds):
             data_seed = root.child(si, k, 0).derive_seed()
@@ -286,16 +292,26 @@ def run_sweep(shapes, n: int, m: int, c: float, fixed_radii, n_seeds: int,
                     fitted, _ = augment_data(train_ds, ExpansionSpec(
                         m=m, include_originals=True, seed=cell_stream.child(0).derive_seed(),
                         **vspec))
-                model = mlp.init(train_ds.dim, seed=cell_stream.child(1).derive_seed())
-                model = mlp.train(model, fitted, mlp.TrainSpec(
-                    epochs=epochs, batch_size=batch, learning_rate=lr,
-                    seed=cell_stream.child(2).derive_seed(),
-                ))
-                rep_bin, *rep_grid, rep_adp = _evaluate(
-                    mlp.MlpClassifier(model), test_ds, train_ds, EVAL_RADII, probes,
-                    RandomStream(cell_stream.child(3).derive_seed()))
-                cells.append(SweepCell(shape, vname, k, rep_bin, tuple(rep_grid), rep_adp,
-                                       model, fitted, cell_stream.child(4).derive_seed()))
+                groups.setdefault(fitted.n, []).append(len(plan))
+                plan.append((shape, vname, k, test_ds, train_ds, fitted, cell_stream))
+                models.append(mlp.init(train_ds.dim, seed=cell_stream.child(1).derive_seed()))
+    for group in groups.values():
+        sets = [plan[i][5] for i in group]
+        trained = mlp.train(
+            tuple(models[i] for i in group),
+            LabeledDataset(np.concatenate([f.points for f in sets]),
+                           np.concatenate([f.labels for f in sets])),
+            mlp.TrainSpec(epochs=epochs, batch_size=batch, learning_rate=lr,
+                          seed=tuple(plan[i][6].child(2).derive_seed() for i in group)))
+        for i, model in zip(group, trained):
+            models[i] = model
+    cells = []
+    for (shape, vname, k, test_ds, train_ds, fitted, cell_stream), model in zip(plan, models):
+        rep_bin, *rep_grid, rep_adp = _evaluate(
+            mlp.MlpClassifier(model), test_ds, train_ds, EVAL_RADII, probes,
+            RandomStream(cell_stream.child(3).derive_seed()))
+        cells.append(SweepCell(shape, vname, k, rep_bin, tuple(rep_grid), rep_adp,
+                               model, fitted, cell_stream.child(4).derive_seed()))
     table = {}
     for shape in shapes:
         for vname, _ in variants:

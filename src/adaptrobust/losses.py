@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import expand, point_offsets
+from .augment import adaptive_radii, expand, point_offsets
 from .core import Classifier, LabeledDataset, RandomStream, check_range, radius_grid, row_reduce
 from .neighbors import _EPS, _TINY, rho
 
@@ -196,7 +196,8 @@ def adaptive_robust_testtime(h: Classifier, test: LabeledDataset, ref: LabeledDa
         raise ValueError("reference set must contain at least two classes")
     check_range("factor", factor, "(0, inf)")
     check_range("probes", probes, "[1, inf) int")
-    scales = [(f"adaptive_testtime_f={factor:g}", factor * rho(ref, test.points, test.labels))]
+    scales = [(f"adaptive_testtime_f={factor:g}",
+               adaptive_radii("factor", factor, rho(ref, test.points, test.labels)))]
     return _probe_losses(h, test, f"factor {factor!r}", scales, probes, stream)[0]
 
 

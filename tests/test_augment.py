@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from adaptrobust.augment import ExpansionSpec, augment, expand, point_offsets, unit_ball
 from adaptrobust.core import LabeledDataset, RandomStream
 from adaptrobust.datagen import ShapeSpec, generate
-from adaptrobust.neighbors import rho_all
+from adaptrobust.losses import adaptive_robust_empirical, adaptive_robust_testtime
+from adaptrobust.neighbors import NnClassifier, rho_all
 
 
 def sample_ball_uniform(centers, radii, stream):
@@ -41,6 +42,21 @@ def test_expand_c0_is_identity():
 def test_expand_two_point():
     S = LabeledDataset(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0, 1]))
     assert expand(S, 0.5).tolist() == [0.5, 0.5]
+
+
+def test_radii_that_leave_the_float_range_stop_naming_their_factor():
+    # 1e308 * 2 is inf: one line naming the factor, and no numpy overflow
+    # warning (the suite turns RuntimeWarning into an error)
+    S = LabeledDataset(np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([0, 1]))
+    want = r"^{} 1e\+308: the points are too far apart: squared distances overflow$"
+    for call, name in [(lambda: expand(S, 1e308), "c"),
+                       (lambda: augment(S, ExpansionSpec(c=1e308, m=2)), "c"),
+                       (lambda: adaptive_robust_empirical(NnClassifier(S), S, c=1e308,
+                                                          stream=RandomStream(0)), "c"),
+                       (lambda: adaptive_robust_testtime(NnClassifier(S), S, S, factor=1e308,
+                                                         stream=RandomStream(0)), "factor")]:
+        with pytest.raises(ValueError, match=want.format(name)):
+            call()
 
 
 def test_expand_half_gives_disjoint_opposite_balls():

@@ -249,6 +249,8 @@ def bad_csvs(tmp_path):
                                  encoding="utf-8")
     paths["far"] = tmp_path / "far.csv"  # fine alone, but overflows next to the unit square
     paths["far"].write_text("x1,x2,label\n1e200,1e200,0\n1e200,1e200,1\n", encoding="utf-8")
+    paths["two"] = tmp_path / "two.csv"  # 2 apart: 1e308 times that leaves the float range
+    paths["two"].write_text("x1,x2,label\n0,0,0\n2,0,1\n", encoding="utf-8")
     paths["square"] = tmp_path / "square.csv"  # the unit square's corners, two per label
     paths["square"].write_text("x1,x2,label\n0,0,0\n1,0,1\n0,1,0\n1,1,1\n", encoding="utf-8")
     return paths
@@ -352,6 +354,7 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
     (AUGMENT01 + ["--c", "1e308"], "c 1e+308: overflow"),
     (SWEEP_SMALL + ["--c", "1e308"], "c 1e+308: overflow"),
     (SWEEP_SMALL[:-1] + ["1e308"], "fixed_radius 1e+308: overflow"),
+    (["augment", "--data", "{two}", "--c", "1e308"], "c 1e+308: squared distances overflow"),
     # an option the run would not use is an error, not silently echoed
     (TRAIN01 + ["--model", "nn1", "--epochs", "7", "--lr", "9", "--batch", "3"],
      "--epochs, --lr, --batch: --model nn1"),
@@ -400,7 +403,8 @@ MARGIN_SMALL = ["margin", "--shape", "circles", "--n", "20"]
         "render-seed", "sweep-base-seed", "sweep-shapes-comma", "sweep-shapes-empty",
         "sweep-radii-repeated", "sweep-radii-same-name", "sweep-shapes-repeated",
         "margin-overflow", "augment-overflow", "train-nn1-overflow", "augment-c-overflow",
-        "sweep-c-overflow", "sweep-fixed-radii-overflow", "train-nn1-training-options",
+        "sweep-c-overflow", "sweep-fixed-radii-overflow", "augment-c-radii-overflow",
+        "train-nn1-training-options",
         "train-nn1-default-lr", "train-nn1-config-epochs", "sweep-no-render-ambient",
         "sweep-no-render-config-ambient", "scenario-four-point-options", "scenario-four-point-r",
         "scenario-two-point-mc", "scenario-two-rectangles-config-gap", "train-far-test",

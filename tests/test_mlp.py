@@ -169,20 +169,40 @@ def reference_training_curve(model, data, spec):
     return params, history
 
 
+def stack(sets):
+    """The rows of `sets` in order, as `train` takes a stack's training sets."""
+    return LabeledDataset(np.concatenate([s.points for s in sets]),
+                          np.concatenate([s.labels for s in sets]))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("epochs", [0, 1, 7])
 @pytest.mark.parametrize("batch_size", [16, 64], ids=["short-last-batch", "batch-over-n"])
 def test_training_matches_reference_loop_bit_for_bit(d, epochs, batch_size):
+    # one network, then stacks of K = 1, 2, 3 with their own inits, seeds and
+    # labels: each network gets the bits of the reference loop run on it alone
     rng = np.random.default_rng(d)
-    data = LabeledDataset(rng.random((45, d)), rng.integers(0, 2, 45))  # 45 = 2*16 + 13
-    model = init(d, seed=30 + d)
-    spec = TrainSpec(epochs=epochs, batch_size=batch_size, learning_rate=0.5, seed=40 + d)
-    want_params, want_history = reference_training_curve(model, data, spec)
-    assert np.array_equal(train(model, data, spec).params, want_params)
+    sets = [LabeledDataset(rng.random((45, d)), rng.integers(0, 2, 45))  # 45 = 2*16 + 13
+            for _ in range(3)]
+    models = [init(d, seed=30 + d + 10 * k) for k in range(3)]
+    specs = [TrainSpec(epochs=epochs, batch_size=batch_size, learning_rate=0.5,
+                       seed=40 + d + 10 * k) for k in range(3)]
+    want = [reference_training_curve(*args) for args in zip(models, sets, specs)]
+    model, data, spec = models[0], sets[0], specs[0]
+    assert np.array_equal(train(model, data, spec).params, want[0][0])
     history = [bce_loss(train(model, data, replace(spec, epochs=k)), data)
                for k in range(1, epochs + 1)]
-    assert history == want_history
-    assert np.array_equal(model.params, init(d, seed=30 + d).params)  # input untouched
+    assert history == want[0][1]
+    for K in (1, 2, 3):
+        stacked = stack(sets[:K])
+        rows, labels = stacked.points.copy(), stacked.labels.copy()
+        out = train(tuple(models[:K]), stacked,
+                    replace(spec, seed=tuple(sp.seed for sp in specs[:K])))
+        assert isinstance(out, tuple) and len(out) == K
+        assert all(np.array_equal(m.params, w[0]) for m, w in zip(out, want))
+        assert np.array_equal(stacked.points, rows) and np.array_equal(stacked.labels, labels)
+    for k, m in enumerate(models):  # inputs untouched
+        assert np.array_equal(m.params, init(d, seed=30 + d + 10 * k).params)
 
 
 @pytest.mark.parametrize("shape", SHAPE_NAMES)
@@ -201,6 +221,34 @@ def test_training_rejects_nonbinary_labels():
                           np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0]))
     with pytest.raises(ValueError, match="binary"):
         train(init(2, seed=22), data, TrainSpec(epochs=1))
+    clean = LabeledDataset(data.points, np.zeros(10, dtype=int))
+    with pytest.raises(ValueError, match="binary"):  # only the second network's labels are bad
+        train((init(2, seed=22), init(2, seed=23)), stack([clean, data]),
+              TrainSpec(epochs=1, seed=(0, 1)))
+
+
+@pytest.mark.parametrize("models, seed, match", [
+    (2, 0, "expected 2 seeds"),
+    (2, (0, 1, 2), "expected 2 seeds"),
+    (1, (0, 1), "expected 1 seeds"),
+    (3, (0, 1, 2), "do not split into 3"),  # 10 rows
+    (0, (), "do not split into 0"),
+], ids=["int-seed", "extra-seed", "one-network", "uneven-rows", "no-network"])
+def test_stacked_training_rejects_mismatched_stacks(models, seed, match):
+    data = LabeledDataset(np.random.default_rng(24).random((10, 2)), np.arange(10) % 2)
+    net = init(2, seed=25) if models == 1 else tuple(init(2, seed=k) for k in range(models))
+    with pytest.raises(ValueError, match=match):
+        train(net, data, TrainSpec(epochs=1, seed=seed))
+
+
+def test_stacked_training_takes_64_bit_seeds_and_one_network_shape():
+    TrainSpec(seed=(1, 2**63, 2**64 - 1))  # no numpy dtype holds all three
+    with pytest.raises(ValueError, match="seed -1"):
+        TrainSpec(seed=(1, -1))
+    data = LabeledDataset(np.random.default_rng(26).random((4, 2)), [0, 1, 0, 1])
+    with pytest.raises(ValueError, match="one shape"):
+        train((init(2, seed=0), MlpModel(np.zeros(15), 2, (2, 2))), data,
+              TrainSpec(epochs=1, seed=(0, 1)))
 
 
 # --- classifier and persistence -------------------------------------------------------
@@ -213,6 +261,13 @@ def test_diverging_training_raises_without_numpy_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not finite"):
             train(init(2, seed=0), data, TrainSpec(epochs=5))
+    # in a stack, one diverging network (inputs in range, huge weights) is enough
+    data = LabeledDataset(np.random.default_rng(27).random((4, 2)), [0, 1, 0, 1])
+    huge = MlpModel(np.full(151, 1e200), 2, (10, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            train((init(2, seed=0), huge), data, TrainSpec(epochs=5, seed=(0, 1)))
 
 
 def test_threshold_rule():
