@@ -31,8 +31,14 @@ def check_range(name: str, value, interval: str) -> None:
     written like "[0, 1)" or "(0, inf]"; NaN and None lie in none. The integer
     form, like "[1, inf) int", also asks for a Python or numpy integer or an
     integer array, not a bool. The value shown is a number's repr or an array's
-    first failing element."""
+    first failing element, as given. In the integer form, a sequence that no
+    numpy integer dtype holds (Python ints on both sides of 2**63, or
+    non-integers) is checked element by element."""
     bounds = interval.removesuffix(" int")
+    if bounds != interval and np.ndim(value) > 0 and np.asarray(value).dtype.kind not in "iu":
+        for x in np.asarray(value, dtype=object).flat:
+            check_range(name, x, interval)
+        return
     lo, hi = (float(b) for b in bounds[1:-1].split(","))
     v = value if isinstance(value, numbers.Real) else np.asarray(value, dtype=np.float64)
     ok = (lo < v if bounds[0] == "(" else lo <= v) & (v < hi if bounds[-1] == ")" else v <= hi)
@@ -40,7 +46,7 @@ def check_range(name: str, value, interval: str) -> None:
         ok &= (not isinstance(value, bool) if isinstance(value, numbers.Integral)
                else np.asarray(value).dtype.kind in "iu")
     if not np.all(ok):
-        shown = value if np.ndim(v) == 0 else v[~ok][0].item()
+        shown = value if np.ndim(v) == 0 else np.asarray(value)[~ok][:1].tolist()[0]
         raise ValueError(f"{name} {shown!r}: must lie in {interval}")
 
 
@@ -93,24 +99,27 @@ def column_span(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sq_dists_to(P: np.ndarray, Q: np.ndarray, pos=None, cnt=None) -> np.ndarray:
     """Squared distances of point-query pairs, column-major: the points are
     the columns `pos` of the (d, n) array P, and column k of the (d, k) array
-    Q is the query of the next cnt[k] of them. By default all n points go to
-    one query, a linear scan: `sq_dists_to(X.T, x[:, None])`.
+    Q is the query of the next cnt[k] of them. By default every point goes to
+    every query, query-major (k n values, a linear scan per query):
+    `sq_dists_to(X.T, x[:, None])` is the scan of one query x.
 
     This kernel is the single source of point-to-point arithmetic for the
     nearest-neighbor machinery, so the index's answers are bit-identical to a
-    linear scan. One coordinate at a time is gathered, differenced and squared
-    in place; below 8 coordinates the rows are summed left to right from zero,
-    from 8 a (pairs, d) copy is summed pairwise by numpy: the bytes of
-    `np.sum((X - x) ** 2, axis=-1)` either way.
+    linear scan. One coordinate at a time is gathered (or broadcast),
+    differenced and squared in place; below 8 coordinates the rows are summed
+    left to right from zero, from 8 a (pairs, d) copy is summed pairwise by
+    numpy: the bytes of `np.sum((X - x) ** 2, axis=-1)` either way.
     """
-    if pos is None:
-        pos, cnt = np.arange(P.shape[1]), [P.shape[1]]
-    d, pairs = P.shape[0], len(pos)
+    d = P.shape[0]
+    pairs = Q.shape[1] * P.shape[1] if pos is None else len(pos)
     row = np.empty(pairs)
     out = np.zeros(pairs) if d < 8 else np.empty((pairs, d))
     for j in range(d):
-        np.take(P[j], pos, out=row, mode="clip")  # pos is in range: no checked copy
-        row -= np.repeat(Q[j], cnt)
+        if pos is None:
+            np.subtract(P[j], Q[j][:, None], out=row.reshape(Q.shape[1], P.shape[1]))
+        else:
+            np.take(P[j], pos, out=row, mode="clip")  # pos is in range: no checked copy
+            row -= np.repeat(Q[j], cnt)
         row *= row
         if d < 8:
             out += row

@@ -64,9 +64,7 @@ class TrainSpec:
         check_range("epochs", self.epochs, "[0, inf) int")
         check_range("batch_size", self.batch_size, "[1, inf) int")
         check_range("learning_rate", self.learning_rate, "(0, inf)")
-        # one at a time: no numpy dtype holds 64-bit seeds on both sides of 2**63
-        for seed in self.seed if isinstance(self.seed, tuple) else (self.seed,):
-            check_range("seed", seed, "[0, inf) int")
+        check_range("seed", self.seed, "[0, inf) int")
 
 
 def init(d: int, seed: int) -> MlpModel:

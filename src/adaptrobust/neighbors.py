@@ -1,12 +1,13 @@
 """Exact nearest-neighbour queries: the grid index, nearest-opposite-label
 radii, and 1-NN classification with its witnesses and certified radii.
 
-Every nearest-neighbour query in the package goes through `GridIndex`. The
-index keeps its points column-major and computes each candidate distance with
-`core.sq_dists_to`, the kernel a linear scan uses too, so its answers are
-bit-identical to a brute-force scan, and ties go to the smallest index. The
-nearest point of another label comes from one index per label over the points
-not so labelled, built per call.
+Every nearest-neighbour query in the package goes through `GridIndex` or,
+when it is small, a linear scan. The index keeps its points column-major and
+computes each candidate distance with `core.sq_dists_to`, the kernel the scan
+uses too, so its answers are bit-identical to the scan's, and ties go to the
+smallest index. The nearest point of another label comes, per label, from
+the points not so labelled: scanned when that label's queries times those
+points fit `_PIECE` pairs, else through an index over them built per call.
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ from .core import BatchFirst, LabeledDataset, column_span, row_reduce, sq_dists_
 _PER_CELL = 4           # target mean number of points per grid cell
 _MAX_AXES = 3           # gridded coordinates; the others only add to distances
 # Work per piece, in elements: a query's candidate cells per pass, or d + 4
-# per candidate pair. A piece's arrays, each 8 bytes per pair, stay in a 2 MB
+# per candidate pair; also the most pairs a nearest-other-label lookup scans
+# instead of indexing. A piece's arrays, each 8 bytes per pair, stay in a 2 MB
 # L2 cache at this size. Measured on the 16,000-probe query of the nn1
 # workload (2-core x86-64, medians of 30): 27-29 ms at 2^17, 29-30 ms at 2^16
 # and 2^18, 33 ms at 2^15 and 42-44 ms at 10^6.
@@ -227,18 +229,41 @@ def _shell(shape: tuple, a: int, b: int) -> np.ndarray:
     return out
 
 
+def _scan(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`GridIndex(P).nearest(Q)` by a linear scan of every point for every
+    query: the same checks on Q, the same kernel and the same ties (argmin
+    takes the smallest index). Queries go in pieces of about `_PIECE`
+    elements, d + 4 per pair as in the index."""
+    if Q.ndim != 2 or Q.shape[1] != P.shape[1]:
+        raise ValueError("query dimension mismatch")
+    if not np.all(np.isfinite(Q)):
+        raise ValueError("queries must be finite")
+    best = np.empty(Q.shape[0])
+    arg = np.empty(Q.shape[0], dtype=np.int64)
+    for a, b in _pieces(np.full(Q.shape[0], P.shape[0] * (P.shape[1] + 4)), _PIECE):
+        d2 = sq_dists_to(P.T, Q[a:b].T).reshape(b - a, P.shape[0])
+        arg[a:b] = np.argmin(d2, axis=1)
+        best[a:b] = d2[np.arange(b - a), arg[a:b]]
+    return best, arg
+
+
 def _nearest_other(S: LabeledDataset, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distance, row of S) of the nearest point of S labelled other than Y_i,
-    for each row X_i; S.diameter_bound and -1 when there is none. One index
-    per label of Y, over the points of S not so labelled."""
+    for each row X_i; S.diameter_bound and -1 when there is none. Per label
+    of Y, over the points of S not so labelled: a `_scan` when its queries
+    times those points fit `_PIECE` pairs, else a `GridIndex` built here."""
     dist = np.full(X.shape[0], S.diameter_bound)
     rows = np.full(X.shape[0], -1, dtype=np.int64)
     for y in np.unique(Y).tolist():
         others = np.flatnonzero(S.labels != y)
         if others.size:
             sel = Y == y
+            Q = X[sel]
             points = np.take(S.points, others, axis=0)  # ~10x faster than S.points[others]
-            d2, i = GridIndex(points).nearest(X[sel])
+            if Q.shape[0] * others.size <= _PIECE:
+                d2, i = _scan(points, Q)
+            else:
+                d2, i = GridIndex(points).nearest(Q)
             dist[sel], rows[sel] = np.sqrt(d2), others[i]
     return dist, rows
 

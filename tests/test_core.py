@@ -128,8 +128,10 @@ def test_distance_kernel_is_numpys_sum_bit_for_bit(case):
     P, Q, pos, cnt = case
     want = np.sum((P[pos] - np.repeat(Q, cnt, axis=0)) ** 2, axis=-1)
     assert sq_dists_to(P.T, Q.T, pos, cnt).tobytes() == want.tobytes()
-    scan = np.sum((P - Q[0]) ** 2, axis=-1)  # the default form: every point to one query
-    assert sq_dists_to(P.T, Q[:1].T).tobytes() == scan.tobytes()
+    # the default form: every point to every query, query-major; k = 1 is one scan
+    scan = np.sum((P[None, :, :] - Q[:, None, :]) ** 2, axis=-1)
+    assert sq_dists_to(P.T, Q.T).tobytes() == scan.tobytes()
+    assert sq_dists_to(P.T, Q[:1].T).tobytes() == scan[0].tobytes()
 
 
 def test_random_stream_replay_100k():
@@ -250,12 +252,21 @@ def test_check_range_message_shows_the_value_as_given():
     assert str(err.value) == "--n 1: must lie in [2, inf)"
     check_range("n", 10**400, "[2, inf)")  # an int too large for a float still compares
     check_range("threshold", -math.inf, "[-inf, inf]")
+    # a sequence's first failing element, as given, with or without one integer dtype
+    for bad, shown in (((3, -2), "-2"), ([2, -1, 10], "-1"), ((-1, 2**63), "-1"),
+                       ((2**63, 1.0), "1.0"), ((1, 2**64, True), "True"), ([[1, 2**63], [3, -4]], "-4")):
+        with pytest.raises(ValueError) as err:
+            check_range("seed", bad, "[0, inf) int")
+        assert str(err.value) == f"seed {shown}: must lie in [0, inf) int"
 
 
 def test_the_integer_form_takes_integers_only():
-    for good in (3, np.int64(3), np.uint8(3), 10**400, [1, 2], np.array([1, 2], dtype=np.int32)):
+    # (1, 2**63) and (2**63, 2**64) fit no one numpy integer dtype: element by element
+    for good in (3, np.int64(3), np.uint8(3), 10**400, [1, 2], np.array([1, 2], dtype=np.int32),
+                 (1, 2**63), [2**64, 1, 10**400]):
         check_range("n", good, "[1, inf) int")
-    for bad in (0, True, np.True_, 3.0, np.float64(3.0), math.nan, None, [1.0, 2.0], [True], "3"):
+    for bad in (0, True, np.True_, 3.0, np.float64(3.0), math.nan, None, [1.0, 2.0], [True], "3",
+                (0, 2**63), (2**63, 1.0), [1, 2**64, True]):
         with pytest.raises(ValueError, match=r"^n .+: must lie in \[1, inf\) int$"):
             check_range("n", bad, "[1, inf) int")
 

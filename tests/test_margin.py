@@ -86,15 +86,24 @@ def test_few_far_witness_queries_cross_wide_shells(monkeypatch):
     # A witness query on the circles supports crosses about 16 empty rings of
     # cells; one ring per pass took 33 passes for these 8 samples (joint
     # index, then both class indexes). With few queries active a pass covers
-    # many rings, so at most half as many passes remain.
+    # many rings, so at most half as many passes remain. `opposite_witness`
+    # scans the class supports for so few queries, so each class index is
+    # queried here directly, with the samples of the other label.
     geom = shape_geometry("circles")
-    h = NearestSetClassifier(geom.class_support(0, 10000), geom.class_support(1, 10000))
+    support = [geom.class_support(0, 10000), geom.class_support(1, 10000)]
+    h = NearestSetClassifier(*support)
     X = manifold_sampler("circles")(RandomStream(0), 8)
-    passes = []
-    visit = neighbors.GridIndex._visit_shell
+    other = [neighbors.GridIndex(support[1]), neighbors.GridIndex(support[0])]
+    passes, builds = [], []
+    visit, init = neighbors.GridIndex._visit_shell, neighbors.GridIndex.__init__
     monkeypatch.setattr(neighbors.GridIndex, "_visit_shell",
                         lambda self, *args: passes.append(1) or visit(self, *args))
-    h.opposite_witness(X)
+    monkeypatch.setattr(neighbors.GridIndex, "__init__",
+                        lambda self, P: builds.append(1) or init(self, P))
+    labels, _, _ = h.opposite_witness(X)
+    assert not builds  # no per-label index: both class lookups are scans
+    for y in (0, 1):
+        other[y].nearest(X[labels == y])
     assert len(passes) <= 16
 
 

@@ -140,6 +140,85 @@ def test_batched_rho_rejects_mismatched_labels():
         rho(S, np.zeros((3, 2)), np.array([0, 1, 0]))
 
 
+# _PIECE settings: every lookup through an index (0), scans of one query per
+# piece (64), the default, and every lookup one scan in one piece (2**40)
+PIECES = [0, 64, neighbors._PIECE, 2**40]
+
+
+def with_piece(piece, f):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbors, "_PIECE", piece)
+        return f()
+
+
+def index_builds(f) -> int:
+    """How many `GridIndex`es f() builds."""
+    builds = []
+    init = GridIndex.__init__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GridIndex, "__init__", lambda self, P: builds.append(1) or init(self, P))
+        f()
+    return len(builds)
+
+
+@st.composite
+def two_path_case(draw):
+    """Half-step lattice data (duplicates with conflicting labels, exact ties)
+    or uniform data (summation order shows in the last bits), one class when
+    the labels agree, in d = 1, 2 or 10 (from 8 the kernel sums pairwise),
+    with queries around it."""
+    d = draw(st.sampled_from([1, 2, 10]))
+    n, m = draw(st.integers(1, 15)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(0, draw(st.integers(1, 3)), n)
+    if draw(st.booleans()):
+        P, X = rng.integers(0, 3, (n, d)) / 2.0, rng.integers(-2, 5, (m, d)) / 2.0
+    else:
+        P, X = rng.random((n, d)), rng.random((m, d)) * 2.0 - 0.5
+    return LabeledDataset(P, labels), X, rng.integers(0, 3, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_path_case())
+def test_scan_and_index_give_the_same_bytes(case):
+    S, X, Y = case
+    want = [scan_rho(S, x, int(y)) for x, y in zip(X, Y)]
+    want_all = [scan_rho(S, p, int(y)) for p, y in zip(S.points, S.labels)]
+    want_rows = []  # the first nearest row of another label; -1 when there is none
+    for x, y in zip(X, Y):
+        others = np.flatnonzero(S.labels != y)
+        want_rows.append(int(others[np.argmin(sq_dists_to(S.points[others].T, x[:, None]))])
+                         if others.size else -1)
+    h = NnClassifier(S)
+    answers = set()
+    for piece in PIECES:
+        got = with_piece(piece, lambda: (rho(S, X, Y), rho_all(S), *h.opposite_witness(X),
+                                          *neighbors._nearest_other(S, X, Y)))
+        assert got[0].tolist() == want and got[1].tolist() == want_all
+        assert got[-1].tolist() == want_rows
+        answers.add(tuple(a.tobytes() for a in got))
+    assert len(answers) == 1
+
+
+def test_a_lookup_is_scanned_exactly_when_its_pairs_fit_a_piece():
+    # 4 label-0 queries against the 3 label-1 points: 12 pairs
+    S = LabeledDataset(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 1, 1, 1]))
+    X, Y = np.array([[0.5], [1.5], [2.5], [9.0]]), np.zeros(4, dtype=np.int64)
+    for piece, built in ((12, 0), (11, 1)):
+        assert index_builds(lambda: with_piece(piece, lambda: rho(S, X, Y))) == built
+    assert rho(S, X, Y).tolist() == [0.5, 0.5, 0.5, 6.0]
+
+
+@pytest.mark.parametrize("piece", [0, 2**40])  # through an index, then a scan
+def test_rho_rejects_a_non_finite_query_on_both_paths(piece):
+    S = LabeledDataset(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]))
+    for bad in ([[math.nan, 0.5]], [[0.5, math.inf]], [[0.5, 0.5], [-math.inf, 0.0]]):
+        with pytest.raises(ValueError, match="queries must be finite"):
+            with_piece(piece, lambda: rho(S, bad, [0] * len(bad)))
+        with pytest.raises(ValueError, match="query dimension mismatch"):
+            with_piece(piece, lambda: rho(S, np.zeros((len(bad), 3)), [0] * len(bad)))
+
+
 def test_rho_is_one_lipschitz():
     rng = np.random.default_rng(2)
     for d in (1, 2, 5, 10):
